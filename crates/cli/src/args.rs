@@ -17,7 +17,7 @@ pub enum ArgError {
         /// Expected type description.
         expected: &'static str,
     },
-    /// A positional or unknown token appeared.
+    /// A positional token or a flag no command reads appeared.
     Unknown(String),
 }
 
@@ -45,18 +45,48 @@ pub struct Flags {
     values: BTreeMap<String, String>,
 }
 
+/// Every flag some command reads. Any other `--name` is rejected, so a
+/// typo (`--sampel 20`) fails instead of silently running with the
+/// default.
+const FLAGS: &[&str] = &[
+    "addr",
+    "all",
+    "base-kernel",
+    "batch-window-us",
+    "cluster-engine",
+    "cluster-machines",
+    "compression",
+    "csv",
+    "dot",
+    "drain-timeout",
+    "help",
+    "instances",
+    "jobs",
+    "machines",
+    "max-bad-rows",
+    "max-body",
+    "max-conns",
+    "min-confidence",
+    "n",
+    "online",
+    "out",
+    "policy",
+    "queue-depth",
+    "replay",
+    "request-deadline",
+    "sample",
+    "seed",
+    "snapshot",
+    "threads",
+    "timings",
+    "trace",
+    "wl-iterations",
+];
+
 /// Flags that work without a value. They still accept one when the next
 /// token is not another flag (`--machines 64`), so the same name can be
 /// a boolean switch for one command and a count for another.
-const SWITCHES: &[&str] = &[
-    "instances",
-    "machines",
-    "help",
-    "all",
-    "timings",
-    "stream",
-    "mmap",
-];
+const SWITCHES: &[&str] = &["instances", "machines", "help", "all", "timings"];
 
 impl Flags {
     /// Parse a token stream (without the program / subcommand names).
@@ -65,7 +95,7 @@ impl Flags {
         let mut i = 0;
         while i < tokens.len() {
             let tok = &tokens[i];
-            let Some(name) = tok.strip_prefix("--") else {
+            let Some(name) = tok.strip_prefix("--").filter(|n| FLAGS.contains(n)) else {
                 return Err(ArgError::Unknown(tok.clone()));
             };
             if SWITCHES.contains(&name) {
@@ -189,10 +219,14 @@ mod tests {
     }
 
     #[test]
-    fn unknown_positional_rejected() {
+    fn unknown_positional_or_flag_rejected() {
         assert_eq!(
             Flags::parse(&toks("oops")).unwrap_err(),
             ArgError::Unknown("oops".into())
+        );
+        assert_eq!(
+            Flags::parse(&toks("--jobs 10 --sampel 20")).unwrap_err(),
+            ArgError::Unknown("--sampel".into())
         );
     }
 

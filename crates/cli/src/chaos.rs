@@ -9,14 +9,17 @@
 //! Only compiled with `--features failpoints`; the default binary has a
 //! stub arm that points at the feature flag.
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::io::BufReader;
+use std::io::{BufReader, Cursor};
 use std::path::PathBuf;
 use std::time::Duration;
 
 use dagscope_core::{IndexSnapshot, Pipeline, PipelineConfig, SnapshotError};
 use dagscope_sched::{replay, workload_from_jobs, ClusterConfig, Policy, SimConfig};
+use dagscope_trace::filter::SampleCriteria;
 use dagscope_trace::gen::{GeneratorConfig, TraceGenerator};
+use dagscope_trace::stream::StreamedTrace;
 use dagscope_trace::{csv, ReadPolicy};
 
 use crate::args::Flags;
@@ -94,9 +97,9 @@ fn scratch_dir(tag: &str) -> PathBuf {
     ))
 }
 
-/// Ingest under fire: quarantine accounting stays exact, parallel and
-/// sequential readers agree, and injected IO faults surface as errors
-/// instead of silently short trails.
+/// Ingest under fire: quarantine accounting stays exact, the streamed
+/// scan agrees with the sequential reader, and injected IO faults surface
+/// as errors instead of silently short trails.
 fn phase_ingest(report: &mut Report, seed: u64) -> Result<(), CliError> {
     report.line("phase ingest:");
     let trace = TraceGenerator::new(GeneratorConfig {
@@ -124,11 +127,18 @@ fn phase_ingest(report: &mut Report, seed: u64) -> Result<(), CliError> {
         corrupt.push(b'\n');
     }
     let policy = ReadPolicy::Quarantine { max_bad: 1_000 };
+    let scan = || {
+        StreamedTrace::scan(
+            Cursor::new(&corrupt[..]),
+            &policy,
+            &SampleCriteria::default(),
+        )
+    };
 
     let (rows_seq, q_seq) = csv::read_tasks_with_policy(BufReader::new(&corrupt[..]), &policy)
         .map_err(|e| CliError::Run(e.to_string()))?;
-    let (rows_par, q_par) = csv::read_tasks_chunked_with_policy(&corrupt, 4096, &policy)
-        .map_err(|e| CliError::Run(e.to_string()))?;
+    let streamed = scan().map_err(|e| CliError::Run(e.to_string()))?;
+    let q_stream = streamed.quarantine();
     report.line(&format!(
         "  rows_total={} rows_good={} quarantined={}",
         q_seq.rows_total,
@@ -141,28 +151,33 @@ fn phase_ingest(report: &mut Report, seed: u64) -> Result<(), CliError> {
         "rows_good + quarantined == rows_total",
     );
     report.check(
-        "quarantine_accounting_parallel",
-        q_par.rows_good + q_par.rows.len() == q_par.rows_total,
+        "quarantine_accounting_streamed",
+        q_stream.rows_good + q_stream.rows.len() == q_stream.rows_total,
         "rows_good + quarantined == rows_total",
     );
+    let suspects: BTreeSet<String> = q_seq
+        .suspect_jobs()
+        .keys()
+        .map(|name| name.to_string())
+        .collect();
     report.check(
-        "parallel_equals_sequential",
-        rows_par == rows_seq && q_par == q_seq,
-        "chunked decode is bit-identical to the sequential reader",
+        "streamed_equals_sequential",
+        *q_stream == q_seq && *streamed.suspects() == suspects,
+        "streamed scan reports the sequential reader's quarantine and suspect jobs",
     );
 
-    // A mid-chunk IO error, targeted at a seed-chosen chunk start, must
-    // abort the chunked read — never shorten it silently.
-    let bounds = dagscope_par::chunk_bounds(&corrupt, 4096, b'\n');
-    let target = bounds[(dagscope_faults::splitmix64(seed) >> 16) as usize % bounds.len()].0;
-    dagscope_faults::configure("trace.read.chunk_io", &format!("return({target})"))
+    // A read error at a seed-chosen line must abort the streamed scan —
+    // never shorten it silently.
+    let lines = corrupt.iter().filter(|&&b| b == b'\n').count() as u64;
+    let target = (dagscope_faults::splitmix64(seed) >> 16) % lines.max(1);
+    dagscope_faults::configure("trace.read.line_io", &format!("{target}>1*return"))
         .map_err(CliError::Run)?;
-    let chunked = csv::read_tasks_chunked_with_policy(&corrupt, 4096, &policy);
+    let scanned = scan();
     dagscope_faults::reset();
     report.check(
-        "injected_chunk_io_aborts_read",
-        chunked.is_err(),
-        "mid-chunk IO error surfaces as Err",
+        "injected_line_io_aborts_streamed_scan",
+        scanned.is_err(),
+        "line-level IO error surfaces as Err from the streamed scan",
     );
 
     // Same for a per-line read error in the sequential reader.

@@ -3,7 +3,6 @@
 use std::fmt;
 use std::fmt::Write as _;
 use std::fs;
-use std::io::{Read, Seek};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -18,12 +17,11 @@ use dagscope_sched::{
     OnlineLoad, Policy, Predictions, ProfileBuilder, ReplayWorkload, SimConfig, SimJob, Simulator,
     DEFAULT_MIN_CONFIDENCE,
 };
-use dagscope_par::MmapBuf;
 use dagscope_trace::filter::SampleCriteria;
 use dagscope_trace::gen::{GeneratorConfig, TraceGenerator};
 use dagscope_trace::placement::PlacementStats;
 use dagscope_trace::stream::StreamedTrace;
-use dagscope_trace::{csv, machine, stats::TraceStats, Quarantine, ReadPolicy, TaskRecord};
+use dagscope_trace::{csv, machine, stats::TraceStats, ReadPolicy};
 
 use crate::args::{ArgError, Flags};
 
@@ -56,8 +54,8 @@ COMMANDS
               scheduler-in-the-loop: fit the group model offline, then
               replay every eligible job at its trace arrival time under
               group-informed policies vs FIFO and the oracles, with
-              regret columns (--jobs N --seed S | --trace DIR
-               [--stream]) [--replay N] [--machines M]
+              regret columns (--jobs N --seed S | --trace DIR)
+               [--replay N] [--machines M]
                [--compression C] [--online trough,peak]
                [--policy fifo,group-sjf,group-critical-path,
                 group-hybrid,sjf-oracle,critical-path-oracle | all]
@@ -85,41 +83,24 @@ COMMANDS
 GLOBAL FLAGS
   --threads N        pin the worker-thread count for all parallel stages
                      (default: DAGSCOPE_THREADS env var, else autodetect)
-  --trace DIR        pipeline commands ingest DIR/batch_task.csv (parallel
-                     CSV decode) instead of synthesizing a trace
+  --trace DIR        pipeline commands ingest DIR/batch_task.csv instead
+                     of synthesizing a trace: one bounded-memory scan
+                     folds the statistics, and only the jobs a command
+                     uses are ever materialized (byte-range replay)
   --max-bad-rows N   with --trace: quarantine up to N malformed rows
                      instead of aborting on the first; implicated jobs
                      are dropped and a report goes to stderr
-  --stream           with --trace: single-pass bounded-memory ingestion —
-                     statistics fold during the scan, only the sampled
-                     jobs are ever materialized (byte-range replay), and
-                     peak memory stays far below the raw trace size.
-                     Output is bit-identical to the batch loader
-  --mmap             with --trace: map the CSV into memory and scan it in
-                     place (zero read syscalls, zero heap copy); falls
-                     back to buffered reads if the mapping fails
-  --parser swar|scalar
-                     CSV decoder (default swar: the word-at-a-time
-                     zero-copy scanner). `scalar` forces the legacy
-                     line-at-a-time oracle decoder — batch ingestion
-                     only, kept for differential verification
-  --dedup-shapes on|off
-                     collapse bitwise-identical WL vectors before the
-                     Gram assembly (sparse engine; default on). Results
-                     are bit-identical either way; `off` forces the
-                     O(n²) pairwise oracle
   --cluster-engine dense|collapsed|auto
                      spectral-clustering engine (default auto). `dense`
                      is the paper's NJW over the expanded n×n matrix;
                      `collapsed` clusters unique shapes with a sparse
                      CSR affinity + Lanczos eigensolver in O(nnz)
-                     memory (needs --dedup-shapes on); `auto` stays
-                     dense up to 512 sampled jobs, collapsed beyond
+                     memory; `auto` stays dense up to 512 sampled jobs,
+                     collapsed beyond
   --timings          summary/report: append per-stage wall-clock table,
-                     engine provenance, and the Laplacian eigengap
-                     diagnostic (plus gram-engine cost counters when
-                     dedup is on; with --trace also the ingest
-                     throughput in MB/s)
+                     engine provenance, gram-engine cost counters, and
+                     the Laplacian eigengap diagnostic (with --trace
+                     also the ingest throughput in MB/s)
 ";
 
 /// CLI-level errors.
@@ -177,15 +158,6 @@ fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, CliError> {
                 )))
             }
         },
-        dedup_shapes: match flags.str_or("dedup-shapes", "on").as_str() {
-            "on" => true,
-            "off" => false,
-            other => {
-                return Err(CliError::Run(format!(
-                    "--dedup-shapes must be `on` or `off`, got {other:?}"
-                )))
-            }
-        },
         cluster_engine: match flags.str_or("cluster-engine", "auto").as_str() {
             "dense" => ClusterEngine::Dense,
             "collapsed" => ClusterEngine::Collapsed,
@@ -210,76 +182,31 @@ fn trace_policy(flags: &Flags) -> Result<ReadPolicy, CliError> {
     })
 }
 
-/// Wall-clock + volume of one trace ingestion, for the `--timings`
-/// throughput line (satellite of the zero-copy scanner work: the MB/s
-/// number is how the scan is graded).
-struct IngestStats {
-    bytes: u64,
+/// A `--trace` ingest: the scanned trace, which `sched-replay` reads its
+/// workload from after the pipeline ran, and the scan's wall time for the
+/// `--timings` throughput line.
+struct Ingest {
+    trace: StreamedTrace<fs::File>,
     secs: f64,
-    parser: &'static str,
-    source: &'static str,
 }
 
-impl IngestStats {
+impl Ingest {
     fn render(&self) -> String {
-        let mb = self.bytes as f64 / 1e6;
+        let mb = self.trace.raw_bytes() as f64 / 1e6;
         let rate = if self.secs > 0.0 { mb / self.secs } else { 0.0 };
-        format!(
-            "ingest: {mb:.1} MB in {:.3} s — {rate:.1} MB/s ({} parser, {})",
-            self.secs, self.parser, self.source
-        )
+        format!("ingest: {mb:.1} MB in {:.3} s — {rate:.1} MB/s", self.secs)
     }
 }
 
-/// The CSV bytes of a trace: either a private read-only mapping of the
-/// file or a plain heap copy, behind one `&[u8]` view.
-enum TraceBytes {
-    Mapped(MmapBuf),
-    Heap(Vec<u8>),
-}
-
-impl AsRef<[u8]> for TraceBytes {
-    fn as_ref(&self) -> &[u8] {
-        match self {
-            TraceBytes::Mapped(m) => m,
-            TraceBytes::Heap(v) => v,
-        }
-    }
-}
-
-/// Load a trace CSV for batch decoding. `--mmap` maps it in place; a
-/// failed mapping (exotic filesystem, non-unix target) degrades to the
-/// buffered read with a note rather than an error.
-fn load_trace_bytes(path: &Path, use_mmap: bool) -> Result<(TraceBytes, &'static str), CliError> {
-    if use_mmap {
-        match fs::File::open(path).and_then(|f| MmapBuf::map(&f)) {
-            Ok(map) => return Ok((TraceBytes::Mapped(map), "mmap")),
-            Err(e) => eprintln!(
-                "dagscope: mmap {} failed ({e}); falling back to buffered reads",
-                path.display()
-            ),
-        }
-    }
-    let bytes =
-        fs::read(path).map_err(|e| CliError::Run(format!("read {}: {e}", path.display())))?;
-    Ok((TraceBytes::Heap(bytes), "read"))
-}
-
-/// The `--parser` selection: the zero-copy SWAR scanner (default) or the
-/// legacy scalar decoder it is verified against.
-fn parser_flag(flags: &Flags) -> Result<&'static str, CliError> {
-    match flags.str_or("parser", "swar").as_str() {
-        "swar" => Ok("swar"),
-        "scalar" => Ok("scalar"),
-        other => Err(CliError::Run(format!(
-            "--parser must be `swar` or `scalar`, got {other:?}"
-        ))),
-    }
-}
-
-/// Report quarantine verdicts of a streamed scan the way the batch
-/// loader does.
-fn report_stream_quarantine<R: Read + Seek>(streamed: &StreamedTrace<R>) {
+/// Stream-scan a trace's `batch_task.csv`, reporting quarantine verdicts
+/// and the suspect jobs dropped for them on stderr.
+fn open_streamed_trace(dir: &str, flags: &Flags) -> Result<StreamedTrace<fs::File>, CliError> {
+    let path = Path::new(dir).join("batch_task.csv");
+    let file = fs::File::open(&path)
+        .map_err(|e| CliError::Run(format!("open {}: {e}", path.display())))?;
+    let policy = trace_policy(flags)?;
+    let streamed =
+        StreamedTrace::scan(file, &policy, &SampleCriteria::default()).map_err(io_err)?;
     if !streamed.quarantine().is_clean() {
         eprintln!("dagscope: {}", streamed.quarantine().render());
         eprintln!(
@@ -287,137 +214,23 @@ fn report_stream_quarantine<R: Read + Seek>(streamed: &StreamedTrace<R>) {
             streamed.suspects().len()
         );
     }
-}
-
-/// Stream-scan a trace's `batch_task.csv` through buffered reads.
-fn open_streamed_trace(dir: &str, flags: &Flags) -> Result<StreamedTrace<fs::File>, CliError> {
-    let path = Path::new(dir).join("batch_task.csv");
-    let file = fs::File::open(&path)
-        .map_err(|e| CliError::Run(format!("open {}: {e}", path.display())))?;
-    let policy = trace_policy(flags)?;
-    let streamed = StreamedTrace::scan(file, &policy, &SampleCriteria::default()).map_err(io_err)?;
-    report_stream_quarantine(&streamed);
     Ok(streamed)
 }
 
-/// Stream-scan a trace's `batch_task.csv` in place through a memory
-/// mapping. `Ok(None)` means the mapping failed and the caller should
-/// fall back to [`open_streamed_trace`].
-fn open_mmap_streamed(
-    dir: &str,
-    flags: &Flags,
-) -> Result<Option<StreamedTrace<std::io::Cursor<MmapBuf>>>, CliError> {
-    let path = Path::new(dir).join("batch_task.csv");
-    let map = match fs::File::open(&path).and_then(|f| MmapBuf::map(&f)) {
-        Ok(map) => map,
-        Err(e) => {
-            eprintln!(
-                "dagscope: mmap {} failed ({e}); falling back to buffered reads",
-                path.display()
-            );
-            return Ok(None);
-        }
-    };
-    let policy = trace_policy(flags)?;
-    let streamed =
-        StreamedTrace::scan_bytes(map, &policy, &SampleCriteria::default()).map_err(io_err)?;
-    report_stream_quarantine(&streamed);
-    Ok(Some(streamed))
-}
-
-/// Drop every job implicated by a quarantined row: a missing row leaves
-/// the job's task set incomplete, so the whole job is unusable.
-fn drop_suspect_jobs(tasks: Vec<TaskRecord>, quarantine: &Quarantine) -> Vec<TaskRecord> {
-    eprintln!("dagscope: {}", quarantine.render());
-    let suspects: std::collections::BTreeSet<&str> =
-        quarantine.suspect_jobs().keys().copied().collect();
-    let before = tasks.len();
-    let tasks: Vec<_> = tasks
-        .into_iter()
-        .filter(|t| !suspects.contains(t.job_name.as_str()))
-        .collect();
-    eprintln!(
-        "dagscope: dropped {} decoded rows across {} suspect jobs (quarantine-incomplete)",
-        before - tasks.len(),
-        suspects.len()
-    );
-    tasks
-}
-
-fn run_pipeline(flags: &Flags) -> Result<(Report, Option<IngestStats>), CliError> {
+/// Run the pipeline over `--trace DIR`, or over the synthetic trace the
+/// flags describe. A scanned trace comes back with the report.
+fn run_pipeline(flags: &Flags) -> Result<(Report, Option<Ingest>), CliError> {
     let pipeline = Pipeline::new(pipeline_config(flags)?);
-    let parser = parser_flag(flags)?;
     match flags.str_opt("trace") {
-        // `--stream`: single-pass bounded-memory ingestion; only the
-        // sampled jobs are ever materialized. Bit-identical output.
-        Some(dir) if flags.switch("stream") => {
-            if parser == "scalar" {
-                return Err(CliError::Run(
-                    "--parser scalar is batch-only; the streamed scan has no scalar decoder"
-                        .to_string(),
-                ));
-            }
-            let start = Instant::now();
-            if flags.switch("mmap") {
-                if let Some(mut streamed) = open_mmap_streamed(dir, flags)? {
-                    let ingest = IngestStats {
-                        bytes: streamed.raw_bytes(),
-                        secs: start.elapsed().as_secs_f64(),
-                        parser,
-                        source: "stream+mmap",
-                    };
-                    let report = pipeline.run_streamed(&mut streamed).map_err(CliError::Run)?;
-                    return Ok((report, Some(ingest)));
-                }
-            }
-            let mut streamed = open_streamed_trace(dir, flags)?;
-            let ingest = IngestStats {
-                bytes: streamed.raw_bytes(),
-                secs: start.elapsed().as_secs_f64(),
-                parser,
-                source: "stream",
-            };
-            let report = pipeline.run_streamed(&mut streamed).map_err(CliError::Run)?;
-            Ok((report, Some(ingest)))
-        }
-        // Ingest a real (or pre-generated) batch_task.csv instead of
-        // synthesizing a trace; chunks decode in parallel.
         Some(dir) => {
-            let path = Path::new(dir).join("batch_task.csv");
             let start = Instant::now();
-            let (data, source) = load_trace_bytes(&path, flags.switch("mmap"))?;
-            let bytes = data.as_ref();
-            let tasks = match flags.str_opt("max-bad-rows") {
-                // Default: strict decode, first malformed row aborts.
-                None if parser == "scalar" => {
-                    csv::read_tasks_scalar_with_policy(bytes, &ReadPolicy::Strict)
-                        .map_err(io_err)?
-                        .0
-                }
-                None => csv::read_tasks_parallel(bytes).map_err(io_err)?,
-                Some(_) => {
-                    let max_bad = flags.get_or("max-bad-rows", 0usize, "a row count")?;
-                    let policy = ReadPolicy::Quarantine { max_bad };
-                    let (tasks, quarantine) = if parser == "scalar" {
-                        csv::read_tasks_scalar_with_policy(bytes, &policy).map_err(io_err)?
-                    } else {
-                        csv::read_tasks_parallel_with_policy(bytes, &policy).map_err(io_err)?
-                    };
-                    if quarantine.is_clean() {
-                        tasks
-                    } else {
-                        drop_suspect_jobs(tasks, &quarantine)
-                    }
-                }
-            };
-            let ingest = IngestStats {
-                bytes: bytes.len() as u64,
+            let trace = open_streamed_trace(dir, flags)?;
+            let mut ingest = Ingest {
+                trace,
                 secs: start.elapsed().as_secs_f64(),
-                parser,
-                source,
             };
             let report = pipeline
-                .run_on(&dagscope_trace::JobSet::from_tasks(tasks))
+                .run_streamed(&mut ingest.trace)
                 .map_err(CliError::Run)?;
             Ok((report, Some(ingest)))
         }
@@ -427,12 +240,7 @@ fn run_pipeline(flags: &Flags) -> Result<(Report, Option<IngestStats>), CliError
 
 /// Render the report's primary text, appending stage timings (and, when
 /// the sparse Gram engine ran, its cost counters) on demand.
-fn with_timings(
-    flags: &Flags,
-    report: &Report,
-    ingest: Option<&IngestStats>,
-    body: String,
-) -> String {
+fn with_timings(flags: &Flags, report: &Report, ingest: Option<&Ingest>, body: String) -> String {
     if flags.switch("timings") {
         let mut out = format!("{body}\n{}", report.timings.render());
         if let Some(i) = ingest {
@@ -862,27 +670,15 @@ fn parse_policies(
 }
 
 /// Build the replay workload: every filter-eligible job (capped by
-/// `--replay`), from the streamed store, the batch CSV, or the synthetic
-/// generator — whichever the flags selected for the pipeline run.
-fn replay_workload(flags: &Flags, cap: usize) -> Result<ReplayWorkload, CliError> {
-    match flags.str_opt("trace") {
-        Some(dir) if flags.switch("stream") => {
-            if flags.switch("mmap") {
-                if let Some(mut streamed) = open_mmap_streamed(dir, flags)? {
-                    return workload_from_stream(&mut streamed, cap).map_err(CliError::Run);
-                }
-            }
-            let mut streamed = open_streamed_trace(dir, flags)?;
-            workload_from_stream(&mut streamed, cap).map_err(CliError::Run)
-        }
-        Some(dir) => {
-            let path = Path::new(dir).join("batch_task.csv");
-            let (data, _source) = load_trace_bytes(&path, flags.switch("mmap"))?;
-            let tasks = csv::read_tasks_parallel(data.as_ref()).map_err(io_err)?;
-            let set = dagscope_trace::JobSet::from_tasks(tasks);
-            let eligible = SampleCriteria::default().filter(&set);
-            Ok(workload_from_jobs(eligible.iter().copied(), cap))
-        }
+/// `--replay`), from the pipeline run's scanned trace or, without
+/// `--trace`, from the synthetic generator.
+fn replay_workload(
+    flags: &Flags,
+    ingest: Option<&mut Ingest>,
+    cap: usize,
+) -> Result<ReplayWorkload, CliError> {
+    match ingest {
+        Some(ingest) => workload_from_stream(&mut ingest.trace, cap).map_err(CliError::Run),
         None => {
             // Regenerate the exact trace the pipeline synthesized: the
             // generator is a pure function of (jobs, seed).
@@ -909,7 +705,7 @@ fn cmd_sched_replay(flags: &Flags) -> Result<String, CliError> {
     // Offline model: the regular pipeline fits the group model on the
     // stratified sample; its per-group shape/work profiles become the
     // scheduler's priors.
-    let (report, _) = run_pipeline(flags)?;
+    let (report, mut ingest) = run_pipeline(flags)?;
     let k = report.groups.group_count();
     let model =
         dagscope_cluster::GroupModel::fit(&report.groups.assignments, k, &report.wl_features);
@@ -927,7 +723,7 @@ fn cmd_sched_replay(flags: &Flags) -> Result<String, CliError> {
     let profiles = builder.finish(&labels);
 
     // Replay workload: all eligible jobs at their trace arrival times.
-    let workload = replay_workload(flags, cap)?;
+    let workload = replay_workload(flags, ingest.as_mut(), cap)?;
     if workload.jobs.is_empty() {
         return Err(CliError::Run(
             "no job passed the integrity/availability filters".to_string(),
@@ -1255,23 +1051,20 @@ mod tests {
     fn sched_replay_ingests_a_streamed_trace() {
         let dir = std::env::temp_dir().join(format!("dagscope_cli_replay_{}", std::process::id()));
         run(&argv(&format!(
-            "generate --jobs 150 --seed 5 --out {}",
+            "generate --jobs 300 --seed 5 --out {}",
             dir.display()
         )))
         .unwrap();
-        let batch = run(&argv(&format!(
-            "sched-replay --trace {} --sample 20 --seed 5 --machines 8 --policy fifo,sjf-oracle",
-            dir.display()
-        )))
-        .unwrap();
+        let flags = "--sample 20 --seed 5 --machines 8 --policy fifo,sjf-oracle";
         let streamed = run(&argv(&format!(
-            "sched-replay --trace {} --stream --sample 20 --seed 5 --machines 8 --policy fifo,sjf-oracle",
+            "sched-replay --trace {} {flags}",
             dir.display()
         )))
         .unwrap();
-        // The streamed and batch ingestion paths replay identical
-        // workloads, so the whole report matches to the character.
-        assert_eq!(batch, streamed);
+        // The scanned CSV is the trace `--jobs 300 --seed 5` synthesizes,
+        // so the whole report matches the synthetic run to the character.
+        let synthetic = run(&argv(&format!("sched-replay --jobs 300 {flags}"))).unwrap();
+        assert_eq!(streamed, synthetic);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1337,32 +1130,6 @@ mod tests {
         assert!(timed.contains("cluster engine: collapsed"), "{timed}");
         let err = run(&argv("summary --jobs 200 --cluster-engine turbo")).unwrap_err();
         assert!(err.to_string().contains("cluster-engine"));
-        let err = run(&argv(
-            "summary --jobs 200 --cluster-engine collapsed --dedup-shapes off",
-        ))
-        .unwrap_err();
-        assert!(err.to_string().contains("dedup"), "{err}");
-    }
-
-    #[test]
-    fn dedup_shapes_flag_controls_the_gram_engine() {
-        // Bit-identical results either way — the whole rendered summary
-        // must match to the character.
-        let on = run(&argv("summary --jobs 200 --sample 20 --seed 3")).unwrap();
-        let off = run(&argv(
-            "summary --jobs 200 --sample 20 --seed 3 --dedup-shapes off",
-        ))
-        .unwrap();
-        assert_eq!(on, off);
-        // The oracle path has no gram counters to report.
-        let off_timed = run(&argv(
-            "summary --jobs 200 --sample 20 --seed 3 --dedup-shapes off --timings",
-        ))
-        .unwrap();
-        assert!(off_timed.contains("== stage timings =="));
-        assert!(!off_timed.contains("unique shapes"));
-        let err = run(&argv("summary --jobs 200 --dedup-shapes maybe")).unwrap_err();
-        assert!(err.to_string().contains("dedup-shapes"));
     }
 
     #[test]
@@ -1379,60 +1146,17 @@ mod tests {
         )))
         .unwrap();
         assert!(out.contains("== groups"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn mmap_and_parser_flags_are_bit_identical() {
-        let dir = std::env::temp_dir().join(format!("dagscope_cli_mmap_{}", std::process::id()));
-        run(&argv(&format!(
-            "generate --jobs 300 --seed 5 --out {}",
-            dir.display()
-        )))
-        .unwrap();
-        let base = run(&argv(&format!(
-            "summary --trace {} --sample 20 --seed 5",
-            dir.display()
-        )))
-        .unwrap();
-        // Every ingestion route — mapped or read, SWAR or scalar, batch
-        // or streamed — must produce the identical report.
-        for extra in ["--mmap", "--parser scalar", "--mmap --parser scalar", "--stream --mmap"] {
-            let out = run(&argv(&format!(
-                "summary --trace {} --sample 20 --seed 5 {extra}",
-                dir.display()
-            )))
-            .unwrap();
-            assert_eq!(base, out, "route {extra} diverged");
-        }
-        // --timings reports the ingest throughput line, labeled with the
-        // parser and the source route.
+        // The scanned CSV is the trace `--jobs 300 --seed 5` synthesizes.
+        let synthetic = run(&argv("summary --jobs 300 --sample 20 --seed 5")).unwrap();
+        assert_eq!(out, synthetic);
+        // --timings adds the scan's throughput line.
         let timed = run(&argv(&format!(
-            "summary --trace {} --sample 20 --seed 5 --mmap --timings",
+            "summary --trace {} --sample 20 --seed 5 --timings",
             dir.display()
         )))
         .unwrap();
         assert!(timed.contains("ingest:"), "{timed}");
-        assert!(timed.contains("MB/s (swar parser, mmap)"), "{timed}");
-        let streamed = run(&argv(&format!(
-            "summary --trace {} --sample 20 --seed 5 --stream --mmap --timings",
-            dir.display()
-        )))
-        .unwrap();
-        assert!(streamed.contains("MB/s (swar parser, stream+mmap)"), "{streamed}");
-        // Bad parser names and the scalar/stream combination are errors.
-        let err = run(&argv(&format!(
-            "summary --trace {} --parser turbo",
-            dir.display()
-        )))
-        .unwrap_err();
-        assert!(err.to_string().contains("--parser"), "{err}");
-        let err = run(&argv(&format!(
-            "summary --trace {} --stream --parser scalar",
-            dir.display()
-        )))
-        .unwrap_err();
-        assert!(err.to_string().contains("batch-only"), "{err}");
+        assert!(timed.contains("MB/s"), "{timed}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

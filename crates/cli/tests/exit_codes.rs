@@ -47,6 +47,22 @@ fn unknown_positional_exits_nonzero() {
 }
 
 #[test]
+fn unknown_flags_exit_two_naming_the_flag() {
+    // A flag no command reads is rejected by name: never silently
+    // ignored, and never misreported as a flag missing its value.
+    for (args, flag) in [
+        (&["summary", "--stream", "--timings"][..], "--stream"),
+        (&["summary", "--mmap"][..], "--mmap"),
+        (&["summary", "--parser", "scalar"][..], "--parser"),
+        (&["summary", "--sampel", "20"][..], "--sampel"),
+    ] {
+        let out = dagscope(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains(flag), "{args:?}: {}", stderr(&out));
+    }
+}
+
+#[test]
 fn figure_out_of_range_exits_nonzero() {
     // Regression: this used to print "no figure 12" and exit 0.
     let out = dagscope(&["figure", "--n", "12", "--jobs", "100", "--sample", "10"]);

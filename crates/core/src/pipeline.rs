@@ -166,7 +166,7 @@ impl Pipeline {
             ClusterEngine::Collapsed => {
                 if !self.cfg.dedup_shapes {
                     return Err(
-                        "--cluster-engine collapsed requires --dedup-shapes on: the sparse \
+                        "the collapsed cluster engine requires `dedup_shapes`: the sparse \
                          affinity is built from the shape-deduplicated Gram index"
                             .to_string(),
                     );

@@ -3,12 +3,10 @@
 //! The workspace deliberately avoids a heavyweight task-scheduling dependency;
 //! every parallel stage in the pipeline (trace generation, DAG feature
 //! extraction, Weisfeiler-Lehman kernel-matrix assembly, k-means assignment)
-//! reduces to one of three shapes, all provided here on top of
+//! reduces to one of these shapes, all provided here on top of
 //! [`crossbeam::thread::scope`]:
 //!
 //! * [`par_map`] — order-preserving parallel map over a slice,
-//! * [`par_chunk_map`] — order-preserving parallel map over
-//!   delimiter-aligned byte chunks (the CSV-ingestion shape),
 //! * [`par_reduce`] — parallel fold + associative merge,
 //! * [`pairs::par_upper_triangle`] — parallel in-place fill of a packed
 //!   symmetric pairwise table (the kernel-matrix shape),
@@ -28,22 +26,18 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod chunks;
 mod config;
 mod map;
-mod mmap;
 pub mod pairs;
 mod pool;
 mod proc;
 mod reduce;
 
-pub use chunks::{chunk_bounds, par_chunk_map};
 pub use config::{parallelism, ParScope};
 pub use map::{par_map, par_map_with};
-pub use mmap::MmapBuf;
 pub use pool::WorkerPool;
 pub use proc::peak_rss_bytes;
 pub use reduce::{par_reduce, par_sum_f64};

@@ -5,18 +5,14 @@
 //! real data and fast. Empty numeric fields (common in the real trace for
 //! missing timestamps/resources) decode as `0`.
 //!
-//! Two ingestion paths are provided:
-//!
-//! * the **sequential** readers [`read_tasks`] / [`read_instances`], which
-//!   stream from any [`BufRead`], and
-//! * the **parallel** readers [`read_tasks_parallel`] /
-//!   [`read_instances_parallel`], which split an in-memory byte buffer into
-//!   large newline-aligned chunks and decode them across threads via
-//!   [`dagscope_par::par_chunk_map`].
-//!
-//! The two paths produce identical records and identical errors — including
-//! exact 1-based line numbers — on every input; the sequential readers stay
-//! as the oracle the property tests compare against.
+//! The sequential readers [`read_tasks`] / [`read_instances`] stream from
+//! any [`BufRead`] through the SWAR scanner ([`crate::scan`]). The scalar
+//! readers [`read_tasks_scalar_with_policy`] /
+//! [`read_instances_scalar_with_policy`] keep the historical line-at-a-time
+//! `&str` decoder as the oracle the equivalence suites compare against.
+//! Production ingest of a whole trace goes through
+//! [`crate::stream::StreamedTrace`] instead, which decodes with the same
+//! SWAR parser.
 
 use std::io::{BufRead, BufWriter, Read, Write};
 
@@ -24,7 +20,7 @@ use dagscope_faults::failpoint;
 
 use crate::intern::Interner;
 use crate::quarantine::{Quarantine, QuarantinedRow, ReadPolicy};
-use crate::scan::{self, LineSource};
+use crate::scan;
 use crate::schema::{InstanceRecord, Status, TaskRecord};
 use crate::TraceError;
 
@@ -35,13 +31,8 @@ pub(crate) const INSTANCE_FIELDS: usize = 14;
 /// the SWAR scanner spends its time in line parsing, not `read` calls.
 const DEFAULT_READ_BUF: usize = 1 << 20;
 
-/// Chunk size for the default parallel readers: large enough to amortize
-/// thread dispatch, small enough to load-balance a multi-GB trace file.
-const DEFAULT_CHUNK_BYTES: usize = 4 << 20;
-
-/// The message `BufRead::lines` produces for invalid UTF-8; the parallel
-/// and streaming paths emit the same text so errors compare equal across
-/// paths.
+/// The message `BufRead::lines` produces for invalid UTF-8; the SWAR
+/// paths emit the same text so errors compare equal across paths.
 pub(crate) const UTF8_ERR: &str = "stream did not contain valid UTF-8";
 
 fn parse_num<T: std::str::FromStr + Default>(
@@ -266,10 +257,10 @@ pub fn parse_instance_line(line_no: usize, line: &str) -> Result<InstanceRecord,
     parse_instance_line_interned(line_no, line, &mut Interner::new())
 }
 
-/// A raw byte-line reader tracking 1-based line numbers and byte offsets,
-/// replicating `BufRead::lines` line-splitting exactly: a final `\n` does
-/// not open an empty trailing line, `\r\n` endings are trimmed, and a bare
-/// trailing `\r` on an unterminated last line is kept.
+/// The scalar oracle's line source: a raw byte-line reader tracking byte
+/// offsets, replicating `BufRead::lines` line-splitting exactly: a final
+/// `\n` does not open an empty trailing line, `\r\n` endings are trimmed,
+/// and a bare trailing `\r` on an unterminated last line is kept.
 pub(crate) struct RawLines<R> {
     reader: R,
     offset: u64,
@@ -297,8 +288,8 @@ impl<R: BufRead> RawLines<R> {
         &mut self,
         buf: &mut Vec<u8>,
     ) -> Result<Option<(u64, u64)>, std::io::Error> {
-        // One hit per line, in document order, for every sequential and
-        // streamed reader; `K>1*return` makes line K+1 fail its read.
+        // One hit per line, in document order — the same cadence as
+        // `scan::BufLines`; `K>1*return` makes line K+1 fail its read.
         failpoint!("trace.read.line_io", |_arg: Option<String>| Err(
             std::io::Error::other("injected read failure")
         ));
@@ -350,33 +341,13 @@ fn injected_torn_len(_len: usize) -> Option<usize> {
     None
 }
 
-/// Chaos helper for `trace.read.chunk_io`: an injected mid-chunk IO
-/// error for the parallel readers. Chunks decode across threads in
-/// nondeterministic order, so the fault targets a chunk by its *byte
-/// offset* (the action arg) rather than by hit count; an argless action
-/// fails every chunk. Offsets are stable for fixed `(data, chunk_bytes)`
-/// — see [`dagscope_par::chunk_bounds`] — keeping injected runs
-/// deterministic.
-#[inline]
-fn injected_chunk_io(_chunk_start: usize) -> Option<TraceError> {
-    failpoint!("trace.read.chunk_io", |arg: Option<String>| {
-        match arg.and_then(|a| a.parse::<usize>().ok()) {
-            Some(target) if target != _chunk_start => None,
-            _ => Some(TraceError::Io(format!(
-                "injected mid-chunk IO error at byte {_chunk_start}"
-            ))),
-        }
-    });
-    None
-}
-
-/// Policy-aware row reader over any [`LineSource`] — the SWAR hot loop
+/// Policy-aware row reader over a [`scan::BufLines`] — the SWAR hot loop
 /// every sequential entry point funnels through. Observationally
 /// identical to the historical scalar reader ([`read_rows_scalar`], kept
 /// below as the oracle): same records, same quarantine report, same first
 /// error, same line numbers and byte offsets.
-fn read_rows_source<S: LineSource, T>(
-    mut lines: S,
+fn read_rows_source<R: Read, T>(
+    mut lines: scan::BufLines<R>,
     policy: &ReadPolicy,
     parse: impl Fn(usize, &[u8], &mut Interner) -> Result<T, TraceError>,
     times: impl Fn(&T) -> (i64, i64) + Copy,
@@ -426,8 +397,7 @@ fn read_rows_source<S: LineSource, T>(
 
 /// The historical scalar row reader, retained verbatim as the bitwise
 /// oracle the SWAR readers are differential-tested against
-/// (`tests/scan_equiv.rs`) and runnable end-to-end via `--parser scalar`
-/// in the CLI.
+/// (`tests/scan_equiv.rs`).
 fn read_rows_scalar<R: BufRead, T>(
     reader: R,
     policy: &ReadPolicy,
@@ -515,21 +485,6 @@ pub fn read_tasks_buffered_with_policy<R: Read>(
     )
 }
 
-/// Read `batch_task.csv` bytes already in memory — the zero-copy path:
-/// lines are parsed in place, nothing is copied except the surviving
-/// records themselves.
-pub fn read_tasks_slice_with_policy(
-    data: &[u8],
-    policy: &ReadPolicy,
-) -> Result<(Vec<TaskRecord>, Quarantine), TraceError> {
-    read_rows_source(
-        scan::SliceLines::new(data),
-        policy,
-        parse_task_record_bytes,
-        |t: &TaskRecord| (t.start_time, t.end_time),
-    )
-}
-
 /// Read a whole `batch_task.csv` stream through the scalar oracle parser
 /// — the historical implementation, byte-for-byte. Slow path; exists so
 /// the SWAR readers have a live differential baseline.
@@ -552,19 +507,6 @@ pub fn read_instances_with_policy<R: BufRead>(
 ) -> Result<(Vec<InstanceRecord>, Quarantine), TraceError> {
     read_rows_source(
         scan::BufLines::new(reader, DEFAULT_READ_BUF),
-        policy,
-        parse_instance_record_bytes,
-        |i: &InstanceRecord| (i.start_time, i.end_time),
-    )
-}
-
-/// Read `batch_instance.csv` bytes already in memory (zero-copy).
-pub fn read_instances_slice_with_policy(
-    data: &[u8],
-    policy: &ReadPolicy,
-) -> Result<(Vec<InstanceRecord>, Quarantine), TraceError> {
-    read_rows_source(
-        scan::SliceLines::new(data),
         policy,
         parse_instance_record_bytes,
         |i: &InstanceRecord| (i.start_time, i.end_time),
@@ -594,272 +536,6 @@ pub fn read_tasks<R: BufRead>(reader: R) -> Result<Vec<TaskRecord>, TraceError> 
 /// aborts).
 pub fn read_instances<R: BufRead>(reader: R) -> Result<Vec<InstanceRecord>, TraceError> {
     read_instances_with_policy(reader, &ReadPolicy::Strict).map(|(rows, _)| rows)
-}
-
-/// Per-chunk decode result: rows parsed, quarantined rows in chunk-local
-/// coordinates, line/row accounting, and (strict mode) the first error
-/// with a chunk-local line number.
-struct ChunkOut<T> {
-    rows: Vec<T>,
-    /// All lines in the chunk, blank ones included.
-    lines: usize,
-    /// Non-blank rows seen.
-    rows_seen: usize,
-    /// Rows decoded successfully.
-    rows_good: usize,
-    /// Chunk length in bytes (re-bases byte offsets during the merge).
-    bytes: u64,
-    /// Quarantined rows with chunk-local line numbers and offsets,
-    /// capped at `max_bad + 1` — once a single chunk overflows the whole
-    /// budget the merge is guaranteed to abort at or before its last
-    /// collected entry, so parsing further rows would be wasted work.
-    quarantined: Vec<QuarantinedRow>,
-    /// First error (strict mode only; quarantine mode never sets this).
-    err: Option<TraceError>,
-}
-
-/// Shift an error's line number from chunk-local to document coordinates.
-fn offset_error(err: TraceError, base: usize) -> TraceError {
-    match err {
-        TraceError::FieldCount {
-            line,
-            expected,
-            found,
-        } => TraceError::FieldCount {
-            line: line + base,
-            expected,
-            found,
-        },
-        TraceError::BadField {
-            line,
-            column,
-            value,
-        } => TraceError::BadField {
-            line: line + base,
-            column,
-            value,
-        },
-        TraceError::BadTimestamps { line, start, end } => TraceError::BadTimestamps {
-            line: line + base,
-            start,
-            end,
-        },
-        other => other,
-    }
-}
-
-/// Decode every line of one newline-aligned chunk, mirroring
-/// `BufRead::lines` semantics exactly: a final `\n` does not open an empty
-/// trailing line, `\r\n` endings are trimmed (a bare trailing `\r` on the
-/// last unterminated line is kept), and blank lines are skipped but still
-/// numbered.
-fn parse_chunk<T>(
-    chunk: &[u8],
-    policy: &ReadPolicy,
-    parse: impl Fn(usize, &[u8], &mut Interner) -> Result<T, TraceError>,
-    times: impl Fn(&T) -> (i64, i64) + Copy,
-) -> ChunkOut<T> {
-    let mut interner = Interner::new();
-    let mut out = ChunkOut {
-        rows: Vec::new(),
-        lines: 0,
-        rows_seen: 0,
-        rows_good: 0,
-        bytes: chunk.len() as u64,
-        quarantined: Vec::new(),
-        err: None,
-    };
-    let cap = policy.max_bad().saturating_add(1);
-    // The per-line failpoint stays disarmed here: the chunked readers'
-    // chaos surface is `trace.read.chunk_io`, as it always was.
-    let mut lines = scan::SliceLines::without_line_failpoints(chunk);
-    while let Some((line_start, _consumed, span)) = lines
-        .next_span()
-        .expect("slice line source is infallible with failpoints disarmed")
-    {
-        out.lines += 1;
-        if span.is_empty() {
-            continue;
-        }
-        let raw = &lines.view()[span];
-        out.rows_seen += 1;
-        let line_no = out.lines;
-        let verdict = parse(line_no, raw, &mut interner)
-            .and_then(|row| classify_row(policy, line_no, row, times));
-        match verdict {
-            Ok(row) => {
-                out.rows_good += 1;
-                out.rows.push(row);
-            }
-            Err(error) => {
-                if policy.is_quarantine() {
-                    out.quarantined.push(QuarantinedRow {
-                        line: line_no,
-                        byte_offset: line_start,
-                        error,
-                        excerpt: crate::quarantine::excerpt_of(raw),
-                        job_name: crate::quarantine::job_name_of(raw),
-                    });
-                    if out.quarantined.len() >= cap {
-                        return out;
-                    }
-                } else {
-                    out.err = Some(error);
-                    return out;
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Stitch per-chunk outputs back together in document order, re-basing
-/// line numbers and byte offsets onto the whole file and enforcing the
-/// policy's bad-row budget globally — the `max_bad + 1`-th quarantined
-/// row in document order aborts with exactly the error the sequential
-/// reader would report.
-fn merge_chunks<T>(
-    outs: Vec<ChunkOut<T>>,
-    policy: &ReadPolicy,
-) -> Result<(Vec<T>, Quarantine), TraceError> {
-    let mut rows = Vec::with_capacity(outs.iter().map(|o| o.rows.len()).sum());
-    let mut q = Quarantine::default();
-    let mut base_lines = 0usize;
-    let mut base_bytes = 0u64;
-    for out in outs {
-        rows.extend(out.rows);
-        for mut entry in out.quarantined {
-            if q.rows.len() >= policy.max_bad() {
-                return Err(offset_error(entry.error, base_lines));
-            }
-            entry.line += base_lines;
-            entry.byte_offset += base_bytes;
-            entry.error = offset_error(entry.error, base_lines);
-            q.rows.push(entry);
-        }
-        if let Some(err) = out.err {
-            return Err(offset_error(err, base_lines));
-        }
-        q.rows_good += out.rows_good;
-        q.rows_total += out.rows_seen;
-        q.lines_total += out.lines;
-        base_lines += out.lines;
-        base_bytes += out.bytes;
-    }
-    Ok((rows, q))
-}
-
-/// Read `batch_task.csv` bytes with an explicit target chunk size under a
-/// [`ReadPolicy`]. Exposed so tests can force chunk boundaries to land
-/// mid-row; use [`read_tasks_parallel_with_policy`] for the tuned default.
-pub fn read_tasks_chunked_with_policy(
-    data: &[u8],
-    chunk_bytes: usize,
-    policy: &ReadPolicy,
-) -> Result<(Vec<TaskRecord>, Quarantine), TraceError> {
-    merge_chunks(
-        dagscope_par::par_chunk_map(data, chunk_bytes, b'\n', |start, chunk| {
-            let mut out = parse_chunk(chunk, policy, parse_task_record_bytes, |t: &TaskRecord| {
-                (t.start_time, t.end_time)
-            });
-            if out.err.is_none() {
-                if let Some(e) = injected_chunk_io(start) {
-                    out.err = Some(e);
-                }
-            }
-            out
-        }),
-        policy,
-    )
-}
-
-/// Read `batch_task.csv` bytes, decoding newline-aligned chunks in
-/// parallel under a [`ReadPolicy`]. Produces exactly what
-/// [`read_tasks_with_policy`] produces on the same bytes — same records,
-/// same quarantine report, same first error past the budget.
-pub fn read_tasks_parallel_with_policy(
-    data: &[u8],
-    policy: &ReadPolicy,
-) -> Result<(Vec<TaskRecord>, Quarantine), TraceError> {
-    // With one effective worker the chunked path is pure overhead
-    // (chunk bookkeeping plus the merge pass) — go straight to the
-    // zero-copy slice reader, which produces identical output by contract.
-    if dagscope_par::parallelism() == 1 {
-        return read_tasks_slice_with_policy(data, policy);
-    }
-    read_tasks_chunked_with_policy(data, DEFAULT_CHUNK_BYTES, policy)
-}
-
-/// Read `batch_task.csv` bytes with an explicit target chunk size
-/// (strict).
-pub fn read_tasks_chunked(data: &[u8], chunk_bytes: usize) -> Result<Vec<TaskRecord>, TraceError> {
-    read_tasks_chunked_with_policy(data, chunk_bytes, &ReadPolicy::Strict).map(|(rows, _)| rows)
-}
-
-/// Read `batch_task.csv` bytes, decoding newline-aligned chunks in
-/// parallel. Produces exactly what [`read_tasks`] produces on the same
-/// bytes — same records, same first error, same line numbers.
-pub fn read_tasks_parallel(data: &[u8]) -> Result<Vec<TaskRecord>, TraceError> {
-    if dagscope_par::parallelism() == 1 {
-        return read_tasks_slice_with_policy(data, &ReadPolicy::Strict).map(|(rows, _)| rows);
-    }
-    read_tasks_chunked(data, DEFAULT_CHUNK_BYTES)
-}
-
-/// Read `batch_instance.csv` bytes with an explicit target chunk size
-/// under a [`ReadPolicy`].
-pub fn read_instances_chunked_with_policy(
-    data: &[u8],
-    chunk_bytes: usize,
-    policy: &ReadPolicy,
-) -> Result<(Vec<InstanceRecord>, Quarantine), TraceError> {
-    merge_chunks(
-        dagscope_par::par_chunk_map(data, chunk_bytes, b'\n', |start, chunk| {
-            let mut out = parse_chunk(
-                chunk,
-                policy,
-                parse_instance_record_bytes,
-                |i: &InstanceRecord| (i.start_time, i.end_time),
-            );
-            if out.err.is_none() {
-                if let Some(e) = injected_chunk_io(start) {
-                    out.err = Some(e);
-                }
-            }
-            out
-        }),
-        policy,
-    )
-}
-
-/// Read `batch_instance.csv` bytes, decoding newline-aligned chunks in
-/// parallel under a [`ReadPolicy`].
-pub fn read_instances_parallel_with_policy(
-    data: &[u8],
-    policy: &ReadPolicy,
-) -> Result<(Vec<InstanceRecord>, Quarantine), TraceError> {
-    if dagscope_par::parallelism() == 1 {
-        return read_instances_slice_with_policy(data, policy);
-    }
-    read_instances_chunked_with_policy(data, DEFAULT_CHUNK_BYTES, policy)
-}
-
-/// Read `batch_instance.csv` bytes with an explicit target chunk size
-/// (strict).
-pub fn read_instances_chunked(
-    data: &[u8],
-    chunk_bytes: usize,
-) -> Result<Vec<InstanceRecord>, TraceError> {
-    read_instances_chunked_with_policy(data, chunk_bytes, &ReadPolicy::Strict).map(|(rows, _)| rows)
-}
-
-/// Read `batch_instance.csv` bytes, decoding newline-aligned chunks in
-/// parallel. Equivalent to [`read_instances`] on the same bytes.
-pub fn read_instances_parallel(data: &[u8]) -> Result<Vec<InstanceRecord>, TraceError> {
-    if dagscope_par::parallelism() == 1 {
-        return read_instances_slice_with_policy(data, &ReadPolicy::Strict).map(|(rows, _)| rows);
-    }
-    read_instances_chunked(data, DEFAULT_CHUNK_BYTES)
 }
 
 /// Append `v`'s decimal digits to `buf` (itoa-style: digits build in a
@@ -1081,33 +757,25 @@ mod tests {
 
     const TASK_LINE2: &str = "M1,2,j_1001389,2,Terminated,86000,86400,50,0.25";
 
-    /// Messy-but-valid document: CRLF ending, blank lines, and a final row
-    /// with no trailing newline.
-    fn messy_doc() -> String {
-        format!("{TASK_LINE}\r\n\n{TASK_LINE2}\n\r\n{TASK_LINE}")
+    /// The strict streamed scan's error on `data` at every scan-buffer
+    /// capacity up to one past the whole document, so refills split rows
+    /// at every offset.
+    fn streamed_errors(data: &[u8]) -> impl Iterator<Item = (usize, TraceError)> + '_ {
+        (1..data.len() + 2).map(move |cap| {
+            let err = crate::stream::StreamedTrace::scan_with_buffer(
+                std::io::Cursor::new(data),
+                &ReadPolicy::Strict,
+                &crate::filter::SampleCriteria::default(),
+                cap,
+            )
+            .err()
+            .expect("strict scan must abort");
+            (cap, err)
+        })
     }
 
     #[test]
-    fn parallel_matches_sequential_at_every_chunk_size() {
-        let data = messy_doc();
-        let seq = read_tasks(data.as_bytes()).unwrap();
-        assert_eq!(seq.len(), 3);
-        // Chunk sizes from 1 byte (every row its own chunk) past the whole
-        // document (single chunk) all agree with the sequential oracle.
-        for chunk_bytes in 1..data.len() + 2 {
-            let par = read_tasks_chunked(data.as_bytes(), chunk_bytes).unwrap();
-            assert_eq!(par, seq, "chunk_bytes={chunk_bytes}");
-        }
-    }
-
-    #[test]
-    fn parallel_empty_input() {
-        assert_eq!(read_tasks_parallel(b"").unwrap(), vec![]);
-        assert_eq!(read_tasks_parallel(b"\n\n\n").unwrap(), vec![]);
-    }
-
-    #[test]
-    fn parallel_error_line_numbers_match_sequential() {
+    fn streamed_error_line_numbers_match_sequential() {
         // Bad row on (1-based) line 5; blank lines still count.
         let data = format!("{TASK_LINE}\n\n{TASK_LINE2}\n\na,b,c\n{TASK_LINE}\n");
         let want = read_tasks(data.as_bytes()).unwrap_err();
@@ -1119,42 +787,28 @@ mod tests {
                 found: 3
             }
         );
-        for chunk_bytes in 1..data.len() + 2 {
-            let got = read_tasks_chunked(data.as_bytes(), chunk_bytes).unwrap_err();
-            assert_eq!(got, want, "chunk_bytes={chunk_bytes}");
+        for (cap, got) in streamed_errors(data.as_bytes()) {
+            assert_eq!(got, want, "cap={cap}");
         }
     }
 
     #[test]
-    fn parallel_reports_first_error_only() {
-        // Two bad rows: the earlier one must win regardless of chunking.
+    fn streamed_reports_first_error_only() {
+        // Two bad rows: the earlier one must win regardless of buffering.
         let data = format!("{TASK_LINE}\nM1,x,j_1,1,Terminated,1,2,3,4\nbad\n");
         let want = read_tasks(data.as_bytes()).unwrap_err();
-        for chunk_bytes in 1..data.len() + 2 {
-            let got = read_tasks_chunked(data.as_bytes(), chunk_bytes).unwrap_err();
-            assert_eq!(got, want, "chunk_bytes={chunk_bytes}");
+        for (cap, got) in streamed_errors(data.as_bytes()) {
+            assert_eq!(got, want, "cap={cap}");
         }
     }
 
     #[test]
-    fn parallel_invalid_utf8_matches_sequential() {
+    fn streamed_invalid_utf8_matches_sequential() {
         let mut data = format!("{TASK_LINE}\n").into_bytes();
         data.extend_from_slice(b"\xff\xfe,bad,utf8\n");
         let want = read_tasks(&data[..]).unwrap_err();
-        for chunk_bytes in [1, 7, 64, data.len() + 1] {
-            let got = read_tasks_chunked(&data, chunk_bytes).unwrap_err();
-            assert_eq!(got, want, "chunk_bytes={chunk_bytes}");
-        }
-    }
-
-    #[test]
-    fn parallel_instances_match_sequential() {
-        let line = "inst_1,M1,j_9,1,Terminated,100,200,m_1997,1,1,50.5,80,0.1,0.2";
-        let data = format!("{line}\n{line}\n\n{line}");
-        let seq = read_instances(data.as_bytes()).unwrap();
-        for chunk_bytes in 1..data.len() + 2 {
-            let par = read_instances_chunked(data.as_bytes(), chunk_bytes).unwrap();
-            assert_eq!(par, seq, "chunk_bytes={chunk_bytes}");
+        for (cap, got) in streamed_errors(&data) {
+            assert_eq!(got, want, "cap={cap}");
         }
     }
 

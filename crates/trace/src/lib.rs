@@ -21,6 +21,8 @@
 //! * [`taskname::parse`] — the task-name dependency grammar
 //!   (`M1`, `R2_1`, `J3_1_2`, `R5_4_3_2_1`, `task_XYZ`…),
 //! * [`gen::TraceGenerator`] — deterministic seeded workload synthesis,
+//! * [`stream::StreamedTrace`] — the single-pass, bounded-memory scan a
+//!   `batch_task.csv` file is ingested through,
 //! * [`JobSet::from_tasks`] — group raw task rows into jobs,
 //! * [`filter::SampleCriteria`] — the paper's integrity / availability /
 //!   variability filters and the stratified 100-job sampler,
@@ -28,8 +30,8 @@
 
 // `deny` rather than `forbid` so the one audited hot-path escape hatch
 // (`scan::ascii`'s proven-ASCII `from_utf8_unchecked`) can opt in with a
-// module-scoped `#[allow(unsafe_code)]`, mirroring `dagscope-par`'s mmap
-// module. Everything else in the crate remains unsafe-free.
+// module-scoped `#[allow(unsafe_code)]`. Everything else in the crate
+// remains unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -12,10 +12,9 @@
 //!   broadcast-compare bit trick (memchr-style, no external crates, no
 //!   `unsafe`), folding a "was every byte ASCII?" check into the same
 //!   pass;
-//! * **zero-copy lines** — [`SliceLines`] yields line *ranges* into an
-//!   in-memory buffer (whole file, mmap, or one parallel chunk) and
-//!   [`BufLines`] does the same over any `Read` through a reused,
-//!   newline-compacted buffer, so a row is never copied before parsing;
+//! * **zero-copy lines** — [`BufLines`] yields line *ranges* into one
+//!   reused, newline-compacted buffer filled from any `Read`, so a row is
+//!   never copied before parsing;
 //! * **byte-slice numeric parsing** — integers and the restricted float
 //!   shapes the trace actually contains decode straight from `&[u8]`,
 //!   bit-identically to `str::parse` (see [`parse_f64_fast`] for the
@@ -32,8 +31,8 @@
 //! `tests/scan_equiv.rs`.
 //!
 //! Quarantine accounting needs the byte offset and the raw bytes of every
-//! line (for [`crate::quarantine::excerpt_of`]), so both line sources
-//! carry `(offset, consumed, range)` through the scan rather than bare
+//! line (for [`crate::quarantine::excerpt_of`]), so the line source
+//! carries `(offset, consumed, range)` through the scan rather than bare
 //! slices.
 
 use std::io::Read;
@@ -366,96 +365,18 @@ pub fn parse_instance_parts_bytes(
     }
 }
 
-/// A lending iterator over the lines of a byte stream.
-///
-/// `next_span` yields `(byte offset of the line's first byte, bytes
-/// consumed from the stream including the terminator, range of the
-/// *stripped* line inside [`LineSource::view`])`. Line-splitting
-/// semantics replicate `BufRead::lines` exactly — a final `\n` opens no
-/// empty trailing line, `\r\n` is trimmed, and a bare trailing `\r` on an
-/// unterminated last line is kept — because quarantine line numbers and
-/// byte offsets are part of the readers' observable contract.
-pub(crate) trait LineSource {
-    /// Advance to the next line. `None` at end of stream.
-    fn next_span(&mut self) -> Result<Option<(u64, u64, Range<usize>)>, std::io::Error>;
-
-    /// The buffer the most recent span indexes into.
-    fn view(&self) -> &[u8];
-}
-
-/// Zero-copy [`LineSource`] over bytes already in memory (a whole file, an
-/// mmap, or one newline-aligned parallel chunk).
-pub(crate) struct SliceLines<'d> {
-    data: &'d [u8],
-    pos: usize,
-    /// The sequential and streamed readers own the `trace.read.line_io`
-    /// failpoint; the chunked parallel readers historically expose only
-    /// `trace.read.chunk_io`, so chunk decoding constructs this source
-    /// with the per-line site disarmed to keep chaos schedules stable.
-    line_failpoints: bool,
-}
-
-impl<'d> SliceLines<'d> {
-    /// Line source with the per-line failpoint armed (sequential paths).
-    pub(crate) fn new(data: &'d [u8]) -> SliceLines<'d> {
-        SliceLines {
-            data,
-            pos: 0,
-            line_failpoints: true,
-        }
-    }
-
-    /// Line source with the per-line failpoint disarmed (chunk decoding).
-    pub(crate) fn without_line_failpoints(data: &'d [u8]) -> SliceLines<'d> {
-        SliceLines {
-            data,
-            pos: 0,
-            line_failpoints: false,
-        }
-    }
-}
-
-impl LineSource for SliceLines<'_> {
-    fn next_span(&mut self) -> Result<Option<(u64, u64, Range<usize>)>, std::io::Error> {
-        if self.line_failpoints {
-            // One hit per line, in document order — the same contract as
-            // the scalar readers' per-line read site.
-            failpoint!("trace.read.line_io", |_arg: Option<String>| Err(
-                std::io::Error::other("injected read failure")
-            ));
-        }
-        if self.pos >= self.data.len() {
-            return Ok(None);
-        }
-        let start = self.pos;
-        let (end, consumed) = match find_byte(&self.data[start..], b'\n') {
-            Some(i) => {
-                self.pos = start + i + 1;
-                let mut end = start + i;
-                if end > start && self.data[end - 1] == b'\r' {
-                    end -= 1;
-                }
-                (end, (i + 1) as u64)
-            }
-            None => {
-                self.pos = self.data.len();
-                (self.data.len(), (self.data.len() - start) as u64)
-            }
-        };
-        Ok(Some((start as u64, consumed, start..end)))
-    }
-
-    fn view(&self) -> &[u8] {
-        self.data
-    }
-}
-
-/// Buffered [`LineSource`] over any [`Read`]: bytes land in one reused
-/// buffer via large reads, lines are found with SWAR search, and the
-/// partial tail line is compacted to the front before each refill. The
-/// buffer doubles when a single line outgrows it, so arbitrarily long
+/// A lending iterator over the lines of any [`Read`]: bytes land in one
+/// reused buffer via large reads, lines are found with SWAR search, and
+/// the partial tail line is compacted to the front before each refill.
+/// The buffer doubles when a single line outgrows it, so arbitrarily long
 /// lines still decode (matching `read_until` semantics) while the steady
 /// state never allocates.
+///
+/// Line-splitting semantics replicate `BufRead::lines` exactly — a final
+/// `\n` opens no empty trailing line, `\r\n` is trimmed, and a bare
+/// trailing `\r` on an unterminated last line is kept — because
+/// quarantine line numbers and byte offsets are part of the readers'
+/// observable contract.
 pub(crate) struct BufLines<R> {
     reader: R,
     buf: Vec<u8>,
@@ -497,10 +418,12 @@ impl<R: Read> BufLines<R> {
         }
         Ok(())
     }
-}
 
-impl<R: Read> LineSource for BufLines<R> {
-    fn next_span(&mut self) -> Result<Option<(u64, u64, Range<usize>)>, std::io::Error> {
+    /// Advance to the next line: `(byte offset of the line's first byte,
+    /// bytes consumed from the stream including the terminator, range of
+    /// the *stripped* line inside [`BufLines::view`])`. `None` at end of
+    /// stream.
+    pub(crate) fn next_span(&mut self) -> Result<Option<(u64, u64, Range<usize>)>, std::io::Error> {
         // Same site, same cadence as the scalar readers: one hit per
         // line-fetch call, including the final call that reports EOF.
         failpoint!("trace.read.line_io", |_arg: Option<String>| Err(
@@ -548,7 +471,8 @@ impl<R: Read> LineSource for BufLines<R> {
         }
     }
 
-    fn view(&self) -> &[u8] {
+    /// The buffer the most recent span indexes into.
+    pub(crate) fn view(&self) -> &[u8] {
         &self.buf
     }
 }
@@ -664,8 +588,8 @@ mod tests {
     }
 
     #[test]
-    fn slice_lines_replicates_bufread_lines() {
-        let docs: [&[u8]; 7] = [
+    fn buf_lines_replicates_raw_lines_at_every_capacity() {
+        let docs: [&[u8]; 8] = [
             b"",
             b"a\nb\n",
             b"a\r\nb",
@@ -673,38 +597,23 @@ mod tests {
             b"tail-no-newline",
             b"keep\r",
             b"\n",
+            b"first,row\r\nsecond\n\nthird-without-newline-and-rather-long",
         ];
         for doc in docs {
-            let mut got = Vec::new();
-            let mut src = SliceLines::new(doc);
-            while let Some((off, consumed, span)) = src.next_span().unwrap() {
-                got.push((off, consumed, src.view()[span].to_vec()));
-            }
             let mut want = Vec::new();
             let mut lines = csv::RawLines::new(doc);
             let mut buf = Vec::new();
             while let Some((off, consumed)) = lines.next_line_into(&mut buf).unwrap() {
                 want.push((off, consumed, buf.clone()));
             }
-            assert_eq!(got, want, "doc={doc:?}");
-        }
-    }
-
-    #[test]
-    fn buf_lines_replicates_slice_lines_at_every_capacity() {
-        let doc: &[u8] = b"first,row\r\nsecond\n\nthird-without-newline-and-rather-long";
-        let mut want = Vec::new();
-        let mut src = SliceLines::new(doc);
-        while let Some((off, consumed, span)) = src.next_span().unwrap() {
-            want.push((off, consumed, src.view()[span].to_vec()));
-        }
-        for capacity in 1..=doc.len() + 2 {
-            let mut got = Vec::new();
-            let mut src = BufLines::new(doc, capacity);
-            while let Some((off, consumed, span)) = src.next_span().unwrap() {
-                got.push((off, consumed, src.view()[span].to_vec()));
+            for capacity in 1..=doc.len() + 2 {
+                let mut got = Vec::new();
+                let mut src = BufLines::new(doc, capacity);
+                while let Some((off, consumed, span)) = src.next_span().unwrap() {
+                    got.push((off, consumed, src.view()[span].to_vec()));
+                }
+                assert_eq!(got, want, "doc={doc:?} capacity={capacity}");
             }
-            assert_eq!(got, want, "capacity={capacity}");
         }
     }
 }

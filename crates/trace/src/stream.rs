@@ -1,6 +1,6 @@
 //! Streaming single-pass trace ingestion under a bounded memory budget.
 //!
-//! The batch path ([`crate::csv::read_tasks_parallel_with_policy`] +
+//! A batch read ([`crate::csv::read_tasks_with_policy`] +
 //! [`JobSet::from_tasks`]) materializes every task row of the trace before
 //! grouping — fine at 100k jobs, hopeless at the full 4M. [`StreamedTrace`]
 //! instead consumes the CSV once, front to back, exploiting the trace's
@@ -17,8 +17,8 @@
 //! see [`crate::filter::stratified_sample_indices`] — becomes concrete
 //! [`Job`]s for the downstream pipeline.
 //!
-//! Two disruptions are handled without breaking bit-identity with the
-//! batch path:
+//! Two disruptions are handled without breaking bit-identity with a batch
+//! read:
 //!
 //! * **Out-of-order stragglers** — a row for an already-closed job opens a
 //!   correction: the extra byte range is recorded and, at finalize, the
@@ -27,21 +27,20 @@
 //!   them) is folded back in.
 //! * **Quarantine verdicts** — a bad row implicates its job (see
 //!   [`Quarantine::suspect_jobs`]); the implicated job is dropped entirely,
-//!   matching the batch ingestion which deletes all rows of suspect jobs
-//!   before grouping. A suspicion arriving after the job closed retracts
+//!   matching a batch read that deletes all rows of suspect jobs before
+//!   grouping. A suspicion arriving after the job closed retracts
 //!   its folded contribution at finalize.
 //!
 //! Retractions are exact because the accumulator's resource totals use
 //! [`crate::fsum::ExactSum`]; everything else is integer counting.
 
 use std::collections::{BTreeSet, HashMap};
-use std::io::{BufReader, Cursor, Read, Seek, SeekFrom};
+use std::io::{Read, Seek, SeekFrom};
 
-use crate::csv::{self, RawLines};
+use crate::csv::{self, TaskParts};
 use crate::filter::{DropReason, FilterStats, SampleCriteria};
-use crate::scan::{self, LineSource};
 use crate::quarantine::{self, Quarantine, QuarantinedRow, ReadPolicy};
-use crate::csv::TaskParts;
+use crate::scan;
 use crate::schema::Status;
 use crate::stats::{JobFacts, StatsAccumulator, TraceStats};
 use crate::taskname;
@@ -59,6 +58,12 @@ const FOLDED: u8 = 1 << 0;
 const DEAD: u8 = 1 << 1;
 const ELIGIBLE: u8 = 1 << 2;
 const DIRTY: u8 = 1 << 3;
+
+/// Largest buffer a byte-range replay allocates. A replay buffer is sized
+/// to its range, never the forward scan's 1 MiB: most jobs span a few
+/// hundred bytes, and sampling every eligible job replays tens of
+/// thousands of ranges.
+const REPLAY_BUF_MAX: usize = 64 << 10;
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -662,7 +667,8 @@ impl ScanState {
 
     /// Re-read one recorded byte range, appending the rows that belong to
     /// `name` (skipping blanks, rows of other jobs, and rows the scan
-    /// quarantined) to `tasks`.
+    /// quarantined) to `tasks`. Rows decode through the forward scan's
+    /// SWAR parser, so a replayed row is exactly the row the scan folded.
     fn replay_range<R: Read + Seek>(
         &mut self,
         source: &mut R,
@@ -672,17 +678,14 @@ impl ScanState {
         tasks: &mut Vec<crate::TaskRecord>,
     ) -> Result<(), TraceError> {
         source.seek(SeekFrom::Start(start))?;
-        let take = source.take(u64::from(len));
-        let mut lines = RawLines::new(BufReader::new(take));
-        let mut buf = Vec::new();
-        while lines.next_line_into(&mut buf)?.is_some() {
-            if buf.is_empty() {
+        let capacity = (len as usize).min(REPLAY_BUF_MAX);
+        let mut lines = scan::BufLines::new(source.take(u64::from(len)), capacity);
+        while let Some((_, _, span)) = lines.next_span()? {
+            let raw = &lines.view()[span];
+            if raw.is_empty() {
                 continue;
             }
-            let Ok(text) = std::str::from_utf8(&buf) else {
-                continue;
-            };
-            let Ok(parts) = csv::parse_task_parts(0, text) else {
+            let Ok(parts) = scan::parse_task_parts_bytes(0, raw) else {
                 continue;
             };
             let Ok(parts) =
@@ -766,11 +769,17 @@ impl ScanState {
 }
 
 /// The forward scan: group rows into jobs as they complete, fold each into
-/// the running statistics, record byte ranges, and drop the rows. Generic
-/// over the [`LineSource`] so the buffered (file) and zero-copy (mmap /
-/// in-memory) paths share one loop; rows parse in place via the SWAR
-/// scanner — no scratch line buffer, no per-row allocation.
-fn run_scan_source<S: LineSource>(lines: &mut S, state: &mut ScanState) -> Result<(), TraceError> {
+/// the running statistics, record byte ranges, and drop the rows. Rows
+/// parse in place in one reused [`scan::BufLines`] buffer of `buffer`
+/// bytes via the SWAR scanner — no scratch line buffer, no per-row
+/// allocation.
+fn run_scan<R: Read + Seek>(
+    source: &mut R,
+    state: &mut ScanState,
+    buffer: usize,
+) -> Result<(), TraceError> {
+    source.seek(SeekFrom::Start(0))?;
+    let mut lines = scan::BufLines::new(&mut *source, buffer);
     let mut fold = OpenFold::new();
     let mut open: Option<Open> = None;
 
@@ -866,18 +875,6 @@ fn run_scan_source<S: LineSource>(lines: &mut S, state: &mut ScanState) -> Resul
     Ok(())
 }
 
-/// Seek-to-start wrapper: scan a `Read + Seek` source through a reused
-/// [`scan::BufLines`] buffer of `buffer` bytes.
-fn run_scan<R: Read + Seek>(
-    source: &mut R,
-    state: &mut ScanState,
-    buffer: usize,
-) -> Result<(), TraceError> {
-    source.seek(SeekFrom::Start(0))?;
-    let mut lines = scan::BufLines::new(&mut *source, buffer);
-    run_scan_source(&mut lines, state)
-}
-
 /// A fully scanned trace: per-job metadata columns, exact running
 /// statistics, quarantine accounting, and the (seekable) source for
 /// on-demand job materialization.
@@ -914,29 +911,6 @@ impl<R: Read + Seek> StreamedTrace<R> {
     /// [`TraceStats::compute`] on the batch-ingested [`JobSet`].
     pub fn stats(&self) -> TraceStats {
         self.state.acc.finish()
-    }
-}
-
-impl<T: AsRef<[u8]>> StreamedTrace<Cursor<T>> {
-    /// Scan bytes already in memory — a whole file read up front, or an
-    /// mmap ([`dagscope_par::MmapBuf`] is `AsRef<[u8]>`) — through the
-    /// zero-copy [`scan::SliceLines`] path: lines parse in place, with no
-    /// intermediate buffer at all. Replay (materialization) then seeks
-    /// over the same bytes through a [`Cursor`]. Output is bit-identical
-    /// to [`StreamedTrace::scan`] over the same content.
-    pub fn scan_bytes(
-        data: T,
-        policy: &ReadPolicy,
-        criteria: &SampleCriteria,
-    ) -> Result<StreamedTrace<Cursor<T>>, TraceError> {
-        let mut state = ScanState::new(policy, criteria);
-        {
-            let mut lines = scan::SliceLines::new(data.as_ref());
-            run_scan_source(&mut lines, &mut state)?;
-        }
-        let mut source = Cursor::new(data);
-        state.finalize(&mut source)?;
-        Ok(StreamedTrace { source, state })
     }
 }
 

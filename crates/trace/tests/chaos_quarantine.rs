@@ -2,23 +2,24 @@
 //!
 //! The reader contract has two halves. On bytes it *can* read, the
 //! accounting is exact — `rows_good + quarantined == rows_total` — and
-//! the parallel chunked decoder agrees with the sequential reader bit
-//! for bit. On bytes it *cannot* read (an IO error mid-chunk or
-//! mid-line), the read fails loudly; a fault must never surface as a
-//! silently shorter trace. This file proves both halves under
-//! `dagscope-faults` injection across arbitrary corrupt traces and
-//! every chunk boundary the splitter produces.
+//! the streamed scan agrees with the sequential reader bit for bit. On
+//! bytes it *cannot* read (an IO error mid-line), the read fails loudly;
+//! a fault must never surface as a silently shorter trace. This file
+//! proves both halves under `dagscope-faults` injection across arbitrary
+//! corrupt traces, scan-buffer sizes, and fault lines.
 //!
 //! Build with `--features failpoints`; the whole file vanishes without
 //! the feature.
 #![cfg(feature = "failpoints")]
 
-use std::io::BufReader;
+use std::io::{BufReader, Cursor};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use proptest::prelude::*;
 
+use dagscope_trace::filter::SampleCriteria;
 use dagscope_trace::gen::{GeneratorConfig, TraceGenerator};
+use dagscope_trace::stream::StreamedTrace;
 use dagscope_trace::{csv, ReadPolicy};
 
 /// The failpoint registry is process-global and `reset()` clears every
@@ -65,66 +66,32 @@ proptest! {
 
     /// Clean half of the contract: exact accounting, reader agreement,
     /// and every deliberately-mangled row quarantined — for arbitrary
-    /// traces, corruption cadences, and chunk sizes.
+    /// traces, corruption cadences, and scan-buffer sizes.
     #[test]
     fn accounting_exact_and_readers_agree(
         jobs in 3usize..24,
         seed in any::<u64>(),
         corrupt_every in 7usize..40,
-        chunk_bytes in 128usize..2048,
+        cap in 128usize..2048,
     ) {
         let _g = exclusive();
         dagscope_faults::reset();
         let (data, corrupted) = corrupt_trace(jobs, seed, corrupt_every);
         let policy = ReadPolicy::Quarantine { max_bad: usize::MAX };
 
-        let (rows_seq, q_seq) =
+        let (_, q_seq) =
             csv::read_tasks_with_policy(BufReader::new(&data[..]), &policy).unwrap();
-        let (rows_par, q_par) =
-            csv::read_tasks_chunked_with_policy(&data, chunk_bytes, &policy).unwrap();
+        let streamed = scan(&data, &policy, cap).unwrap();
 
         prop_assert_eq!(q_seq.rows_good + q_seq.rows.len(), q_seq.rows_total);
         prop_assert_eq!(q_seq.rows.len(), corrupted);
-        prop_assert_eq!(rows_par, rows_seq);
-        prop_assert_eq!(q_par, q_seq);
+        prop_assert_eq!(streamed.quarantine(), &q_seq);
     }
 
-    /// Faulted half, chunked reader: an injected mid-chunk IO error at
-    /// EVERY chunk boundary aborts the read with an error — the good
-    /// chunks around the failure never masquerade as a complete trace.
-    #[test]
-    fn chunk_io_error_at_every_boundary_aborts(
-        jobs in 3usize..16,
-        seed in any::<u64>(),
-        chunk_bytes in 128usize..1024,
-    ) {
-        let _g = exclusive();
-        dagscope_faults::reset();
-        let (data, _) = corrupt_trace(jobs, seed, 11);
-        let policy = ReadPolicy::Quarantine { max_bad: usize::MAX };
-        let bounds = dagscope_par::chunk_bounds(&data, chunk_bytes, b'\n');
-
-        for &(start, _) in &bounds {
-            dagscope_faults::configure("trace.read.chunk_io", &format!("return({start})"))
-                .unwrap();
-            let result = csv::read_tasks_chunked_with_policy(&data, chunk_bytes, &policy);
-            dagscope_faults::reset();
-            prop_assert!(
-                result.is_err(),
-                "chunk at byte {start} absorbed an injected IO error"
-            );
-        }
-
-        // Quiet again, the very same bytes read fine: the failures above
-        // were the injection, not the data.
-        prop_assert!(
-            csv::read_tasks_chunked_with_policy(&data, chunk_bytes, &policy).is_ok()
-        );
-    }
-
-    /// Faulted half, sequential reader: a read error on any single line
-    /// aborts the whole read. Quarantine diverts *parse* failures only —
-    /// transport failures must still be loud.
+    /// Faulted half: a read error on any single line aborts the whole
+    /// read, in the sequential reader and the streamed scan alike.
+    /// Quarantine diverts *parse* failures only — transport failures must
+    /// still be loud.
     #[test]
     fn line_io_error_at_any_line_aborts(
         jobs in 3usize..16,
@@ -146,5 +113,22 @@ proptest! {
             result.is_err(),
             "line {target} of {lines} absorbed an injected IO error"
         );
+
+        dagscope_faults::configure("trace.read.line_io", &format!("{target}>1*return")).unwrap();
+        let streamed = scan(&data, &policy, 1 << 20);
+        dagscope_faults::reset();
+        prop_assert!(
+            streamed.is_err(),
+            "line {target} of {lines} absorbed an injected IO error in the streamed scan"
+        );
     }
+}
+
+/// The streamed scan of `data` with a `cap`-byte scan buffer.
+fn scan<'d>(
+    data: &'d [u8],
+    policy: &ReadPolicy,
+    cap: usize,
+) -> Result<StreamedTrace<Cursor<&'d [u8]>>, dagscope_trace::TraceError> {
+    StreamedTrace::scan_with_buffer(Cursor::new(data), policy, &SampleCriteria::default(), cap)
 }

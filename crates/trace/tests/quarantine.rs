@@ -1,12 +1,16 @@
 //! Fault-injection property suite for lossy ingestion: quarantine mode
 //! must (a) collapse to the strict reader when the budget is zero,
-//! (b) keep its accounting invariant under every chunk split, and
+//! (b) keep its accounting invariant under every scan-buffer split, and
 //! (c) divert exactly the bad rows — the good rows must equal a strict
 //! read of the document with the bad lines deleted, and every report
 //! entry must point (line and byte offset) at the real offending line.
 
+use std::io::Cursor;
+
 use proptest::prelude::*;
 
+use dagscope_trace::filter::SampleCriteria;
+use dagscope_trace::stream::StreamedTrace;
 use dagscope_trace::{csv, ReadPolicy};
 
 /// One random document line. `kinds` controls the mix:
@@ -44,8 +48,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `Quarantine { max_bad: 0 }` is observationally identical to
-    /// `Strict` — same rows, same first error — sequentially and under
-    /// an arbitrary chunk split. (Generator excludes the
+    /// `Strict` — same rows, same first error. (Generator excludes the
     /// impossible-timestamp family, which strict mode deliberately does
     /// not police.)
     #[test]
@@ -53,7 +56,6 @@ proptest! {
         lines in prop::collection::vec(task_line(8), 0..24),
         crlf in any::<bool>(),
         trailing_newline in any::<bool>(),
-        chunk_bytes in 1usize..96,
     ) {
         let doc = assemble(&lines, crlf, trailing_newline);
         let zero = ReadPolicy::Quarantine { max_bad: 0 };
@@ -67,15 +69,13 @@ proptest! {
             (Err(e), Err(qe)) => prop_assert_eq!(e, qe),
             other => prop_assert!(false, "strict/quarantine diverged: {:?}", other),
         }
-        let chunked = csv::read_tasks_chunked_with_policy(doc.as_bytes(), chunk_bytes, &zero);
-        prop_assert_eq!(quarantined, chunked);
     }
 
     /// `rows_good + rows_quarantined == rows_total` on every input, and
-    /// the parallel reader reproduces the sequential report — entries,
-    /// line numbers, byte offsets — for every chunk size.
+    /// the streamed scan reproduces the sequential report — entries,
+    /// line numbers, byte offsets — at every scan-buffer capacity.
     #[test]
-    fn accounting_invariant_survives_every_chunk_split(
+    fn accounting_invariant_survives_every_buffer_split(
         lines in prop::collection::vec(task_line(9), 0..20),
         crlf in any::<bool>(),
         trailing_newline in any::<bool>(),
@@ -86,11 +86,9 @@ proptest! {
             csv::read_tasks_with_policy(doc.as_bytes(), &policy).expect("unbounded budget");
         prop_assert_eq!(report.rows_good + report.rows_quarantined(), report.rows_total);
         prop_assert_eq!(rows.len(), report.rows_good);
-        for chunk_bytes in 1..=doc.len() + 1 {
-            let chunked = csv::read_tasks_chunked_with_policy(doc.as_bytes(), chunk_bytes, &policy)
-                .expect("unbounded budget");
-            prop_assert_eq!(&rows, &chunked.0, "chunk_bytes={}", chunk_bytes);
-            prop_assert_eq!(&report, &chunked.1, "chunk_bytes={}", chunk_bytes);
+        for cap in 1..=doc.len() + 1 {
+            let streamed = scan(doc.as_bytes(), &policy, cap).expect("unbounded budget");
+            prop_assert_eq!(streamed.quarantine(), &report, "cap={}", cap);
         }
     }
 
@@ -157,15 +155,21 @@ proptest! {
         prop_assert_eq!(report.rows_quarantined(), 1);
         prop_assert_eq!(rows.len(), report.rows_good);
         prop_assert_eq!(report.rows_good + 1, report.rows_total);
-        let par = csv::read_instances_chunked_with_policy(doc.as_bytes(), 7, &policy)
-            .expect("within budget");
-        prop_assert_eq!((rows, report), par);
     }
+}
+
+/// The streamed scan of `doc` with a `cap`-byte scan buffer.
+fn scan<'d>(
+    doc: &'d [u8],
+    policy: &ReadPolicy,
+    cap: usize,
+) -> Result<StreamedTrace<Cursor<&'d [u8]>>, dagscope_trace::TraceError> {
+    StreamedTrace::scan_with_buffer(Cursor::new(doc), policy, &SampleCriteria::default(), cap)
 }
 
 /// Budget overflow degrades to the strict contract: the error is the
 /// first *unbudgeted* bad row with its true document line number, under
-/// both readers.
+/// both the sequential reader and the streamed scan.
 #[test]
 fn over_budget_reports_the_overflowing_line() {
     let doc = "\
@@ -178,9 +182,10 @@ M3,1,j_c,1,Terminated,1,2,1.0,0.5
     let policy = ReadPolicy::Quarantine { max_bad: 1 };
     let seq = csv::read_tasks_with_policy(doc.as_bytes(), &policy).unwrap_err();
     assert!(seq.to_string().contains("line 4"), "{seq}");
-    for chunk_bytes in 1..=doc.len() + 1 {
-        let par =
-            csv::read_tasks_chunked_with_policy(doc.as_bytes(), chunk_bytes, &policy).unwrap_err();
-        assert_eq!(seq, par, "chunk_bytes={chunk_bytes}");
+    for cap in 1..=doc.len() + 1 {
+        let streamed = scan(doc.as_bytes(), &policy, cap)
+            .err()
+            .expect("over budget");
+        assert_eq!(seq, streamed, "cap={cap}");
     }
 }

@@ -1,18 +1,20 @@
-//! Differential fuzz tests: every zero-copy SWAR ingestion route must be
-//! bit-identical to the scalar oracle decoder — same records (float bit
-//! patterns included), same quarantine rows with the same byte offsets
-//! and excerpts, same error variants at the same line — on arbitrary byte
-//! soup: embedded NULs, invalid UTF-8, `\r\n` endings, trailing
-//! delimiters, empty and overlong fields, numeric edge shapes, and buffer
-//! splits at every boundary.
+//! Differential fuzz tests: the zero-copy SWAR reader and the streamed
+//! scan must be bit-identical to the scalar oracle decoder — same records
+//! (float bit patterns included), same quarantine rows with the same byte
+//! offsets and excerpts, same error variants at the same line — on
+//! arbitrary byte soup: embedded NULs, invalid UTF-8, `\r\n` endings,
+//! trailing delimiters, empty and overlong fields, numeric edge shapes,
+//! and buffer splits at every boundary.
 
+use std::collections::BTreeSet;
 use std::io::Cursor;
 
 use proptest::prelude::*;
 
 use dagscope_trace::filter::SampleCriteria;
+use dagscope_trace::stats::TraceStats;
 use dagscope_trace::stream::StreamedTrace;
-use dagscope_trace::{csv, ReadPolicy};
+use dagscope_trace::{csv, JobSet, ReadPolicy};
 
 /// A field value aimed at the numeric fast paths and their bail-outs.
 fn num_field(kind: u8, a: u64, b: u64) -> String {
@@ -162,81 +164,75 @@ fn policy_of(kind: u8) -> ReadPolicy {
     }
 }
 
-/// Every task-decoding route agrees with the scalar oracle, bitwise.
-fn check_tasks(doc: &[u8], policy: &ReadPolicy, cap: usize, chunk: usize) {
+/// The SWAR task reader agrees with the scalar oracle, bitwise.
+fn check_tasks(doc: &[u8], policy: &ReadPolicy, cap: usize) {
     let oracle = csv::read_tasks_scalar_with_policy(doc, policy);
-    let slice = csv::read_tasks_slice_with_policy(doc, policy);
-    let buffered = csv::read_tasks_buffered_with_policy(doc, cap, policy);
-    let chunked = csv::read_tasks_chunked_with_policy(doc, chunk.max(1), policy);
-    for (route, got) in [("slice", slice), ("buffered", buffered), ("chunked", chunked)] {
-        match (&oracle, &got) {
-            (Err(want), Err(have)) => assert_eq!(have, want, "{route} error"),
-            (Ok((want_rows, want_q)), Ok((rows, q))) => {
-                // Debug formatting distinguishes float bit patterns that
-                // PartialEq would conflate (-0.0, NaN payloads).
-                assert_eq!(rows.len(), want_rows.len(), "{route} row count");
-                assert_eq!(
-                    format!("{rows:?}"),
-                    format!("{want_rows:?}"),
-                    "{route} rows"
-                );
-                assert_eq!(q, want_q, "{route} quarantine");
-                assert_eq!(
-                    q.rows_good + q.rows_quarantined(),
-                    q.rows_total,
-                    "{route} accounting invariant"
-                );
-            }
-            (want, have) => panic!("{route}: oracle {want:?} vs scanner {have:?}"),
+    let got = csv::read_tasks_buffered_with_policy(doc, cap, policy);
+    match (&oracle, &got) {
+        (Err(want), Err(have)) => assert_eq!(have, want, "error"),
+        (Ok((want_rows, want_q)), Ok((rows, q))) => {
+            // Debug formatting distinguishes float bit patterns that
+            // PartialEq would conflate (-0.0, NaN payloads).
+            assert_eq!(rows.len(), want_rows.len(), "row count");
+            assert_eq!(format!("{rows:?}"), format!("{want_rows:?}"), "rows");
+            assert_eq!(q, want_q, "quarantine");
+            assert_eq!(
+                q.rows_good + q.rows_quarantined(),
+                q.rows_total,
+                "accounting invariant"
+            );
         }
+        (want, have) => panic!("oracle {want:?} vs scanner {have:?}"),
     }
 }
 
-/// Every instance-decoding route agrees with the scalar oracle, bitwise.
-fn check_instances(doc: &[u8], policy: &ReadPolicy, chunk: usize) {
+/// The SWAR instance reader agrees with the scalar oracle, bitwise.
+fn check_instances(doc: &[u8], policy: &ReadPolicy) {
     let oracle = csv::read_instances_scalar_with_policy(doc, policy);
-    let slice = csv::read_instances_slice_with_policy(doc, policy);
-    let buffered = csv::read_instances_with_policy(doc, policy);
-    let chunked = csv::read_instances_chunked_with_policy(doc, chunk.max(1), policy);
-    for (route, got) in [("slice", slice), ("buffered", buffered), ("chunked", chunked)] {
-        match (&oracle, &got) {
-            (Err(want), Err(have)) => assert_eq!(have, want, "{route} error"),
-            (Ok((want_rows, want_q)), Ok((rows, q))) => {
-                assert_eq!(
-                    format!("{rows:?}"),
-                    format!("{want_rows:?}"),
-                    "{route} rows"
-                );
-                assert_eq!(q, want_q, "{route} quarantine");
-            }
-            (want, have) => panic!("{route}: oracle {want:?} vs scanner {have:?}"),
+    let got = csv::read_instances_with_policy(doc, policy);
+    match (&oracle, &got) {
+        (Err(want), Err(have)) => assert_eq!(have, want, "error"),
+        (Ok((want_rows, want_q)), Ok((rows, q))) => {
+            assert_eq!(format!("{rows:?}"), format!("{want_rows:?}"), "rows");
+            assert_eq!(q, want_q, "quarantine");
         }
+        (want, have) => panic!("oracle {want:?} vs scanner {have:?}"),
     }
 }
 
-/// The streamed scan over an in-memory mapping (`scan_bytes`) matches the
-/// buffered streamed scan at every capacity: same quarantine, same
-/// metadata columns, same materialized jobs, same statistics.
+/// The streamed scan at every refill capacity agrees with the scalar
+/// oracle: the same first error, or the same quarantine report and suspect
+/// set, with replayed jobs and statistics equal to grouping the oracle's
+/// rows after dropping every row of a suspect job.
 fn check_stream(doc: &[u8], policy: &ReadPolicy, cap: usize) {
-    let criteria = SampleCriteria::default();
-    let buffered =
-        StreamedTrace::scan_with_buffer(Cursor::new(doc.to_vec()), policy, &criteria, cap);
-    let bytes = StreamedTrace::scan_bytes(doc.to_vec(), policy, &criteria);
-    match (buffered, bytes) {
+    let oracle = csv::read_tasks_scalar_with_policy(doc, policy);
+    let streamed =
+        StreamedTrace::scan_with_buffer(Cursor::new(doc), policy, &SampleCriteria::default(), cap);
+    match (oracle, streamed) {
         (Err(want), Err(have)) => assert_eq!(have, want),
-        (Ok(mut want), Ok(mut have)) => {
-            assert_eq!(have.quarantine(), want.quarantine());
-            assert_eq!(have.suspects(), want.suspects());
-            assert_eq!(have.job_count(), want.job_count());
-            assert_eq!(have.raw_bytes(), want.raw_bytes());
-            assert_eq!(have.eligible_sizes(), want.eligible_sizes());
-            assert_eq!(format!("{:?}", have.stats()), format!("{:?}", want.stats()));
-            let want_set = want.materialize_all().unwrap();
+        (Ok((rows, want_q)), Ok(mut have)) => {
+            assert_eq!(have.quarantine(), &want_q);
+            let suspects: BTreeSet<String> = want_q
+                .suspect_jobs()
+                .keys()
+                .map(|s| s.to_string())
+                .collect();
+            assert_eq!(have.suspects(), &suspects);
+            let want_set = JobSet::from_tasks(
+                rows.into_iter()
+                    .filter(|t| !suspects.contains(t.job_name.as_str())),
+            );
+            // Debug formatting distinguishes float bit patterns that
+            // PartialEq would conflate (-0.0, NaN payloads).
             let have_set = have.materialize_all().unwrap();
-            assert_eq!(have_set, want_set);
+            assert_eq!(format!("{have_set:?}"), format!("{want_set:?}"));
+            assert_eq!(
+                format!("{:?}", have.stats()),
+                format!("{:?}", TraceStats::compute(&want_set))
+            );
         }
         (want, have) => panic!(
-            "stream: buffered ok={:?} vs bytes ok={:?}",
+            "stream: oracle ok={:?} vs scan ok={:?}",
             want.is_ok(),
             have.is_ok()
         ),
@@ -246,17 +242,16 @@ fn check_stream(doc: &[u8], policy: &ReadPolicy, cap: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Task decoding: SWAR slice / buffered / chunked routes are bitwise
-    /// equal to the scalar oracle on arbitrary byte soup.
+    /// Task decoding: the SWAR reader is bitwise equal to the scalar
+    /// oracle on arbitrary byte soup.
     #[test]
     fn task_routes_match_scalar_oracle(
         segments in prop::collection::vec(segment_strategy(), 0..24),
         policy_kind in 0u8..4,
         cap in 1usize..48,
-        chunk in 1usize..96,
     ) {
         let doc = build_doc(&segments);
-        check_tasks(&doc, &policy_of(policy_kind), cap, chunk);
+        check_tasks(&doc, &policy_of(policy_kind), cap);
     }
 
     /// Instance decoding: same property over the 14-field schema.
@@ -264,16 +259,15 @@ proptest! {
     fn instance_routes_match_scalar_oracle(
         segments in prop::collection::vec(segment_strategy(), 0..24),
         policy_kind in 0u8..4,
-        chunk in 1usize..96,
     ) {
         let doc = build_doc(&segments);
-        check_instances(&doc, &policy_of(policy_kind), chunk);
+        check_instances(&doc, &policy_of(policy_kind));
     }
 
-    /// The streamed single-pass scan agrees between its buffered and
-    /// in-memory (mmap-shaped) sources at every refill capacity.
+    /// The streamed single-pass scan, forward pass and byte-range replay
+    /// alike, agrees with the scalar oracle at every refill capacity.
     #[test]
-    fn streamed_scan_sources_agree(
+    fn streamed_scan_matches_scalar_oracle(
         segments in prop::collection::vec(segment_strategy(), 0..24),
         policy_kind in 0u8..4,
         cap in 1usize..48,
@@ -300,10 +294,9 @@ fn buffer_splits_at_every_boundary() {
         let (rows, q) = csv::read_tasks_buffered_with_policy(doc, cap, &policy).unwrap();
         assert_eq!(format!("{rows:?}"), format!("{want_rows:?}"), "cap {cap}");
         assert_eq!(q, want_q, "cap {cap}");
+        check_stream(doc, &policy, cap);
     }
-    let (rows, q) = csv::read_tasks_slice_with_policy(doc, &policy).unwrap();
-    assert_eq!(format!("{rows:?}"), format!("{want_rows:?}"));
-    assert_eq!(q, want_q);
+    let (_, q) = csv::read_tasks_with_policy(doc, &policy).unwrap();
     // Quarantine byte offsets and excerpts survive the SWAR scanner: the
     // oracle's offsets are authoritative and the comparison above pinned
     // them; spot-check they actually point into the document.
