@@ -116,9 +116,7 @@ fn setup(replay_jobs: usize) -> Setup {
 
 /// Weak-scaling cluster: machine count grows with the replay size so
 /// jobs-per-machine contention (and so scheduling pressure) stays
-/// comparable across tiers. Per-event simulator cost is O(ready-queue
-/// length), so holding the backlog roughly constant is also what keeps
-/// the 100k tier tractable.
+/// comparable across tiers.
 fn sim_cfg(replay_jobs: usize) -> SimConfig {
     SimConfig {
         cluster: ClusterConfig {

@@ -1,6 +1,9 @@
-//! The machine pool: capacity tracking and first-fit placement.
+//! The machine pool: capacity tracking and round-robin first-fit
+//! placement.
 
 use serde::{Deserialize, Serialize};
+
+use crate::tree::{Fold, Pair, PairTree};
 
 /// Cluster shape.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -29,19 +32,22 @@ impl Default for ClusterConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     cfg: ClusterConfig,
-    cpu_free: Vec<f64>,
-    mem_free: Vec<f64>,
-    /// Next machine index to try (round-robin start point, avoids packing
-    /// everything on machine 0 and keeps placement O(1) amortized).
+    /// Free CPU and memory per machine (the leaves), with the largest
+    /// free CPU and the largest free memory over every subtree, so
+    /// [`place`](Self::place) descends to a fitting machine instead of
+    /// probing them in turn.
+    free: PairTree,
+    /// Where the next placement search starts (round-robin, so load
+    /// spreads instead of packing onto machine 0).
     cursor: usize,
 }
 
 impl Cluster {
-    /// A fresh, empty cluster.
+    /// A new cluster with every machine empty.
     pub fn new(cfg: ClusterConfig) -> Cluster {
+        let empty = Pair::new(cfg.cpu_per_machine, cfg.mem_per_machine);
         Cluster {
-            cpu_free: vec![cfg.cpu_per_machine; cfg.machines],
-            mem_free: vec![cfg.mem_per_machine; cfg.machines],
+            free: PairTree::new(Fold::Max, &vec![empty; cfg.machines]),
             cursor: 0,
             cfg,
         }
@@ -59,7 +65,11 @@ impl Cluster {
 
     /// Currently free CPU across machines.
     pub fn free_cpu(&self) -> f64 {
-        self.cpu_free.iter().sum()
+        self.free
+            .leaves(self.cfg.machines)
+            .iter()
+            .map(|f| f.cpu)
+            .sum()
     }
 
     /// Utilized CPU fraction.
@@ -67,28 +77,37 @@ impl Cluster {
         1.0 - self.free_cpu() / self.total_cpu()
     }
 
+    /// The largest free CPU and the largest free memory on any machine
+    /// (not necessarily the same one): an instance needing more of either
+    /// fits nowhere.
+    pub(crate) fn max_free(&self) -> Pair {
+        self.free.root()
+    }
+
     /// Try to place one instance of `(cpu, mem)`; returns the machine
-    /// index, or `None` when nothing fits. Next-fit with wraparound.
+    /// index, or `None` when nothing fits. Takes the first machine with
+    /// room at or after the cursor, wrapping around to the machines
+    /// before it, and moves the cursor there. A failed placement changes
+    /// nothing.
     pub fn place(&mut self, cpu: f64, mem: f64) -> Option<usize> {
-        let n = self.cfg.machines;
-        for off in 0..n {
-            let m = (self.cursor + off) % n;
-            if self.cpu_free[m] >= cpu && self.mem_free[m] >= mem {
-                self.cpu_free[m] -= cpu;
-                self.mem_free[m] -= mem;
-                self.cursor = m;
-                return Some(m);
-            }
-        }
-        None
+        let fits = |f: Pair| f.cpu >= cpu && f.mem >= mem;
+        let m = self
+            .free
+            .first(self.cursor, fits)
+            .or_else(|| self.free.first(0, fits))?;
+        let f = self.free.leaf(m);
+        self.free.set(m, Pair::new(f.cpu - cpu, f.mem - mem));
+        self.cursor = m;
+        Some(m)
     }
 
     /// Release a previously placed instance.
     pub fn release(&mut self, machine: usize, cpu: f64, mem: f64) {
-        self.cpu_free[machine] += cpu;
-        self.mem_free[machine] += mem;
-        debug_assert!(self.cpu_free[machine] <= self.cfg.cpu_per_machine + 1e-6);
-        debug_assert!(self.mem_free[machine] <= self.cfg.mem_per_machine + 1e-6);
+        let f = self.free.leaf(machine);
+        let f = Pair::new(f.cpu + cpu, f.mem + mem);
+        debug_assert!(f.cpu <= self.cfg.cpu_per_machine + 1e-6);
+        debug_assert!(f.mem <= self.cfg.mem_per_machine + 1e-6);
+        self.free.set(machine, f);
     }
 
     /// Grab up to `want` CPU units on `machine` for a non-batch reservation
@@ -96,21 +115,25 @@ impl Cluster {
     /// running batch instances are never evicted, so the reservation only
     /// claims currently free capacity.
     pub fn reserve_cpu(&mut self, machine: usize, want: f64) -> f64 {
-        let taken = want.min(self.cpu_free[machine]).max(0.0);
-        self.cpu_free[machine] -= taken;
+        let f = self.free.leaf(machine);
+        let taken = want.min(f.cpu).max(0.0);
+        self.free.set(machine, Pair::new(f.cpu - taken, f.mem));
         taken
     }
 
     /// Return previously reserved CPU.
     pub fn unreserve_cpu(&mut self, machine: usize, amount: f64) {
-        self.cpu_free[machine] += amount;
-        debug_assert!(self.cpu_free[machine] <= self.cfg.cpu_per_machine + 1e-6);
+        let f = self.free.leaf(machine);
+        let f = Pair::new(f.cpu + amount, f.mem);
+        debug_assert!(f.cpu <= self.cfg.cpu_per_machine + 1e-6);
+        self.free.set(machine, f);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tiny() -> Cluster {
         Cluster::new(ClusterConfig {
@@ -159,5 +182,89 @@ mod tests {
         let mut c = tiny();
         assert!(c.place(101.0, 0.1).is_none());
         assert!(c.place(1.0, 1.5).is_none());
+    }
+
+    /// Reference pool: probe every machine from the cursor on, wrapping
+    /// around.
+    struct Linear {
+        cpu_free: Vec<f64>,
+        mem_free: Vec<f64>,
+        cursor: usize,
+    }
+
+    impl Linear {
+        fn place(&mut self, cpu: f64, mem: f64) -> Option<usize> {
+            let n = self.cpu_free.len();
+            let m = (self.cursor..n)
+                .chain(0..self.cursor)
+                .find(|&m| self.cpu_free[m] >= cpu && self.mem_free[m] >= mem)?;
+            self.cpu_free[m] -= cpu;
+            self.mem_free[m] -= mem;
+            self.cursor = m;
+            Some(m)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn tree_placement_matches_linear_next_fit(
+            machines in prop::sample::select(vec![1usize, 2, 3, 5, 48]),
+            ops in prop::collection::vec((0u8..4, 0usize..1_000, 0usize..1_000, any::<f64>()), 1..300),
+        ) {
+            let cfg = ClusterConfig { machines, cpu_per_machine: 100.0, mem_per_machine: 1.0 };
+            let mut tree = Cluster::new(cfg.clone());
+            let mut linear = Linear {
+                cpu_free: vec![cfg.cpu_per_machine; machines],
+                mem_free: vec![cfg.mem_per_machine; machines],
+                cursor: 0,
+            };
+            // Live instances (machine, cpu, mem) and reserved CPU per machine.
+            let mut live: Vec<(usize, f64, f64)> = Vec::new();
+            let mut reserved = vec![0.0f64; machines];
+            for (kind, a, b, frac) in ops {
+                match kind {
+                    0 | 1 => {
+                        let cpu = [10.0, 25.0, 40.0, 60.0, 100.0][a % 5];
+                        let mem = (b % 20 + 1) as f64 * 0.05;
+                        let got = tree.place(cpu, mem);
+                        prop_assert_eq!(got, linear.place(cpu, mem));
+                        if let Some(m) = got {
+                            live.push((m, cpu, mem));
+                        }
+                    }
+                    2 if !live.is_empty() => {
+                        let (m, cpu, mem) = live.swap_remove(a % live.len());
+                        tree.release(m, cpu, mem);
+                        linear.cpu_free[m] += cpu;
+                        linear.mem_free[m] += mem;
+                    }
+                    3 if b % 2 == 0 => {
+                        let m = a % machines;
+                        let want = frac * 50.0;
+                        let taken = tree.reserve_cpu(m, want);
+                        let expect = want.min(linear.cpu_free[m]).max(0.0);
+                        prop_assert_eq!(taken, expect);
+                        linear.cpu_free[m] -= expect;
+                        reserved[m] += taken;
+                    }
+                    3 => {
+                        let m = a % machines;
+                        let amount = reserved[m] * frac;
+                        tree.unreserve_cpu(m, amount);
+                        linear.cpu_free[m] += amount;
+                        reserved[m] -= amount;
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(tree.free_cpu(), linear.cpu_free.iter().sum::<f64>());
+                let max = |v: &[f64]| v.iter().copied().fold(f64::NAN, f64::max);
+                prop_assert_eq!(
+                    tree.max_free(),
+                    Pair::new(max(&linear.cpu_free), max(&linear.mem_free))
+                );
+            }
+        }
     }
 }

@@ -35,6 +35,7 @@ pub mod policy;
 pub mod profile;
 pub mod replay;
 pub mod sim;
+mod tree;
 pub mod workload;
 
 pub use cluster::{Cluster, ClusterConfig};

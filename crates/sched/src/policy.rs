@@ -153,19 +153,28 @@ impl Policy {
 
     /// Freeze keys for a whole workload at admission, surfacing how many
     /// jobs the policy could not predict.
-    pub fn freeze(&self, jobs: &[SimJob]) -> FrozenKeys {
+    ///
+    /// Errors on the first job whose key is NaN or infinite (say, a NaN
+    /// cost in [`Policy::PredictedSjf`]'s table): such a key has no place
+    /// in the dispatch order.
+    pub fn freeze(&self, jobs: &[SimJob]) -> Result<FrozenKeys, String> {
         let mut unknown_jobs = 0u64;
-        let keys = jobs
-            .iter()
-            .map(|j| {
-                let (key, known) = self.key_and_known(j);
-                if !known {
-                    unknown_jobs += 1;
-                }
-                key
-            })
-            .collect();
-        FrozenKeys { keys, unknown_jobs }
+        let mut keys = Vec::with_capacity(jobs.len());
+        for j in jobs {
+            let (key, known) = self.key_and_known(j);
+            if !key.is_finite() {
+                return Err(format!(
+                    "policy {} gives job {} the non-finite key {key}",
+                    self.label(),
+                    j.name
+                ));
+            }
+            if !known {
+                unknown_jobs += 1;
+            }
+            keys.push(key);
+        }
+        Ok(FrozenKeys { keys, unknown_jobs })
     }
 
     /// Display label for reports.
@@ -257,7 +266,9 @@ mod tests {
         // Unknown jobs still sort last (pessimistic)…
         assert_eq!(p.job_key(&job("unknown", 0, 10, 1)), f64::MAX);
         // …but the freeze surfaces the count instead of hiding it.
-        let frozen = p.freeze(&[job("known", 0, 10, 1), job("unknown", 0, 10, 1)]);
+        let frozen = p
+            .freeze(&[job("known", 0, 10, 1), job("unknown", 0, 10, 1)])
+            .unwrap();
         assert_eq!(frozen.keys, vec![42.0, f64::MAX]);
         assert_eq!(frozen.unknown_jobs, 1);
     }
@@ -296,7 +307,9 @@ mod tests {
         let pred = predictor(&[("light", 0, 0.9)]);
         let neutral = pred.profiles().neutral_work();
         let p = Policy::GroupSjf { predictor: pred };
-        let frozen = p.freeze(&[job("light", 0, 1, 1), job("mystery", 0, 1, 1)]);
+        let frozen = p
+            .freeze(&[job("light", 0, 1, 1), job("mystery", 0, 1, 1)])
+            .unwrap();
         assert_eq!(frozen.keys[1], neutral);
         assert_eq!(frozen.unknown_jobs, 1);
         // The neutral prior sits within the observed range — unknown
@@ -315,7 +328,9 @@ mod tests {
         // Confident classification → group-median key.
         assert_eq!(p.job_key(&job("sure", 0, 1, 1)), 400_000.0);
         // Low confidence → neutral prior, counted as unknown.
-        let frozen = p.freeze(&[job("sure", 0, 1, 1), job("torn", 0, 1, 1)]);
+        let frozen = p
+            .freeze(&[job("sure", 0, 1, 1), job("torn", 0, 1, 1)])
+            .unwrap();
         assert_eq!(frozen.keys[1], neutral);
         assert_eq!(frozen.unknown_jobs, 1);
     }
@@ -324,7 +339,7 @@ mod tests {
     fn oracles_report_zero_unknowns() {
         let jobs = [job("a", 0, 10, 1), job("b", 5, 20, 2)];
         for p in [Policy::Fifo, Policy::SjfOracle, Policy::CriticalPathOracle] {
-            assert_eq!(p.freeze(&jobs).unknown_jobs, 0);
+            assert_eq!(p.freeze(&jobs).unwrap().unknown_jobs, 0);
         }
     }
 

@@ -6,7 +6,8 @@ use std::collections::BinaryHeap;
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::metrics::SimMetrics;
 use crate::policy::Policy;
-use crate::workload::SimJob;
+use crate::tree::{Fold, Pair, PairTree};
+use crate::workload::{SimJob, SimTask};
 
 /// Diurnal online-service load co-located with the batch workload
 /// (Section II: online jobs outrank batch, which backfills what is left).
@@ -81,11 +82,86 @@ struct JobState {
     finish_time: Option<i64>,
 }
 
-/// A ready task reference in the dispatch queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ReadyTask {
-    job: usize,
-    node: usize,
+/// Every task's place in the dispatch order: ascending job key, then job
+/// index, then deeper downstream critical path first, then node index.
+/// Keys are frozen at admission, so the order is fixed for the whole run.
+struct Ranks {
+    /// Flat index of each job's node 0; task `(j, node)` is `first[j] + node`.
+    first: Vec<usize>,
+    /// Rank of each task, by flat index.
+    rank: Vec<u32>,
+    /// `(job, node)` at each rank.
+    task: Vec<(usize, usize)>,
+}
+
+impl Ranks {
+    fn new(jobs: &[SimJob], keys: &[f64]) -> Result<Ranks, String> {
+        let mut first = Vec::with_capacity(jobs.len());
+        let mut total = 0usize;
+        for j in jobs {
+            first.push(total);
+            total += j.dag.len();
+        }
+        if u32::try_from(total).is_err() {
+            return Err(format!(
+                "{total} tasks exceed the simulator's limit of 2^32 - 1"
+            ));
+        }
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        // `freeze` rejects non-finite keys, so `partial_cmp` always
+        // answers; it (unlike `total_cmp`) ties -0.0 with +0.0.
+        order.sort_unstable_by(|&a, &b| {
+            keys[a]
+                .partial_cmp(&keys[b])
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        let mut rank = vec![0u32; total];
+        let mut task = Vec::with_capacity(total);
+        for j in order {
+            let downstream = jobs[j].downstream_critical_path();
+            let mut nodes: Vec<usize> = (0..jobs[j].dag.len()).collect();
+            nodes.sort_unstable_by(|&a, &b| downstream[b].cmp(&downstream[a]).then(a.cmp(&b)));
+            for node in nodes {
+                rank[first[j] + node] = task.len() as u32;
+                task.push((j, node));
+            }
+        }
+        Ok(Ranks { first, rank, task })
+    }
+
+    fn of(&self, job: usize, node: usize) -> usize {
+        self.rank[self.first[job] + node] as usize
+    }
+}
+
+/// The tasks with instances waiting to be placed, keyed by rank. Each
+/// tree node holds the componentwise minimum `(cpu, mem)` demand of the
+/// ready tasks below it, so a dispatch pass skips whole subtrees whose
+/// tasks provably fit nowhere.
+struct ReadySet {
+    demand: PairTree,
+    len: usize,
+}
+
+impl ReadySet {
+    fn new(tasks: usize) -> ReadySet {
+        ReadySet {
+            demand: PairTree::new(Fold::Min, &vec![Pair::NONE; tasks]),
+            len: 0,
+        }
+    }
+
+    /// Add a task that is not in the set.
+    fn insert(&mut self, rank: usize, task: &SimTask) {
+        self.len += 1;
+        self.demand.set(rank, Pair::new(task.cpu, task.mem));
+    }
+
+    fn remove(&mut self, rank: usize) {
+        self.len -= 1;
+        self.demand.set(rank, Pair::NONE);
+    }
 }
 
 /// The simulator. Deterministic: identical inputs produce identical
@@ -105,7 +181,8 @@ impl Simulator {
     /// Run the workload to completion and return the metrics.
     ///
     /// Errors if any instance could never fit an empty machine (the
-    /// workload would deadlock).
+    /// workload would deadlock), or if the policy gives a job a
+    /// non-finite key.
     pub fn run(&self, jobs: &[SimJob]) -> Result<SimMetrics, String> {
         self.run_impl(jobs, false).map(|(m, _)| m)
     }
@@ -159,18 +236,8 @@ impl Simulator {
 
         // Job-level policy keys, frozen at admission; the policy reports
         // how many jobs it had no usable prediction for.
-        let crate::policy::FrozenKeys { keys, unknown_jobs } = self.policy.freeze(jobs);
-        let downstream: Vec<Vec<i64>> = jobs.iter().map(|j| j.downstream_critical_path()).collect();
-        // Dispatch order: (job key, job index, deeper downstream critical
-        // path first). Total and strict over distinct (job, node) pairs.
-        let dispatch_order = |a: &ReadyTask, b: &ReadyTask| {
-            keys[a.job]
-                .partial_cmp(&keys[b.job])
-                .unwrap()
-                .then(a.job.cmp(&b.job))
-                .then(downstream[b.job][b.node].cmp(&downstream[a.job][a.node]))
-                .then(a.node.cmp(&b.node))
-        };
+        let crate::policy::FrozenKeys { keys, unknown_jobs } = self.policy.freeze(jobs)?;
+        let ranks = Ranks::new(jobs, &keys)?;
 
         let mut job_state: Vec<JobState> = jobs
             .iter()
@@ -203,22 +270,17 @@ impl Simulator {
             BinaryHeap::new();
         let mut seq = 0u64;
         let mut trace_rows: Vec<dagscope_trace::InstanceRecord> = Vec::new();
-        // Eviction bookkeeping: live instances per machine (youngest last)
-        // and tombstones for killed-but-still-queued finish events.
+        // Eviction bookkeeping, kept only when eviction can happen: live
+        // instances per machine (youngest last) and tombstones for
+        // killed-but-still-queued finish events.
+        let evicting = self.cfg.evict_for_online;
         let mut live_on_machine: Vec<Vec<u64>> = vec![Vec::new(); cluster_cfg.machines];
         let mut live_info: std::collections::HashMap<u64, (usize, usize)> =
             std::collections::HashMap::new();
         let mut tombstones: std::collections::HashSet<u64> = std::collections::HashSet::new();
         let mut evictions = 0u64;
 
-        // `ready` holds tasks in frozen dispatch order at all times; tasks
-        // becoming ready land in `fresh` and are merged in (sort the few
-        // newcomers, one linear merge) instead of re-sorting the whole
-        // queue every event — the difference between O(R log R) and
-        // O(R + F log F) per event once 100k jobs are in flight.
-        let mut ready: Vec<ReadyTask> = Vec::new();
-        let mut fresh: Vec<ReadyTask> = Vec::new();
-        let mut still_ready: Vec<ReadyTask> = Vec::new();
+        let mut ready = ReadySet::new(ranks.task.len());
         let mut busy_cpu = 0.0f64;
         let mut util_area = 0.0f64;
         let mut last_time = 0i64;
@@ -232,10 +294,8 @@ impl Simulator {
             // reservation reconfiguration.
             let t_arr = arrivals.get(next_arrival).map(|&i| job_state[i].arrival);
             let t_fin = finishes.peek().map(|Reverse((t, ..))| *t);
-            let work_remains = next_arrival < arrivals.len()
-                || !finishes.is_empty()
-                || !ready.is_empty()
-                || !fresh.is_empty();
+            let work_remains =
+                next_arrival < arrivals.len() || !finishes.is_empty() || ready.len > 0;
             let t_cfg = if work_remains { next_reconfig } else { None };
             now = match [t_arr, t_fin, t_cfg].into_iter().flatten().min() {
                 Some(t) => t,
@@ -251,7 +311,7 @@ impl Simulator {
                 next_arrival += 1;
                 for (node, st) in task_state[j].iter().enumerate() {
                     if st.pending_parents == 0 {
-                        fresh.push(ReadyTask { job: j, node });
+                        ready.insert(ranks.of(j, node), &jobs[j].tasks[node]);
                     }
                 }
             }
@@ -262,12 +322,14 @@ impl Simulator {
                     break;
                 }
                 finishes.pop();
-                if tombstones.remove(&sq) {
-                    continue; // evicted earlier; capacity already returned
-                }
-                live_info.remove(&sq);
-                if let Some(pos) = live_on_machine[machine].iter().position(|&x| x == sq) {
-                    live_on_machine[machine].swap_remove(pos);
+                if evicting {
+                    if tombstones.remove(&sq) {
+                        continue; // evicted earlier; capacity already returned
+                    }
+                    live_info.remove(&sq);
+                    if let Some(pos) = live_on_machine[machine].iter().position(|&x| x == sq) {
+                        live_on_machine[machine].swap_remove(pos);
+                    }
                 }
                 let task = &jobs[j].tasks[node];
                 if record_trace {
@@ -299,13 +361,11 @@ impl Simulator {
                         job_state[j].finish_time = Some(now);
                     }
                     for &c in jobs[j].dag.children(node) {
-                        let cs = &mut task_state[j][c as usize];
+                        let c = c as usize;
+                        let cs = &mut task_state[j][c];
                         cs.pending_parents -= 1;
                         if cs.pending_parents == 0 {
-                            fresh.push(ReadyTask {
-                                job: j,
-                                node: c as usize,
-                            });
+                            ready.insert(ranks.of(j, c), &jobs[j].tasks[c]);
                         }
                     }
                 }
@@ -323,7 +383,7 @@ impl Simulator {
                             *r += cluster.reserve_cpu(m, delta);
                             // Shortfall: online load outranks batch — evict
                             // youngest batch instances until satisfied.
-                            while self.cfg.evict_for_online && target - *r > 1e-9 {
+                            while evicting && target - *r > 1e-9 {
                                 let Some(victim) = live_on_machine[m].pop() else {
                                     break;
                                 };
@@ -335,14 +395,12 @@ impl Simulator {
                                 evictions += 1;
                                 let vst = &mut task_state[vj][vnode];
                                 vst.running_instances -= 1;
-                                vst.waiting_instances += 1;
-                                let rt = ReadyTask {
-                                    job: vj,
-                                    node: vnode,
-                                };
-                                if !ready.contains(&rt) && !fresh.contains(&rt) {
-                                    fresh.push(rt);
+                                // A task with waiting instances is ready
+                                // already.
+                                if vst.waiting_instances == 0 {
+                                    ready.insert(ranks.of(vj, vnode), vtask);
                                 }
+                                vst.waiting_instances += 1;
                                 *r += cluster.reserve_cpu(m, target - *r);
                             }
                         } else if delta < 0.0 {
@@ -354,66 +412,56 @@ impl Simulator {
                 }
             }
 
-            // Dispatch in frozen policy order. Merge newcomers into the
-            // sorted queue; within one pass, capacity only shrinks, so any
-            // demand dominating an already-failed (cpu, mem) pair is
-            // skipped without scanning the machines again.
-            if !fresh.is_empty() {
-                fresh.sort_by(&dispatch_order);
-                let mut merged = Vec::with_capacity(ready.len() + fresh.len());
-                let (mut i, mut j) = (0usize, 0usize);
-                while i < ready.len() && j < fresh.len() {
-                    if dispatch_order(&ready[i], &fresh[j]) != std::cmp::Ordering::Greater {
-                        merged.push(ready[i]);
-                        i += 1;
-                    } else {
-                        merged.push(fresh[j]);
-                        j += 1;
-                    }
-                }
-                merged.extend_from_slice(&ready[i..]);
-                merged.extend_from_slice(&fresh[j..]);
-                ready = merged;
-                fresh.clear();
-            }
-            still_ready.clear();
-            // Pareto-minimal demands that failed to place this pass.
-            let mut failed: Vec<(f64, f64)> = Vec::new();
-            for rt in ready.drain(..) {
-                let task = &jobs[rt.job].tasks[rt.node];
-                if failed.iter().any(|&(c, m)| task.cpu >= c && task.mem >= m) {
-                    still_ready.push(rt);
-                    continue;
-                }
-                let st = &mut task_state[rt.job][rt.node];
+            // Dispatch: visit ready tasks in rank order and place as many
+            // instances of each as fit. Within a pass capacity only
+            // shrinks, so a task fits nowhere when its demand exceeds the
+            // largest free CPU or memory on any machine, or dominates a
+            // demand that already failed this pass. Subtrees whose minimum
+            // demand meets either test are skipped whole; `failed` keeps
+            // the Pareto-minimal failed demands.
+            let mut failed: Vec<Pair> = Vec::new();
+            let mut from = 0usize;
+            loop {
+                let free = cluster.max_free();
+                let Some(rank) = ready.demand.first(from, |d| {
+                    d.cpu <= free.cpu
+                        && d.mem <= free.mem
+                        && !failed.iter().any(|f| d.cpu >= f.cpu && d.mem >= f.mem)
+                }) else {
+                    break;
+                };
+                from = rank + 1;
+                let (j, node) = ranks.task[rank];
+                let task = &jobs[j].tasks[node];
+                let st = &mut task_state[j][node];
                 while st.waiting_instances > 0 {
-                    match cluster.place(task.cpu, task.mem) {
-                        Some(machine) => {
-                            st.waiting_instances -= 1;
-                            st.running_instances += 1;
-                            busy_cpu += task.cpu;
-                            seq += 1;
-                            live_on_machine[machine].push(seq);
-                            live_info.insert(seq, (rt.job, rt.node));
-                            finishes.push(Reverse((
-                                now + task.duration.max(1),
-                                seq,
-                                rt.job,
-                                rt.node,
-                                machine,
-                                now,
-                            )));
-                        }
-                        None => break,
+                    let Some(machine) = cluster.place(task.cpu, task.mem) else {
+                        break;
+                    };
+                    st.waiting_instances -= 1;
+                    st.running_instances += 1;
+                    busy_cpu += task.cpu;
+                    seq += 1;
+                    if evicting {
+                        live_on_machine[machine].push(seq);
+                        live_info.insert(seq, (j, node));
                     }
+                    finishes.push(Reverse((
+                        now + task.duration.max(1),
+                        seq,
+                        j,
+                        node,
+                        machine,
+                        now,
+                    )));
                 }
-                if st.waiting_instances > 0 {
-                    failed.retain(|&(c, m)| !(c >= task.cpu && m >= task.mem));
-                    failed.push((task.cpu, task.mem));
-                    still_ready.push(rt);
+                if st.waiting_instances == 0 {
+                    ready.remove(rank);
+                } else {
+                    failed.retain(|f| !(f.cpu >= task.cpu && f.mem >= task.mem));
+                    failed.push(Pair::new(task.cpu, task.mem));
                 }
             }
-            std::mem::swap(&mut ready, &mut still_ready);
         }
 
         if let Some(stuck) = job_state.iter().position(|s| s.finish_time.is_none()) {
@@ -605,6 +653,27 @@ mod tests {
         let oracle = Simulator::new(cfg, Policy::SjfOracle).run(&jobs).unwrap();
         assert!(pred.mean_jct <= fifo.mean_jct);
         assert!((pred.mean_jct - oracle.mean_jct).abs() < 1e-9);
+    }
+
+    #[test]
+    fn non_finite_policy_key_is_an_error() {
+        use crate::policy::Predictions;
+        let jobs = [
+            sim_job("j_a", 0, &[("M1", 1, 10)]),
+            sim_job("j_b", 0, &[("M1", 1, 10)]),
+        ];
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut predictions = Predictions::new();
+            predictions.insert("j_a", 1.0);
+            predictions.insert("j_b", bad);
+            let err = Simulator::new(tiny_cfg(), Policy::PredictedSjf { predictions })
+                .run(&jobs)
+                .unwrap_err();
+            assert!(
+                err.contains("predicted-sjf") && err.contains("j_b"),
+                "{err}"
+            );
+        }
     }
 
     #[test]
