@@ -23,10 +23,9 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dagscope_core::{Pipeline, PipelineConfig};
-use dagscope_graph::conflate;
 use dagscope_sched::{
-    replay, workload_from_jobs, ClusterConfig, GroupPredictor, JobHint, Policy, ProfileBuilder,
-    ReplayReport, SimConfig, SimJob, DEFAULT_MIN_CONFIDENCE,
+    replay, workload_from_jobs, ClusterConfig, GroupPredictor, Policy, ReplayReport, SimConfig,
+    SimJob, DEFAULT_MIN_CONFIDENCE,
 };
 use dagscope_trace::filter::SampleCriteria;
 use dagscope_trace::gen::{GeneratorConfig, TraceGenerator};
@@ -63,22 +62,6 @@ fn setup(replay_jobs: usize) -> Setup {
     .run()
     .expect("pipeline succeeds");
 
-    let k = report.groups.group_count();
-    let model =
-        dagscope_cluster::GroupModel::fit(&report.groups.assignments, k, &report.wl_features);
-    let cache =
-        dagscope_wl::KernelCache::from_dags(report.config.wl_iterations, report.kernel_dags());
-    let mut labels = vec!['?'; k];
-    for g in &report.groups.groups {
-        labels[g.cluster] = g.label;
-    }
-    let mut builder = ProfileBuilder::new(k);
-    for (i, dag) in report.raw_dags.iter().enumerate() {
-        let sim = SimJob::from_dag(dag.name.clone(), 0, dag.clone());
-        builder.observe(report.groups.assignments[i], &sim);
-    }
-    let profiles = builder.finish(&labels);
-
     // The generator is a pure function of (jobs, seed): this is the
     // exact trace the pipeline characterized.
     let trace = TraceGenerator::new(GeneratorConfig {
@@ -92,25 +75,10 @@ fn setup(replay_jobs: usize) -> Setup {
     let w = workload_from_jobs(eligible.iter().copied(), replay_jobs);
     assert_eq!(w.skipped, 0, "eligible jobs always build DAGs");
 
-    let hints: Vec<JobHint> = dagscope_par::par_map(&w.jobs, |job| {
-        let probe = if report.config.conflate {
-            cache.embed(&conflate::conflate(&job.dag))
-        } else {
-            cache.embed(&job.dag)
-        };
-        let c = model.classify(&probe);
-        JobHint {
-            cluster: c.cluster,
-            confidence: c.confidence,
-        }
-    });
-    let mut predictor = GroupPredictor::new(profiles);
-    for (job, hint) in w.jobs.iter().zip(hints) {
-        predictor.insert_hint(job.name.as_str(), hint);
-    }
+    let predictor = Arc::new(report.group_predictor(&w.jobs));
     Setup {
         jobs: w.jobs,
-        predictor: Arc::new(predictor),
+        predictor,
     }
 }
 

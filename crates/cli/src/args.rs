@@ -52,7 +52,6 @@ const FLAGS: &[&str] = &[
     "addr",
     "all",
     "base-kernel",
-    "batch-window-us",
     "cluster-engine",
     "cluster-machines",
     "compression",

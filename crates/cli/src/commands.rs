@@ -13,9 +13,8 @@ use dagscope_core::{
 };
 use dagscope_graph::JobDag;
 use dagscope_sched::{
-    replay, workload_from_jobs, workload_from_stream, ClusterConfig, GroupPredictor, JobHint,
-    OnlineLoad, Policy, Predictions, ProfileBuilder, ReplayWorkload, SimConfig, SimJob, Simulator,
-    DEFAULT_MIN_CONFIDENCE,
+    replay, workload_from_jobs, workload_from_stream, ClusterConfig, GroupPredictor, OnlineLoad,
+    Policy, Predictions, ReplayWorkload, SimConfig, SimJob, Simulator, DEFAULT_MIN_CONFIDENCE,
 };
 use dagscope_trace::filter::SampleCriteria;
 use dagscope_trace::gen::{GeneratorConfig, TraceGenerator};
@@ -68,10 +67,9 @@ COMMANDS
               snapshot (--snapshot DIR [--addr HOST:PORT] [--threads N]
                [--queue-depth N] [--max-body BYTES]
                [--request-deadline SECS] [--drain-timeout SECS]
-               [--max-conns N] [--batch-window-us MICROS]);
+               [--max-conns N]);
               one epoll reactor multiplexes up to --max-conns
-              connections and coalesces classify bodies arriving
-              within --batch-window-us into one worker-pool pass;
+              connections and hands each request to the worker pool;
               SIGTERM/SIGINT drain gracefully (finish in-flight, exit 0)
   chaos-replay
               run a seeded fault schedule through the whole
@@ -706,21 +704,6 @@ fn cmd_sched_replay(flags: &Flags) -> Result<String, CliError> {
     // stratified sample; its per-group shape/work profiles become the
     // scheduler's priors.
     let (report, mut ingest) = run_pipeline(flags)?;
-    let k = report.groups.group_count();
-    let model =
-        dagscope_cluster::GroupModel::fit(&report.groups.assignments, k, &report.wl_features);
-    let cache =
-        dagscope_wl::KernelCache::from_dags(report.config.wl_iterations, report.kernel_dags());
-    let mut labels = vec!['?'; k];
-    for g in &report.groups.groups {
-        labels[g.cluster] = g.label;
-    }
-    let mut builder = ProfileBuilder::new(k);
-    for (i, dag) in report.raw_dags.iter().enumerate() {
-        let sim = SimJob::from_dag(dag.name.clone(), 0, dag.clone());
-        builder.observe(report.groups.assignments[i], &sim);
-    }
-    let profiles = builder.finish(&labels);
 
     // Replay workload: all eligible jobs at their trace arrival times.
     let workload = replay_workload(flags, ingest.as_mut(), cap)?;
@@ -729,26 +712,7 @@ fn cmd_sched_replay(flags: &Flags) -> Result<String, CliError> {
             "no job passed the integrity/availability filters".to_string(),
         ));
     }
-
-    // Classify every replayed job through the frozen model — the same
-    // embed-then-classify chain `/v1/classify` runs online.
-    let hints: Vec<JobHint> = dagscope_par::par_map(&workload.jobs, |job| {
-        let probe = if report.config.conflate {
-            cache.embed(&dagscope_graph::conflate::conflate(&job.dag))
-        } else {
-            cache.embed(&job.dag)
-        };
-        let c = model.classify(&probe);
-        JobHint {
-            cluster: c.cluster,
-            confidence: c.confidence,
-        }
-    });
-    let mut predictor = GroupPredictor::new(profiles);
-    for (job, hint) in workload.jobs.iter().zip(hints) {
-        predictor.insert_hint(job.name.as_str(), hint);
-    }
-    let predictor = Arc::new(predictor);
+    let predictor = Arc::new(report.group_predictor(&workload.jobs));
 
     let policies = parse_policies(&flags.str_or("policy", "all"), &predictor, min_confidence)?;
     let cfg = SimConfig {
@@ -837,11 +801,6 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
             "a whole number of seconds",
         )?),
         max_conns: flags.get_or("max-conns", defaults.max_conns, "a connection count")?,
-        batch_window: Duration::from_micros(flags.get_or(
-            "batch-window-us",
-            defaults.batch_window.as_micros() as u64,
-            "a whole number of microseconds",
-        )?),
         ..defaults
     };
     // Snapshot volume on disk, for the startup-throughput gauge the

@@ -121,8 +121,8 @@ fn sigterm_mid_request_drains_and_exits_zero() {
 #[test]
 fn sigterm_with_many_idle_connections_drains_promptly() {
     let dir = make_snapshot("idle");
-    // Exercise the new reactor flags while we're here.
-    let (mut child, addr) = start_serve(&dir, &["--max-conns", "256", "--batch-window-us", "100"]);
+    // Exercise the reactor's connection cap while we're here.
+    let (mut child, addr) = start_serve(&dir, &["--max-conns", "256"]);
 
     // Park 64 idle keep-alive sessions: one completed request each, then
     // the sockets just sit there.

@@ -55,6 +55,10 @@ fn unknown_flags_exit_two_naming_the_flag() {
         (&["summary", "--mmap"][..], "--mmap"),
         (&["summary", "--parser", "scalar"][..], "--parser"),
         (&["summary", "--sampel", "20"][..], "--sampel"),
+        (
+            &["serve", "--batch-window-us", "100"][..],
+            "--batch-window-us",
+        ),
     ] {
         let out = dagscope(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -1,9 +1,12 @@
 //! The pipeline's output bundle.
 
+use dagscope_cluster::GroupModel;
+use dagscope_graph::conflate::conflate;
 use dagscope_graph::metrics::JobFeatures;
 use dagscope_graph::JobDag;
+use dagscope_sched::{GroupPredictor, JobHint, ProfileBuilder, SimJob};
 use dagscope_trace::stats::TraceStats;
-use dagscope_wl::{GramStats, SparseVec};
+use dagscope_wl::{GramStats, KernelCache, SparseVec};
 
 use crate::config::EngineKind;
 use crate::{GroupAnalysis, PipelineConfig, Similarity, StageTimings};
@@ -62,6 +65,43 @@ impl Report {
         } else {
             &self.raw_dags
         }
+    }
+
+    /// The group model as a scheduler's predictor for `jobs`. Fits the
+    /// group centroids on the sample, profiles each group's work and
+    /// critical path from the sampled DAGs, and classifies every job
+    /// through the frozen WL vocabulary — the same embed-then-classify
+    /// chain `/v1/classify` runs online.
+    pub fn group_predictor(&self, jobs: &[SimJob]) -> GroupPredictor {
+        let k = self.groups.group_count();
+        let model = GroupModel::fit(&self.groups.assignments, k, &self.wl_features);
+        let cache = KernelCache::from_dags(self.config.wl_iterations, self.kernel_dags());
+        let mut labels = vec!['?'; k];
+        for g in &self.groups.groups {
+            labels[g.cluster] = g.label;
+        }
+        let mut builder = ProfileBuilder::new(k);
+        for (i, dag) in self.raw_dags.iter().enumerate() {
+            let sim = SimJob::from_dag(dag.name.clone(), 0, dag.clone());
+            builder.observe(self.groups.assignments[i], &sim);
+        }
+        let hints: Vec<JobHint> = dagscope_par::par_map(jobs, |job| {
+            let probe = if self.config.conflate {
+                cache.embed(&conflate(&job.dag))
+            } else {
+                cache.embed(&job.dag)
+            };
+            let c = model.classify(&probe);
+            JobHint {
+                cluster: c.cluster,
+                confidence: c.confidence,
+            }
+        });
+        let mut predictor = GroupPredictor::new(builder.finish(&labels));
+        for (job, hint) in jobs.iter().zip(hints) {
+            predictor.insert_hint(job.name.as_str(), hint);
+        }
+        predictor
     }
 
     /// Multi-line executive summary: headline trace statistics plus the

@@ -214,7 +214,10 @@ impl Simulator {
         let usable_cpu = (1.0 - min_reserved_frac) * cluster_cfg.cpu_per_machine;
         for job in jobs {
             for t in &job.tasks {
-                if t.cpu > usable_cpu || t.mem > cluster_cfg.mem_per_machine {
+                // Asked as "does it fit", so a NaN demand, which can never
+                // be placed, fails the check too.
+                let fits = t.cpu <= usable_cpu && t.mem <= cluster_cfg.mem_per_machine;
+                if !fits {
                     return Err(format!(
                         "job {} task {} instance ({} cpu, {} mem) exceeds machine capacity",
                         job.name, t.node, t.cpu, t.mem
@@ -676,9 +679,17 @@ mod tests {
         }
     }
 
+    /// `sim_job("j_1", 0, &[("M1", 1, 10)])` with its one task's demand
+    /// changed.
+    fn one_task_job(cpu: f64, mem: f64) -> SimJob {
+        let mut job = sim_job("j_1", 0, &[("M1", 1, 10)]);
+        job.tasks[0].cpu = cpu;
+        job.tasks[0].mem = mem;
+        job
+    }
+
     #[test]
     fn oversized_instance_rejected() {
-        let job = sim_job("j_1", 0, &[("M1", 1, 10)]);
         let cfg = SimConfig {
             cluster: ClusterConfig {
                 machines: 1,
@@ -689,8 +700,18 @@ mod tests {
             online_load: None,
             evict_for_online: false,
         };
-        let err = Simulator::new(cfg, Policy::Fifo).run(&[job]).unwrap_err();
-        assert!(err.contains("exceeds machine capacity"));
+        // 100 cpu on a 50-cpu machine; then a NaN demand on a job that
+        // otherwise fits, which could never be placed.
+        for job in [
+            sim_job("j_1", 0, &[("M1", 1, 10)]),
+            one_task_job(f64::NAN, 0.5),
+            one_task_job(10.0, f64::NAN),
+        ] {
+            let err = Simulator::new(cfg.clone(), Policy::Fifo)
+                .run(&[job])
+                .unwrap_err();
+            assert!(err.contains("exceeds machine capacity"), "{err}");
+        }
     }
 
     #[test]
@@ -847,11 +868,6 @@ mod tests {
         // 300-cpu instances fit an empty 400-cpu machine but not one with
         // a permanent 50 % reservation.
         let job = sim_job("j_1", 0, &[("M1", 1, 10)]); // 100 cpu — fine
-        let big = {
-            let mut j = sim_job("j_big", 0, &[("M1", 1, 10)]);
-            j.tasks[0].cpu = 300.0;
-            j
-        };
         let cfg = SimConfig {
             cluster: ClusterConfig {
                 machines: 1,
@@ -868,8 +884,18 @@ mod tests {
         assert!(Simulator::new(cfg.clone(), Policy::Fifo)
             .run(&[job])
             .is_ok());
-        let err = Simulator::new(cfg, Policy::Fifo).run(&[big]).unwrap_err();
-        assert!(err.contains("exceeds machine capacity"));
+        // Under online load a NaN demand that passed validation would
+        // never place, and the replay would never end.
+        for bad in [
+            one_task_job(300.0, 0.5),
+            one_task_job(f64::NAN, 0.5),
+            one_task_job(100.0, f64::NAN),
+        ] {
+            let err = Simulator::new(cfg.clone(), Policy::Fifo)
+                .run(&[bad])
+                .unwrap_err();
+            assert!(err.contains("exceeds machine capacity"), "{err}");
+        }
     }
 
     #[test]

@@ -240,21 +240,6 @@ impl ServeIndex {
         })
     }
 
-    /// Classify a batch of out-of-sample jobs in one pass.
-    ///
-    /// The reactor coalesces classify bodies that arrive within one
-    /// batching window into a single pool task; this walks the batch
-    /// sequentially against the frozen [`KernelCache`] vocabulary so the
-    /// cache (and the centroid table) stay hot across rows instead of
-    /// being re-touched per dispatch. Each row runs the exact derivation
-    /// chain of [`classify`](Self::classify) — same code path, call-local
-    /// overlay per probe — so results are bit-identical to unbatched
-    /// requests, batch composition cannot leak between rows, and one bad
-    /// row fails alone.
-    pub fn classify_batch(&self, jobs: &[Job]) -> Vec<Result<ClassifyOutcome, String>> {
-        jobs.iter().map(|job| self.classify(job)).collect()
-    }
-
     /// The per-group profile table the advise endpoint answers from.
     pub fn profiles(&self) -> &ProfileTable {
         &self.profiles
@@ -376,73 +361,6 @@ mod tests {
                 "job {name}"
             );
             assert_eq!(out.group, idx.group_of(i));
-        }
-    }
-
-    #[test]
-    fn classify_batch_is_bit_identical_to_unbatched() {
-        let (idx, report) = index();
-        let jobs: Vec<dagscope_trace::Job> = report
-            .sample_names
-            .iter()
-            .enumerate()
-            .take(8)
-            .map(|(i, name)| {
-                let job_dag = &report.raw_dags[i];
-                dagscope_trace::Job {
-                    name: name.clone(),
-                    tasks: (0..job_dag.len())
-                        .map(|n| {
-                            let a = job_dag.attr(n);
-                            dagscope_trace::TaskRecord {
-                                task_name: job_dag.task_name(n).to_string(),
-                                instance_num: a.instance_num,
-                                job_name: name.as_str().into(),
-                                task_type: "1".into(),
-                                status: dagscope_trace::Status::Terminated,
-                                start_time: 1,
-                                end_time: 1 + a.duration,
-                                plan_cpu: a.plan_cpu,
-                                plan_mem: a.plan_mem,
-                            }
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
-        let batched = idx.classify_batch(&jobs);
-        assert_eq!(batched.len(), jobs.len());
-        for (job, got) in jobs.iter().zip(&batched) {
-            let got = got.as_ref().unwrap();
-            let want = idx.classify(job).unwrap();
-            assert_eq!(got.group, want.group, "{}", job.name);
-            assert_eq!(got.pattern, want.pattern);
-            assert_eq!(got.classification.cluster, want.classification.cluster);
-            assert_eq!(
-                got.classification.confidence.to_bits(),
-                want.classification.confidence.to_bits(),
-                "confidence must be bit-identical for {}",
-                job.name
-            );
-            for (a, b) in got
-                .classification
-                .scores
-                .iter()
-                .zip(&want.classification.scores)
-            {
-                assert_eq!(a.to_bits(), b.to_bits(), "score bits for {}", job.name);
-            }
-            assert_eq!(format!("{got:?}"), format!("{want:?}"));
-        }
-        // A bad row fails alone: batch composition does not leak.
-        let mut with_bad = jobs.clone();
-        with_bad[3].tasks.clear();
-        let mixed = idx.classify_batch(&with_bad);
-        assert!(mixed[3].is_err());
-        for (i, r) in mixed.iter().enumerate() {
-            if i != 3 {
-                assert!(r.is_ok(), "row {i} unaffected by bad row");
-            }
         }
     }
 

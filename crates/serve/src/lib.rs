@@ -23,14 +23,14 @@
 //! (read → dispatch → write → keep-alive), a timer wheel carries
 //! request deadlines and idle expiries, and workers return results
 //! through a completion queue plus a self-pipe waker — sockets never
-//! block and never cross threads. Classify dispatches arriving within
-//! the batch window coalesce into one `classify_batch` pool task. The
-//! index itself is built once and never mutated: probes embed against
-//! the frozen WL vocabulary ([`dagscope_wl::KernelCache::probe`]) with
-//! novel labels resolved in a call-local overlay, so every worker reads
-//! shared state lock-free. Classification online is **bit-identical**
-//! to the offline pipeline — batched or not — because the index replays
-//! the same deterministic derivation chain over the snapshot's rows.
+//! block and never cross threads. Every parsed request, classify
+//! included, is one pool task. The index itself is built once and never
+//! mutated: probes embed against the frozen WL vocabulary
+//! ([`dagscope_wl::KernelCache::probe`]) with novel labels resolved in a
+//! call-local overlay, so every worker reads shared state lock-free.
+//! Classification online is **bit-identical** to the offline pipeline
+//! because the index replays the same deterministic derivation chain
+//! over the snapshot's rows.
 
 // `deny` rather than `forbid`: the reactor's `sys` module carries the
 // crate's one scoped `#[allow(unsafe_code)]` for the raw epoll/pipe FFI;

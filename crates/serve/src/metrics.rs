@@ -210,17 +210,17 @@ impl Search {
     }
 }
 
-/// Upper bounds (inclusive) of the classify batch-size buckets. The last
+/// Upper bounds (inclusive) of the dispatch batch-size buckets. The last
 /// rendered bucket is unbounded.
 pub const BATCH_BUCKET_BOUNDS: [u64; 6] = [1, 2, 4, 8, 16, 32];
 
 const BATCH_BUCKETS: usize = BATCH_BUCKET_BOUNDS.len() + 1;
 
 /// Event-loop counters the reactor thread maintains: connection gauge,
-/// wakeup count, classify batch sizes and per-iteration loop lag. Like
-/// everything else here these are plain atomics — the reactor writes
-/// them between events without taking a lock, and `/metrics` (rendered on
-/// a pool worker) reads them concurrently.
+/// wakeup count, requests dispatched per iteration and per-iteration
+/// loop lag. Like everything else here these are plain atomics — the
+/// reactor writes them between events without taking a lock, and
+/// `/metrics` (rendered on a pool worker) reads them concurrently.
 #[derive(Debug, Default)]
 pub struct Reactor {
     /// Currently open connections (gauge; the reactor stores the slab
@@ -243,7 +243,8 @@ impl Reactor {
         self.open_connections.store(n, Ordering::Relaxed);
     }
 
-    /// Count one flushed classify batch of `size` requests.
+    /// Count one reactor iteration that handed `size` (≥ 1) requests to
+    /// the worker pool. `/metrics` renders these as `batch_size`.
     pub fn observe_batch(&self, size: u64) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_items.fetch_add(size, Ordering::Relaxed);

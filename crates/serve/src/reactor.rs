@@ -285,8 +285,8 @@ impl Drop for Waker {
 ///
 /// Cancellation is physical: each timer id encodes its slot, so
 /// [`TimerWheel::cancel`] is a swap-remove in one small bucket and the
-/// wheel only ever holds live timers (one per connection plus the batch
-/// window), keeping [`TimerWheel::next_deadline`] an O(live) scan.
+/// wheel only ever holds live timers (at most one per connection),
+/// keeping [`TimerWheel::next_deadline`] an O(live) scan.
 pub struct TimerWheel {
     slots: Vec<Vec<TimerEntry>>,
     tick: Duration,

@@ -6,15 +6,11 @@
 //! writing → keep-alive idle), so thousands of open connections cost one
 //! slab slot each instead of a pinned worker thread. CPU-bound work
 //! (classify/advise/similar) still runs on the shared
-//! [`WorkerPool`]; finished responses flow back to the reactor as
-//! completions over a self-pipe wakeup. The index is immutable and the
-//! metrics are atomic, so handlers run without any lock.
-//!
-//! `POST /v1/classify` bodies parsed within one batching window
-//! ([`ServerConfig::batch_window`], up to [`ServerConfig::max_batch`]
-//! rows) coalesce into a single pool task that classifies them in one
-//! pass over the frozen kernel cache — bit-identical per-row results to
-//! unbatched requests, since every row runs the same derivation chain.
+//! [`WorkerPool`]: every parsed request, whatever its endpoint, becomes
+//! one pool task that routes it and times its own handler. Finished
+//! responses flow back to the reactor as completions over a self-pipe
+//! wakeup. The index is immutable and the metrics are atomic, so
+//! handlers run without any lock.
 //!
 //! **Overload and failure behavior** (see DESIGN.md, "Failure modes and
 //! degradation" and "Event-driven serving"):
@@ -55,7 +51,7 @@ use crate::http::{
     declared_body_len, head_len, head_overflowed, read_request_limited, write_response, ReadError,
     Request, Response, MAX_BODY,
 };
-use crate::index::{ClassifyOutcome, ServeIndex};
+use crate::index::ServeIndex;
 use crate::json::{obj, Json};
 use crate::metrics::{Endpoint, Metrics, Transport};
 use crate::reactor::{Event, Poller, TimerWheel, Waker};
@@ -85,12 +81,6 @@ pub struct ServerConfig {
     /// Open connections the reactor will hold at once; accepts beyond
     /// this are shed with 503.
     pub max_conns: usize,
-    /// How long the reactor waits for more `POST /v1/classify` bodies to
-    /// coalesce into one batched pool task. Zero batches only what is
-    /// already parsed when the flush runs.
-    pub batch_window: Duration,
-    /// Most classify requests coalesced into one batch.
-    pub max_batch: usize,
 }
 
 impl Default for ServerConfig {
@@ -104,8 +94,6 @@ impl Default for ServerConfig {
             drain_timeout: Duration::from_secs(10),
             panic_route: false,
             max_conns: 4096,
-            batch_window: Duration::from_micros(100),
-            max_batch: 32,
         }
     }
 }
@@ -238,8 +226,7 @@ impl Server {
             next_conn_id: 0,
             open: 0,
             in_flight: 0,
-            pending_batch: Vec::new(),
-            batch_deadline: None,
+            dispatched: 0,
             pool,
             completions,
             index,
@@ -368,13 +355,6 @@ impl Completions {
     }
 }
 
-/// A parsed classify request waiting in the batching window.
-struct BatchItem {
-    token: u64,
-    conn_id: u64,
-    request: Request,
-}
-
 /// The reactor: every field the event loop owns.
 struct EventLoop {
     poller: Poller,
@@ -391,9 +371,8 @@ struct EventLoop {
     /// threshold counts these, so a slowloris holding a request open
     /// occupies queue capacity exactly like a dispatched job.
     in_flight: usize,
-    pending_batch: Vec<BatchItem>,
-    /// End of the classify batching window; `Some` while items wait.
-    batch_deadline: Option<Instant>,
+    /// Requests handed to the pool so far in this loop iteration.
+    dispatched: u64,
     pool: WorkerPool,
     completions: Arc<Completions>,
     index: Arc<ServeIndex>,
@@ -430,7 +409,6 @@ impl EventLoop {
             if self.stop.load(Ordering::SeqCst) && !self.stop_seen {
                 self.begin_drain();
             }
-            let batch_len_before = self.pending_batch.len();
             for &ev in &events {
                 match ev.token {
                     LISTENER_TOKEN => self.accept_ready(),
@@ -447,9 +425,15 @@ impl EventLoop {
             for &(id, token) in fired.iter() {
                 self.timer_fired(id, token);
             }
-            self.maybe_flush_batch(batch_len_before);
+            if self.dispatched > 0 {
+                // The loop's unit of bulk work: every request this
+                // wakeup handed to the pool.
+                self.metrics
+                    .reactor()
+                    .observe_batch(std::mem::take(&mut self.dispatched));
+            }
             if self.stop_seen {
-                if self.open == 0 && self.pending_batch.is_empty() {
+                if self.open == 0 {
                     return Ok(());
                 }
                 if self.drain_deadline.is_some_and(|d| Instant::now() >= d) {
@@ -462,12 +446,6 @@ impl EventLoop {
 
     /// How long the next `epoll_wait` may sleep.
     fn wait_timeout(&self, now: Instant) -> Option<Duration> {
-        if !self.pending_batch.is_empty() {
-            // Pure poll while a batch is coalescing: the window sits far
-            // below epoll's millisecond resolution, so spin the loop
-            // (bounded by the window) instead of sleeping past it.
-            return Some(Duration::ZERO);
-        }
         let mut timeout = self.wheel.next_deadline(now);
         if let Some(d) = self.drain_deadline {
             let until = d.saturating_duration_since(now);
@@ -670,7 +648,7 @@ impl EventLoop {
         }
     }
 
-    /// Hand a complete request to the pool (or the classify batch).
+    /// Hand a complete request to the pool.
     fn dispatch(&mut self, slot: usize, request: Request) {
         // Chaos site: a reactor that stalls between parsing a request
         // and dispatching it (armed with `delay(ms)`) lets the deadline
@@ -689,24 +667,11 @@ impl EventLoop {
         // Drop epoll interest: level-triggered readiness would otherwise
         // spin on pipelined bytes while the worker computes.
         self.set_interest(slot, false, false);
-        if request.method == "POST" && request.path == "/v1/classify" {
-            if self.pending_batch.is_empty() {
-                self.batch_deadline = Some(Instant::now() + self.config.batch_window);
-            }
-            self.pending_batch.push(BatchItem {
-                token,
-                conn_id,
-                request,
-            });
-            if self.pending_batch.len() >= self.config.max_batch {
-                self.flush_batch();
-            }
-        } else {
-            self.spawn_route(token, conn_id, request);
-        }
+        self.dispatched += 1;
+        self.spawn_route(token, conn_id, request);
     }
 
-    /// Run one non-classify request on the pool.
+    /// Run one request on the pool.
     fn spawn_route(&self, token: u64, conn_id: u64, request: Request) {
         let index = Arc::clone(&self.index);
         let metrics = Arc::clone(&self.metrics);
@@ -752,44 +717,6 @@ impl EventLoop {
                 cancel_completions.push(Completion::Abort { token, conn_id });
             },
         );
-    }
-
-    /// Flush the coalesced classify batch into one pool task.
-    fn flush_batch(&mut self) {
-        self.batch_deadline = None;
-        if self.pending_batch.is_empty() {
-            return;
-        }
-        let items = std::mem::take(&mut self.pending_batch);
-        self.metrics.reactor().observe_batch(items.len() as u64);
-        let index = Arc::clone(&self.index);
-        let metrics = Arc::clone(&self.metrics);
-        let draining = Arc::clone(&self.draining);
-        let completions = Arc::clone(&self.completions);
-        let aborts: Vec<(u64, u64)> = items.iter().map(|b| (b.token, b.conn_id)).collect();
-        let cancel_completions = Arc::clone(&self.completions);
-        self.pool.execute_or_cancel(
-            move || run_classify_batch(items, &index, &metrics, &draining, &completions),
-            move || {
-                for (token, conn_id) in aborts {
-                    cancel_completions.push(Completion::Abort { token, conn_id });
-                }
-            },
-        );
-    }
-
-    /// Flush when the batch stopped growing, its window closed, or a
-    /// drain began. A lone request therefore waits one pure-poll loop
-    /// iteration, not the full window.
-    fn maybe_flush_batch(&mut self, len_before: usize) {
-        if self.pending_batch.is_empty() {
-            return;
-        }
-        let grew = self.pending_batch.len() > len_before;
-        let window_over = self.batch_deadline.is_some_and(|d| Instant::now() >= d);
-        if !grew || window_over || self.stop_seen {
-            self.flush_batch();
-        }
     }
 
     /// Land a worker completion on its connection, if it still exists.
@@ -1057,7 +984,6 @@ impl EventLoop {
             // else still in the backlog) before it is ever accepted.
         }
         self.drain_deadline = Some(Instant::now() + self.config.drain_timeout);
-        self.flush_batch();
         // Close idle keep-alive sessions immediately; in-flight requests
         // get until the drain deadline.
         for slot in 0..self.conns.len() {
@@ -1154,73 +1080,6 @@ fn parse_slice(buf: &[u8], end: usize, max_body: usize) -> Parsed {
     }
 }
 
-/// Classify every parsed row of one batch in a single pool task.
-fn run_classify_batch(
-    items: Vec<BatchItem>,
-    index: &ServeIndex,
-    metrics: &Metrics,
-    draining: &AtomicBool,
-    completions: &Completions,
-) {
-    let started = Instant::now();
-    let draining = draining.load(Ordering::SeqCst);
-    // Per-row parse, each behind the per-request chaos site, so an armed
-    // `classify_panic` hits exactly one row per request — batch or not —
-    // and a poisoned row answers 500 without taking its batchmates down.
-    let parsed: Vec<Result<Job, Response>> = items
-        .iter()
-        .map(|item| {
-            match catch_unwind(AssertUnwindSafe(|| {
-                // Chaos site: an injected handler panic, distinguishable
-                // from an organic one by its payload (see
-                // `Transport::record_panic`).
-                failpoint!("serve.handler.classify_panic");
-                parse_probe_job(&item.request)
-            })) {
-                Ok(Ok(job)) => Ok(job),
-                Ok(Err(response)) => Err(response),
-                Err(payload) => {
-                    metrics.transport().record_panic(payload.as_ref());
-                    Err(Response::error(500, "internal error"))
-                }
-            }
-        })
-        .collect();
-    // One pass over the frozen cache for every parsed probe.
-    let jobs: Vec<Job> = parsed
-        .iter()
-        .filter_map(|p| p.as_ref().ok().cloned())
-        .collect();
-    let mut outcomes = match catch_unwind(AssertUnwindSafe(|| index.classify_batch(&jobs))) {
-        Ok(v) => v.into_iter(),
-        Err(payload) => {
-            // An organic panic in the batched classifier fails the whole
-            // flush: count it once, answer 500 to every parsed row.
-            metrics.transport().record_panic(payload.as_ref());
-            Vec::new().into_iter()
-        }
-    };
-    let per_item_us = started.elapsed().as_micros() as u64 / items.len().max(1) as u64;
-    for (item, p) in items.iter().zip(parsed) {
-        let response = match p {
-            Err(response) => response,
-            Ok(job) => match outcomes.next() {
-                Some(Ok(outcome)) => classify_response(index, &job.name, &outcome),
-                Some(Err(e)) => Response::error(400, &e),
-                None => Response::error(500, "internal error"), // classifier panicked
-            },
-        };
-        metrics.record(Endpoint::Classify, response.status, per_item_us);
-        let keep_alive = item.request.keep_alive && !draining;
-        completions.push(Completion::Respond {
-            token: item.token,
-            conn_id: item.conn_id,
-            response,
-            keep_alive,
-        });
-    }
-}
-
 /// Read-only context handlers route against.
 struct RouteCtx<'a> {
     index: &'a ServeIndex,
@@ -1260,9 +1119,9 @@ fn route(request: &Request, ctx: &RouteCtx<'_>) -> (Endpoint, Response) {
         ("POST", "/v1/classify") => {
             // Chaos site: an injected handler panic, distinguishable
             // from an organic one by its payload (see
-            // `Transport::record_panic`). The reactor batches classify
-            // dispatches, so this arm serves direct calls (tests) — the
-            // batch path fires the same site per row.
+            // `Transport::record_panic`). Every classify request runs
+            // this arm on its own pool task, so the site fires once per
+            // request.
             failpoint!("serve.handler.classify_panic");
             (Endpoint::Classify, classify(request, index))
         }
@@ -1348,30 +1207,6 @@ fn parse_probe_job(request: &Request) -> Result<Job, Response> {
     Ok(Job { name, tasks })
 }
 
-/// Encode one classify verdict. Shared by the unbatched handler and the
-/// batched path so both produce byte-identical documents.
-fn classify_response(index: &ServeIndex, job_name: &str, outcome: &ClassifyOutcome) -> Response {
-    let f = &outcome.features;
-    Response::ok(
-        obj(vec![
-            ("job_name", Json::from(job_name)),
-            ("size", Json::from(f.size)),
-            ("tasks", Json::from(f.weight as u64)),
-            ("critical_path", Json::from(f.critical_path)),
-            ("max_width", Json::from(f.max_width)),
-            ("pattern", Json::from(outcome.pattern)),
-            ("group", Json::from(outcome.group.to_string())),
-            ("cluster", Json::from(outcome.classification.cluster)),
-            ("confidence", Json::from(outcome.classification.confidence)),
-            (
-                "scores",
-                scores_by_label(index, &outcome.classification.scores),
-            ),
-        ])
-        .encode(),
-    )
-}
-
 /// `POST /v1/classify` — body:
 /// `{"job_name": "...", "tasks": ["<batch_task CSV row>", ...]}`.
 fn classify(request: &Request, index: &ServeIndex) -> Response {
@@ -1380,7 +1215,27 @@ fn classify(request: &Request, index: &ServeIndex) -> Response {
         Err(resp) => return resp,
     };
     match index.classify(&job) {
-        Ok(outcome) => classify_response(index, &job.name, &outcome),
+        Ok(outcome) => {
+            let f = &outcome.features;
+            Response::ok(
+                obj(vec![
+                    ("job_name", Json::from(job.name.as_str())),
+                    ("size", Json::from(f.size)),
+                    ("tasks", Json::from(f.weight as u64)),
+                    ("critical_path", Json::from(f.critical_path)),
+                    ("max_width", Json::from(f.max_width)),
+                    ("pattern", Json::from(outcome.pattern)),
+                    ("group", Json::from(outcome.group.to_string())),
+                    ("cluster", Json::from(outcome.classification.cluster)),
+                    ("confidence", Json::from(outcome.classification.confidence)),
+                    (
+                        "scores",
+                        scores_by_label(index, &outcome.classification.scores),
+                    ),
+                ])
+                .encode(),
+            )
+        }
         Err(e) => Response::error(400, &e),
     }
 }

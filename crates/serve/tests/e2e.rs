@@ -307,6 +307,13 @@ fn every_endpoint_over_one_keep_alive_connection() {
         .unwrap();
     assert!(classify_errors >= 2.0, "both bad bodies counted as errors");
 
+    // Every request went to the pool through one dispatch path, and one
+    // sequential connection dispatches one request per wakeup.
+    let batch_size = body.get("reactor").unwrap().get("batch_size").unwrap();
+    let batch_stat = |key: &str| batch_size.get(key).unwrap().as_num().unwrap();
+    assert_eq!(batch_stat("max"), 1.0, "one request per wakeup");
+    assert!(batch_stat("items") >= 13.0, "every request counted");
+
     // The pruned top-k searcher's cost counters fed by the similar
     // queries above.
     let search = body.get("search").unwrap();

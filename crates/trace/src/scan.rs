@@ -519,7 +519,10 @@ mod tests {
         }
         assert_eq!(split_ascii_fields::<9>(b"a,b,c"), None, "too few");
         assert_eq!(split_ascii_fields::<2>(b"a,b,c"), None, "too many");
-        assert_eq!(split_ascii_fields::<9>("é,b,c,d,e,f,g,h,i".as_bytes()), None);
+        assert_eq!(
+            split_ascii_fields::<9>("é,b,c,d,e,f,g,h,i".as_bytes()),
+            None
+        );
         assert_eq!(
             split_ascii_fields::<9>(b"a,b,c,d,e,f,g,h,\xffi"),
             None,
@@ -533,7 +536,17 @@ mod tests {
     #[test]
     fn fast_ints_match_std() {
         let cases = [
-            "0", "1", "42", "007", "4294967295", "4294967296", "-1", "+5", "", "x", "1x",
+            "0",
+            "1",
+            "42",
+            "007",
+            "4294967295",
+            "4294967296",
+            "-1",
+            "+5",
+            "",
+            "x",
+            "1x",
             "99999999999999999999",
         ];
         for s in cases {
@@ -552,8 +565,18 @@ mod tests {
     #[test]
     fn fast_floats_match_std_bitwise() {
         let accepted = [
-            "0", "-0", "0.5", "100", "-86400", "0.015625", "123456789012345",
-            "1.", ".5", "3.141592653589", "0.00000000000001", "99.99",
+            "0",
+            "-0",
+            "0.5",
+            "100",
+            "-86400",
+            "0.015625",
+            "123456789012345",
+            "1.",
+            ".5",
+            "3.141592653589",
+            "0.00000000000001",
+            "99.99",
         ];
         for s in accepted {
             let got = parse_f64_fast(s.as_bytes()).unwrap_or_else(|| panic!("{s:?} rejected"));
@@ -562,7 +585,17 @@ mod tests {
         }
         // Shapes that must fall back (std parses some of them; the fast
         // path just declines).
-        for s in ["", ".", "-", "1e3", "+1", "inf", "NaN", "1.2.3", "1234567890123456"] {
+        for s in [
+            "",
+            ".",
+            "-",
+            "1e3",
+            "+1",
+            "inf",
+            "NaN",
+            "1.2.3",
+            "1234567890123456",
+        ] {
             assert_eq!(parse_f64_fast(s.as_bytes()), None, "{s:?}");
         }
     }

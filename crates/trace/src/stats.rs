@@ -379,8 +379,11 @@ impl StatsAccumulator {
                 Box::new(move |rank| merged[rank - 1])
             };
             let rank_of = |p: f64| ((p * n as f64).ceil() as usize).clamp(1, n);
-            stats.completion_percentiles =
-                (pick(rank_of(0.50)), pick(rank_of(0.90)), pick(rank_of(0.99)));
+            stats.completion_percentiles = (
+                pick(rank_of(0.50)),
+                pick(rank_of(0.90)),
+                pick(rank_of(0.99)),
+            );
         }
         stats
     }

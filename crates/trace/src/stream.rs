@@ -350,7 +350,7 @@ impl NameIndex {
         let mut slots = vec![0u32; new_cap];
         let mask = new_cap - 1;
         // Mode of the rebuilt table: room for the insert that triggered us.
-        self.fp = self.len + 1 <= self.fp_cap;
+        self.fp = self.len < self.fp_cap;
         let fp = self.fp;
         for idx in 0..self.len as u32 {
             let hash = hash_of(idx);
@@ -596,12 +596,7 @@ impl ScanState {
     /// React to a name becoming suspect mid-scan. Open state referencing
     /// the name is discarded; a closed job is marked dead for
     /// finalize-time retraction. Returns the (possibly cleared) open state.
-    fn on_new_suspect(
-        &mut self,
-        name: &str,
-        open: Option<Open>,
-        fold: &OpenFold,
-    ) -> Option<Open> {
+    fn on_new_suspect(&mut self, name: &str, open: Option<Open>, fold: &OpenFold) -> Option<Open> {
         match open {
             // The open fold is simply dropped; the next `begin` resets it.
             Some(Open::New { .. }) if fold.name == name => None,
@@ -845,11 +840,9 @@ fn run_scan<R: Read + Seek>(
             Some(v) => splitmix64(v),
             None => fnv1a(parts.job_name.as_bytes()),
         };
-        let probed = state
-            .index
-            .probe(hash, |idx| {
-                state.names.is_encoded(idx, &encoded, parts.job_name)
-            });
+        let probed = state.index.probe(hash, |idx| {
+            state.names.is_encoded(idx, &encoded, parts.job_name)
+        });
         open = Some(match probed {
             // A closed job's name re-appearing: an out-of-order straggler
             // batch (the job cannot be dead here — dead jobs are suspects,

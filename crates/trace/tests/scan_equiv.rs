@@ -31,10 +31,10 @@ fn num_field(kind: u8, a: u64, b: u64) -> String {
         8 => format!("{a}{b:019}"),     // overlong digit run
         9 => "inf".to_string(),
         10 => "nan".to_string(),
-        11 => String::new(),            // empty -> column default
-        12 => format!("0{a:09}"),       // leading zeros
-        13 => format!("{a}.{b:015}"),   // 15+ fractional digits
-        _ => format!(" {a}"),           // leading space
+        11 => String::new(),          // empty -> column default
+        12 => format!("0{a:09}"),     // leading zeros
+        13 => format!("{a}.{b:015}"), // 15+ fractional digits
+        _ => format!(" {a}"),         // leading space
     }
 }
 
