@@ -124,6 +124,34 @@ fn bad_online_spec_exits_nonzero() {
 }
 
 #[test]
+fn degenerate_cluster_configs_exit_two() {
+    // With `--online` each of these used to run forever; without it, a
+    // compression of 0, NaN or -3 printed an absurd makespan.
+    let schedule = ["schedule", "--jobs", "20", "--seed", "1"];
+    let replay = ["sched-replay", "--jobs", "300", "--seed", "1"];
+    let online = ["--online", "0.2,0.5"];
+    for (base, extra, problem) in [
+        (&schedule, &["--cluster-machines", "0"][..], "machines"),
+        (&schedule, &["--compression", "0"][..], "compression"),
+        (&schedule, &["--compression", "nan"][..], "compression"),
+        (&schedule, &["--compression", "-3"][..], "compression"),
+        (&replay, &["--machines", "0"][..], "machines"),
+        (&replay, &["--compression", "0"][..], "compression"),
+    ] {
+        for with_online in [false, true] {
+            let mut args = base.to_vec();
+            args.extend_from_slice(extra);
+            if with_online {
+                args.extend_from_slice(&online);
+            }
+            let out = dagscope(&args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
+            assert!(stderr(&out).contains(problem), "{args:?}: {}", stderr(&out));
+        }
+    }
+}
+
+#[test]
 fn successful_small_run_exits_zero() {
     let out = dagscope(&["summary", "--jobs", "200", "--sample", "20", "--seed", "3"]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));

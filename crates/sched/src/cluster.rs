@@ -84,27 +84,43 @@ impl Cluster {
         self.free.root()
     }
 
-    /// Try to place one instance of `(cpu, mem)`; returns the machine
-    /// index, or `None` when nothing fits. Takes the first machine with
-    /// room at or after the cursor, wrapping around to the machines
-    /// before it, and moves the cursor there. A failed placement changes
-    /// nothing.
-    pub fn place(&mut self, cpu: f64, mem: f64) -> Option<usize> {
+    /// Place up to `count` instances of `(cpu, mem)` on one machine and
+    /// return it with how many it took, or `None` when `count` is 0 or
+    /// nothing fits. Takes the first machine with room at or after the
+    /// cursor, wrapping around to the machines before it, moves the
+    /// cursor there, and fills that machine until it is full or `count`
+    /// are placed. Called with the rest of the count until it returns
+    /// `None`, it picks the machines `count` one-instance placements
+    /// would, in order, and subtracts each instance's demand in turn. A
+    /// failed placement changes nothing.
+    pub fn place(&mut self, cpu: f64, mem: f64, count: u32) -> Option<(usize, u32)> {
+        if count == 0 {
+            return None;
+        }
         let fits = |f: Pair| f.cpu >= cpu && f.mem >= mem;
         let m = self
             .free
             .first(self.cursor, fits)
             .or_else(|| self.free.first(0, fits))?;
-        let f = self.free.leaf(m);
-        self.free.set(m, Pair::new(f.cpu - cpu, f.mem - mem));
+        let mut f = self.free.leaf(m);
+        let mut n = 0;
+        while n < count && fits(f) {
+            f = Pair::new(f.cpu - cpu, f.mem - mem);
+            n += 1;
+        }
+        self.free.set(m, f);
         self.cursor = m;
-        Some(m)
+        Some((m, n))
     }
 
-    /// Release a previously placed instance.
-    pub fn release(&mut self, machine: usize, cpu: f64, mem: f64) {
-        let f = self.free.leaf(machine);
-        let f = Pair::new(f.cpu + cpu, f.mem + mem);
+    /// Release `n` instances of `(cpu, mem)` placed on `machine`. Each
+    /// instance's demand is added back in turn, as `n` one-instance
+    /// releases would.
+    pub fn release(&mut self, machine: usize, cpu: f64, mem: f64, n: u32) {
+        let mut f = self.free.leaf(machine);
+        for _ in 0..n {
+            f = Pair::new(f.cpu + cpu, f.mem + mem);
+        }
         debug_assert!(f.cpu <= self.cfg.cpu_per_machine + 1e-6);
         debug_assert!(f.mem <= self.cfg.mem_per_machine + 1e-6);
         self.free.set(machine, f);
@@ -146,32 +162,49 @@ mod tests {
     #[test]
     fn place_and_release() {
         let mut c = tiny();
-        let m1 = c.place(60.0, 0.5).unwrap();
-        let m2 = c.place(60.0, 0.5).unwrap();
+        let (m1, _) = c.place(60.0, 0.5, 1).unwrap();
+        let (m2, _) = c.place(60.0, 0.5, 1).unwrap();
         assert_ne!(m1, m2, "second instance must spill to the other machine");
         // Both machines now hold 60: a 50-unit ask fails, 40 fits.
-        assert!(c.place(50.0, 0.1).is_none());
-        assert!(c.place(40.0, 0.1).is_some());
-        c.release(m1, 60.0, 0.5);
-        assert!(c.place(50.0, 0.1).is_some());
+        assert!(c.place(50.0, 0.1, 1).is_none());
+        assert!(c.place(40.0, 0.1, 1).is_some());
+        c.release(m1, 60.0, 0.5, 1);
+        assert!(c.place(50.0, 0.1, 1).is_some());
+    }
+
+    #[test]
+    fn place_fills_one_machine_per_call() {
+        let mut c = tiny();
+        // Three 30-unit instances fit a 100-unit machine.
+        assert_eq!(c.place(30.0, 0.1, 5), Some((0, 3)));
+        assert_eq!(c.place(30.0, 0.1, 2), Some((1, 2)));
+        // The cursor stays on machine 1, which has room for one more.
+        assert_eq!(c.place(30.0, 0.1, 4), Some((1, 1)));
+        assert_eq!(c.place(30.0, 0.1, 4), None);
+        assert_eq!(c.place(10.0, 0.1, 0), None, "a zero count places nothing");
+        c.release(0, 30.0, 0.1, 2);
+        assert_eq!(c.free_cpu(), 80.0);
+        assert_eq!(c.max_free().cpu, 70.0);
+        assert_eq!(c.place(60.0, 0.1, 3), Some((0, 1)));
     }
 
     #[test]
     fn memory_binds_too() {
         let mut c = tiny();
-        assert!(c.place(1.0, 0.9).is_some());
+        assert!(c.place(1.0, 0.9, 1).is_some());
         // CPU is plentiful but memory on that machine is not; spills.
-        let second = c.place(1.0, 0.9).unwrap();
-        assert!(c.place(1.0, 0.9).is_none());
-        c.release(second, 1.0, 0.9);
-        assert!(c.place(1.0, 0.9).is_some());
+        let (second, n) = c.place(1.0, 0.9, 2).unwrap();
+        assert_eq!(n, 1);
+        assert!(c.place(1.0, 0.9, 1).is_none());
+        c.release(second, 1.0, 0.9, 1);
+        assert!(c.place(1.0, 0.9, 1).is_some());
     }
 
     #[test]
     fn utilization_accounting() {
         let mut c = tiny();
         assert_eq!(c.cpu_utilization(), 0.0);
-        c.place(100.0, 0.1).unwrap();
+        c.place(100.0, 0.1, 1).unwrap();
         assert!((c.cpu_utilization() - 0.5).abs() < 1e-12);
         assert_eq!(c.total_cpu(), 200.0);
         assert_eq!(c.free_cpu(), 100.0);
@@ -180,12 +213,12 @@ mod tests {
     #[test]
     fn oversized_ask_never_fits() {
         let mut c = tiny();
-        assert!(c.place(101.0, 0.1).is_none());
-        assert!(c.place(1.0, 1.5).is_none());
+        assert!(c.place(101.0, 0.1, 1).is_none());
+        assert!(c.place(1.0, 1.5, 1).is_none());
     }
 
     /// Reference pool: probe every machine from the cursor on, wrapping
-    /// around.
+    /// around, one instance at a time.
     struct Linear {
         cpu_free: Vec<f64>,
         mem_free: Vec<f64>,
@@ -211,7 +244,10 @@ mod tests {
         #[test]
         fn tree_placement_matches_linear_next_fit(
             machines in prop::sample::select(vec![1usize, 2, 3, 5, 48]),
-            ops in prop::collection::vec((0u8..4, 0usize..1_000, 0usize..1_000, any::<f64>()), 1..300),
+            ops in prop::collection::vec(
+                (0u8..4, 0usize..1_000, 0usize..1_000, any::<f64>(), 0u32..8),
+                1..300,
+            ),
         ) {
             let cfg = ClusterConfig { machines, cpu_per_machine: 100.0, mem_per_machine: 1.0 };
             let mut tree = Cluster::new(cfg.clone());
@@ -220,25 +256,38 @@ mod tests {
                 mem_free: vec![cfg.mem_per_machine; machines],
                 cursor: 0,
             };
-            // Live instances (machine, cpu, mem) and reserved CPU per machine.
-            let mut live: Vec<(usize, f64, f64)> = Vec::new();
+            // Live runs (machine, cpu, mem, instances) and reserved CPU per
+            // machine.
+            let mut live: Vec<(usize, f64, f64, u32)> = Vec::new();
             let mut reserved = vec![0.0f64; machines];
-            for (kind, a, b, frac) in ops {
+            for (kind, a, b, frac, count) in ops {
                 match kind {
                     0 | 1 => {
                         let cpu = [10.0, 25.0, 40.0, 60.0, 100.0][a % 5];
                         let mem = (b % 20 + 1) as f64 * 0.05;
-                        let got = tree.place(cpu, mem);
-                        prop_assert_eq!(got, linear.place(cpu, mem));
-                        if let Some(m) = got {
-                            live.push((m, cpu, mem));
+                        // Up to `count` one-instance placements, against
+                        // `place` called with the rest of the count until
+                        // it returns `None`, as the simulator does.
+                        let want: Vec<usize> = (0..count)
+                            .map_while(|_| linear.place(cpu, mem))
+                            .collect();
+                        let mut got = Vec::new();
+                        let mut left = count;
+                        while let Some((m, n)) = tree.place(cpu, mem, left) {
+                            prop_assert!((1..=left).contains(&n));
+                            got.extend(std::iter::repeat_n(m, n as usize));
+                            live.push((m, cpu, mem, n));
+                            left -= n;
                         }
+                        prop_assert_eq!(got, want);
                     }
                     2 if !live.is_empty() => {
-                        let (m, cpu, mem) = live.swap_remove(a % live.len());
-                        tree.release(m, cpu, mem);
-                        linear.cpu_free[m] += cpu;
-                        linear.mem_free[m] += mem;
+                        let (m, cpu, mem, n) = live.swap_remove(a % live.len());
+                        tree.release(m, cpu, mem, n);
+                        for _ in 0..n {
+                            linear.cpu_free[m] += cpu;
+                            linear.mem_free[m] += mem;
+                        }
                     }
                     3 if b % 2 == 0 => {
                         let m = a % machines;

@@ -33,9 +33,11 @@ pub struct Dist {
 }
 
 impl Dist {
-    /// Summarize raw samples (order irrelevant; sorted internally once).
+    /// Summarize raw samples (order irrelevant; sorted internally once,
+    /// by `f64::total_cmp`, which orders NaN too, so a NaN sample
+    /// cannot panic).
     pub fn from_samples(mut samples: Vec<f64>) -> Dist {
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+        samples.sort_by(f64::total_cmp);
         let n = samples.len();
         Dist {
             count: n,
@@ -116,8 +118,8 @@ impl ProfileBuilder {
     pub fn finish(self, labels: &[char]) -> ProfileTable {
         let mut all_work: Vec<f64> = self.work.iter().flatten().copied().collect();
         let mut all_cp: Vec<f64> = self.critical_path.iter().flatten().copied().collect();
-        all_work.sort_by(|a, b| a.partial_cmp(b).expect("finite work"));
-        all_cp.sort_by(|a, b| a.partial_cmp(b).expect("finite critical path"));
+        all_work.sort_by(f64::total_cmp);
+        all_cp.sort_by(f64::total_cmp);
         let neutral_work = quantile_sorted_f64(&all_work, 0.50);
         let neutral_critical_path = quantile_sorted_f64(&all_cp, 0.50);
         let profiles = self
@@ -302,6 +304,12 @@ mod tests {
         let empty = Dist::from_samples(vec![]);
         assert_eq!(empty.count, 0);
         assert_eq!(empty.p50, 0.0);
+        // A positive NaN sorts last: it poisons the mean and the top
+        // quantile, and panics nowhere.
+        let nan = Dist::from_samples(vec![3.0, f64::NAN, 1.0, 2.0]);
+        assert_eq!(nan.count, 4);
+        assert_eq!(nan.p50, 2.0);
+        assert!(nan.mean.is_nan() && nan.p99.is_nan());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The discrete-event simulation loop.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use crate::cluster::{Cluster, ClusterConfig};
@@ -164,6 +165,24 @@ impl ReadySet {
     }
 }
 
+/// One finish-heap entry: the instances of one task placed in one
+/// dispatch pass. They start together and, sharing the task's duration,
+/// finish together. Their `seq` numbers run consecutively from
+/// `first_seq`, and `runs` holds `(machine, instances)` in seq order.
+///
+/// Fields are in heap order: finish time, then first seq. No two
+/// batches share a first seq, so the later fields never decide, and
+/// since each batch's seqs are consecutive, instances leave the heap in
+/// the same `(finish, seq)` order one entry per instance would give.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Batch {
+    finish: i64,
+    first_seq: u64,
+    start: i64,
+    rank: usize,
+    runs: Box<[(u32, u32)]>,
+}
+
 /// The simulator. Deterministic: identical inputs produce identical
 /// schedules regardless of platform.
 #[derive(Debug)]
@@ -180,9 +199,10 @@ impl Simulator {
 
     /// Run the workload to completion and return the metrics.
     ///
-    /// Errors if any instance could never fit an empty machine (the
-    /// workload would deadlock), or if the policy gives a job a
-    /// non-finite key.
+    /// Errors if the cluster has no machines (or more than `u32::MAX`),
+    /// if `arrival_compression` is not finite and positive, if any
+    /// instance could never fit an empty machine (the workload would
+    /// deadlock), or if the policy gives a job a non-finite key.
     pub fn run(&self, jobs: &[SimJob]) -> Result<SimMetrics, String> {
         self.run_impl(jobs, false).map(|(m, _)| m)
     }
@@ -204,6 +224,19 @@ impl Simulator {
         record_trace: bool,
     ) -> Result<(SimMetrics, Vec<dagscope_trace::InstanceRecord>), String> {
         let cluster_cfg = &self.cfg.cluster;
+        if cluster_cfg.machines == 0 || u32::try_from(cluster_cfg.machines).is_err() {
+            return Err(format!(
+                "cluster needs 1 to {} machines, got {}",
+                u32::MAX,
+                cluster_cfg.machines
+            ));
+        }
+        let compression = self.cfg.arrival_compression;
+        if !(compression.is_finite() && compression > 0.0) {
+            return Err(format!(
+                "arrival compression must be finite and positive, got {compression}"
+            ));
+        }
         // With online load, an instance must fit in the most-free hour of
         // the day, or the workload can never finish.
         let min_reserved_frac = self.cfg.online_load.map_or(0.0, |load| {
@@ -233,9 +266,8 @@ impl Simulator {
 
         // Compressed arrivals, preserving relative order from time zero.
         let min_arrival = jobs.iter().map(|j| j.arrival).min().unwrap_or(0);
-        let arrival = |j: &SimJob| -> i64 {
-            ((j.arrival - min_arrival) as f64 / self.cfg.arrival_compression.max(1e-9)) as i64
-        };
+        let arrival =
+            |j: &SimJob| -> i64 { ((j.arrival - min_arrival) as f64 / compression) as i64 };
 
         // Job-level policy keys, frozen at admission; the policy reports
         // how many jobs it had no usable prediction for.
@@ -267,10 +299,9 @@ impl Simulator {
         let mut arrivals: Vec<usize> = (0..jobs.len()).collect();
         arrivals.sort_by_key(|&i| (job_state[i].arrival, i));
         let mut next_arrival = 0usize;
-        // (finish_time, seq, job, node, machine, start_time)
-        #[allow(clippy::type_complexity)]
-        let mut finishes: BinaryHeap<Reverse<(i64, u64, usize, usize, usize, i64)>> =
-            BinaryHeap::new();
+        let mut finishes: BinaryHeap<Reverse<Batch>> = BinaryHeap::new();
+        // The batch being placed, as `(machine, instances)` runs.
+        let mut runs: Vec<(u32, u32)> = Vec::new();
         let mut seq = 0u64;
         let mut trace_rows: Vec<dagscope_trace::InstanceRecord> = Vec::new();
         // Eviction bookkeeping, kept only when eviction can happen: live
@@ -296,7 +327,7 @@ impl Simulator {
             // Next event time: arrival, finish, or (while work remains) a
             // reservation reconfiguration.
             let t_arr = arrivals.get(next_arrival).map(|&i| job_state[i].arrival);
-            let t_fin = finishes.peek().map(|Reverse((t, ..))| *t);
+            let t_fin = finishes.peek().map(|Reverse(b)| b.finish);
             let work_remains =
                 next_arrival < arrivals.len() || !finishes.is_empty() || ready.len > 0;
             let t_cfg = if work_remains { next_reconfig } else { None };
@@ -319,44 +350,64 @@ impl Simulator {
                 }
             }
 
-            // Process finishes at `now`.
-            while let Some(Reverse((t, sq, j, node, machine, started))) = finishes.peek().copied() {
-                if t != now {
+            // Process finishes at `now`, batch by batch, each instance in
+            // seq order. Evicted instances are skipped: their capacity
+            // went back when they were killed.
+            while let Some(top) = finishes.peek_mut() {
+                if top.0.finish != now {
                     break;
                 }
-                finishes.pop();
-                if evicting {
-                    if tombstones.remove(&sq) {
-                        continue; // evicted earlier; capacity already returned
-                    }
-                    live_info.remove(&sq);
-                    if let Some(pos) = live_on_machine[machine].iter().position(|&x| x == sq) {
-                        live_on_machine[machine].swap_remove(pos);
-                    }
-                }
+                let Reverse(batch) = PeekMut::pop(top);
+                let (j, node) = ranks.task[batch.rank];
                 let task = &jobs[j].tasks[node];
-                if record_trace {
-                    trace_rows.push(dagscope_trace::InstanceRecord {
-                        instance_name: format!("{}_{}_{}", jobs[j].name, node, sq),
-                        task_name: jobs[j].dag.task_name(node).to_string(),
-                        job_name: jobs[j].name.clone(),
-                        task_type: "1".into(),
-                        status: dagscope_trace::Status::Terminated,
-                        start_time: started,
-                        end_time: t,
-                        machine_id: format!("m_{}", machine + 1).into(),
-                        seq_no: 1,
-                        total_seq_no: 1,
-                        cpu_avg: task.cpu * 0.7,
-                        cpu_max: task.cpu,
-                        mem_avg: task.mem * 0.7,
-                        mem_max: task.mem,
-                    });
+                let mut finished = 0u32;
+                let mut next_seq = batch.first_seq;
+                for &(machine, n) in batch.runs.iter() {
+                    let machine = machine as usize;
+                    let seqs = next_seq..next_seq + u64::from(n);
+                    next_seq = seqs.end;
+                    let mut released = 0u32;
+                    for sq in seqs {
+                        if evicting {
+                            if tombstones.remove(&sq) {
+                                continue;
+                            }
+                            live_info.remove(&sq);
+                            if let Some(pos) =
+                                live_on_machine[machine].iter().position(|&x| x == sq)
+                            {
+                                live_on_machine[machine].swap_remove(pos);
+                            }
+                        }
+                        if record_trace {
+                            trace_rows.push(dagscope_trace::InstanceRecord {
+                                instance_name: format!("{}_{}_{}", jobs[j].name, node, sq),
+                                task_name: jobs[j].dag.task_name(node).to_string(),
+                                job_name: jobs[j].name.clone(),
+                                task_type: "1".into(),
+                                status: dagscope_trace::Status::Terminated,
+                                start_time: batch.start,
+                                end_time: batch.finish,
+                                machine_id: format!("m_{}", machine + 1).into(),
+                                seq_no: 1,
+                                total_seq_no: 1,
+                                cpu_avg: task.cpu * 0.7,
+                                cpu_max: task.cpu,
+                                mem_avg: task.mem * 0.7,
+                                mem_max: task.mem,
+                            });
+                        }
+                        busy_cpu -= task.cpu;
+                        released += 1;
+                    }
+                    cluster.release(machine, task.cpu, task.mem, released);
+                    finished += released;
                 }
-                cluster.release(machine, task.cpu, task.mem);
-                busy_cpu -= task.cpu;
+                if finished == 0 {
+                    continue; // the whole batch was evicted
+                }
                 let st = &mut task_state[j][node];
-                st.running_instances -= 1;
+                st.running_instances -= finished;
                 if st.running_instances == 0 && st.waiting_instances == 0 {
                     // Task complete.
                     job_state[j].finished_tasks += 1;
@@ -392,7 +443,7 @@ impl Simulator {
                                 };
                                 let (vj, vnode) = live_info.remove(&victim).expect("live victim");
                                 let vtask = &jobs[vj].tasks[vnode];
-                                cluster.release(m, vtask.cpu, vtask.mem);
+                                cluster.release(m, vtask.cpu, vtask.mem, 1);
                                 busy_cpu -= vtask.cpu;
                                 tombstones.insert(victim);
                                 evictions += 1;
@@ -416,12 +467,13 @@ impl Simulator {
             }
 
             // Dispatch: visit ready tasks in rank order and place as many
-            // instances of each as fit. Within a pass capacity only
-            // shrinks, so a task fits nowhere when its demand exceeds the
-            // largest free CPU or memory on any machine, or dominates a
-            // demand that already failed this pass. Subtrees whose minimum
-            // demand meets either test are skipped whole; `failed` keeps
-            // the Pareto-minimal failed demands.
+            // instances of each as fit, as one batch. Within a pass
+            // capacity only shrinks, so a task fits nowhere when its
+            // demand exceeds the largest free CPU or memory on any
+            // machine, or dominates a demand that already failed this
+            // pass. Subtrees whose minimum demand meets either test are
+            // skipped whole; `failed` keeps the Pareto-minimal failed
+            // demands.
             let mut failed: Vec<Pair> = Vec::new();
             let mut from = 0usize;
             loop {
@@ -437,26 +489,33 @@ impl Simulator {
                 let (j, node) = ranks.task[rank];
                 let task = &jobs[j].tasks[node];
                 let st = &mut task_state[j][node];
-                while st.waiting_instances > 0 {
-                    let Some(machine) = cluster.place(task.cpu, task.mem) else {
-                        break;
-                    };
-                    st.waiting_instances -= 1;
-                    st.running_instances += 1;
-                    busy_cpu += task.cpu;
-                    seq += 1;
-                    if evicting {
-                        live_on_machine[machine].push(seq);
-                        live_info.insert(seq, (j, node));
+                let first_seq = seq + 1;
+                while let Some((machine, n)) =
+                    cluster.place(task.cpu, task.mem, st.waiting_instances)
+                {
+                    st.waiting_instances -= n;
+                    st.running_instances += n;
+                    for _ in 0..n {
+                        busy_cpu += task.cpu;
+                        seq += 1;
+                        if evicting {
+                            live_on_machine[machine].push(seq);
+                            live_info.insert(seq, (j, node));
+                        }
                     }
-                    finishes.push(Reverse((
-                        now + task.duration.max(1),
-                        seq,
-                        j,
-                        node,
-                        machine,
-                        now,
-                    )));
+                    let machine =
+                        u32::try_from(machine).expect("run() caps the machine count at u32::MAX");
+                    runs.push((machine, n));
+                }
+                if !runs.is_empty() {
+                    finishes.push(Reverse(Batch {
+                        finish: now + task.duration.max(1),
+                        first_seq,
+                        start: now,
+                        rank,
+                        runs: runs.as_slice().into(),
+                    }));
+                    runs.clear();
                 }
                 if st.waiting_instances == 0 {
                     ready.remove(rank);
@@ -476,11 +535,11 @@ impl Simulator {
 
         let jcts: Vec<i64> = job_state
             .iter()
-            .map(|s| s.finish_time.unwrap() - s.arrival)
+            .map(|s| s.finish_time.expect("every job finished: checked above") - s.arrival)
             .collect();
         let makespan = job_state
             .iter()
-            .map(|s| s.finish_time.unwrap())
+            .map(|s| s.finish_time.expect("every job finished: checked above"))
             .max()
             .unwrap_or(0);
         let mean_util = if makespan > 0 {
@@ -711,6 +770,55 @@ mod tests {
                 .run(&[job])
                 .unwrap_err();
             assert!(err.contains("exceeds machine capacity"), "{err}");
+        }
+    }
+
+    #[test]
+    fn degenerate_cluster_config_is_an_error() {
+        // With online load each of these never ended (the hourly
+        // reservation events kept the loop alive); without it, a
+        // compression of 0, NaN or -3 printed an absurd makespan.
+        let jobs = [
+            sim_job("j_1", 0, &[("M1", 1, 10)]),
+            sim_job("j_2", 500, &[("M1", 2, 10)]),
+        ];
+        let load = OnlineLoad {
+            trough: 0.2,
+            peak: 0.5,
+        };
+        for online_load in [None, Some(load)] {
+            let base = SimConfig {
+                online_load,
+                evict_for_online: online_load.is_some(),
+                ..tiny_cfg()
+            };
+            let mut cases = vec![(
+                SimConfig {
+                    cluster: ClusterConfig {
+                        machines: 0,
+                        ..base.cluster.clone()
+                    },
+                    ..base.clone()
+                },
+                "machines, got 0",
+            )];
+            for c in [0.0, -0.0, -3.0, f64::NAN, f64::INFINITY] {
+                cases.push((
+                    SimConfig {
+                        arrival_compression: c,
+                        ..base.clone()
+                    },
+                    "arrival compression must be finite and positive",
+                ));
+            }
+            for (cfg, problem) in cases {
+                for workload in [&jobs[..], &[]] {
+                    let err = Simulator::new(cfg.clone(), Policy::Fifo)
+                        .run(workload)
+                        .unwrap_err();
+                    assert!(err.contains(problem), "{cfg:?}: {err}");
+                }
+            }
         }
     }
 

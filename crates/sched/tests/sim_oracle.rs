@@ -411,7 +411,9 @@ fn predicted_sjf(jobs: &[SimJob]) -> Policy {
 /// A small job on a generated DAG. CPU demands take a few values and
 /// memory a fine grid, so demands both tie and dominate one another, and
 /// the largest free CPU and memory can both fit a demand that no single
-/// machine does.
+/// machine does. One CPU value is not a short binary fraction, so
+/// summing its instances in another order (or multiplying instead)
+/// changes the utilization's last bits.
 fn arbitrary_job(idx: usize) -> impl Strategy<Value = SimJob> {
     (
         prop::sample::select(ShapeKind::ALL.to_vec()),
@@ -430,7 +432,7 @@ fn arbitrary_job(idx: usize) -> impl Strategy<Value = SimJob> {
                     SimTask {
                         node,
                         instances,
-                        cpu: [50.0, 100.0, 150.0, 200.0, 300.0][cpu],
+                        cpu: [50.0, 100.0, 133.3, 200.0, 300.0][cpu],
                         mem: mem as f64 * 0.05,
                         duration,
                     }
@@ -481,6 +483,33 @@ proptest! {
     }
 }
 
+/// The instances one dispatch pass placed for one task: their machines
+/// and the seq suffixes of their names.
+#[derive(Default)]
+struct PassGroup<'a> {
+    machines: HashSet<&'a str>,
+    seqs: Vec<u64>,
+}
+
+/// The instance rows grouped by `(job, task, start)`.
+fn pass_groups(rows: &[InstanceRecord]) -> Vec<PassGroup<'_>> {
+    let mut groups: HashMap<(&str, &str, i64), PassGroup> = HashMap::new();
+    for r in rows {
+        let seq = r
+            .instance_name
+            .rsplit('_')
+            .next()
+            .and_then(|s| s.parse().ok())
+            .expect("instance name ends in its seq");
+        let group = groups
+            .entry((&r.job_name, &r.task_name, r.start_time))
+            .or_default();
+        group.machines.insert(r.machine_id.as_str());
+        group.seqs.push(seq);
+    }
+    groups.into_values().collect()
+}
+
 #[test]
 fn generated_trace_matches_the_reference_loop() {
     let trace = TraceGenerator::new(GeneratorConfig {
@@ -508,6 +537,11 @@ fn generated_trace_matches_the_reference_loop() {
         peak: 0.7,
     };
     let mut evictions = 0;
+    // Passes that placed one task on two or more machines, and those of
+    // them with a gap in their seqs: some, not all, of their instances
+    // were evicted.
+    let mut multi_machine = 0;
+    let mut partly_evicted = 0;
     for (online_load, evict_for_online) in [(None, false), (Some(load), false), (Some(load), true)]
     {
         let cfg = SimConfig {
@@ -531,7 +565,21 @@ fn generated_trace_matches_the_reference_loop() {
             assert_eq!(metrics.jobs, jobs.len());
             assert!(!rows.is_empty());
             evictions += metrics.evictions;
+            for PassGroup { machines, seqs } in pass_groups(&rows) {
+                if machines.len() >= 2 {
+                    multi_machine += 1;
+                    let (lo, hi) = (seqs.iter().min().unwrap(), seqs.iter().max().unwrap());
+                    if hi - lo + 1 > seqs.len() as u64 {
+                        partly_evicted += 1;
+                    }
+                }
+            }
         }
     }
     assert!(evictions > 0, "the eviction path never ran");
+    assert!(multi_machine > 0, "no pass placed a task on two machines");
+    assert!(
+        partly_evicted > 0,
+        "no multi-machine pass was partly evicted"
+    );
 }
