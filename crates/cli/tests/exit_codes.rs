@@ -85,6 +85,54 @@ fn missing_trace_dir_exits_nonzero() {
 }
 
 #[test]
+fn trace_job_that_is_not_a_dag_exits_two_naming_it() {
+    // Every name of these jobs parses, so they pass integrity and can be
+    // sampled, but none forms a DAG: a dangling parent, a repeated id, a
+    // cycle. Sampling every job draws them for sure.
+    let dir = std::env::temp_dir().join(format!("dagscope_notdag_{}", std::process::id()));
+    let out = dagscope(
+        &["generate", "--jobs", "1000", "--seed", "42", "--out"]
+            .into_iter()
+            .chain(dir.to_str())
+            .collect::<Vec<_>>(),
+    );
+    assert!(out.status.success(), "generate: {}", stderr(&out));
+    let trace = std::fs::read_to_string(dir.join("batch_task.csv")).expect("read trace");
+    for (names, reason) in [
+        (["M1", "R2_9"], "missing parent 9"),
+        (["M1", "R1"], "duplicate task id 1"),
+        (["M1_2", "R2_1"], "cycle"),
+    ] {
+        let mut bad = trace.clone();
+        for (i, name) in names.iter().enumerate() {
+            let start = 100 + 100 * i;
+            bad.push_str(&format!(
+                "{name},1,j_9999999,1,Terminated,{start},{},100,0.5\n",
+                start + 100
+            ));
+        }
+        std::fs::write(dir.join("batch_task.csv"), bad).expect("write trace");
+        let out = dagscope(&[
+            "summary",
+            "--trace",
+            dir.to_str().expect("utf-8 temp dir"),
+            "--sample",
+            "100000",
+            "--cluster-engine",
+            "collapsed",
+        ]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{names:?}: {err}");
+        assert!(
+            err.contains("j_9999999") && err.contains(reason),
+            "{names:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{names:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).expect("remove temp trace");
+}
+
+#[test]
 fn serve_without_snapshot_exits_nonzero() {
     let out = dagscope(&["serve"]);
     assert!(!out.status.success());

@@ -122,11 +122,16 @@ impl Pipeline {
         stats: TraceStats,
         sample: Vec<Job>,
     ) -> Result<Report, String> {
-        // DAG construction (parallel); filters guarantee buildability.
+        // DAG construction (parallel). Integrity only checks that every
+        // task name parses, so a job whose names do not form a DAG (a
+        // dangling parent, a repeated id, a cycle) is still sampled and
+        // fails here, naming the first such job in sample order.
         let clock = Instant::now();
         let raw_dags: Vec<JobDag> = dagscope_par::par_map(&sample, |job| {
-            JobDag::from_job(job).expect("filtered job must build")
-        });
+            JobDag::from_job(job).map_err(|e| format!("job {} does not form a DAG: {e}", job.name))
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?;
         let conflated: Vec<JobDag> = dagscope_par::par_map(&raw_dags, conflate::conflate);
         timings.dags = clock.elapsed();
 
@@ -483,6 +488,40 @@ mod tests {
         let staged: std::time::Duration = t.stages().iter().map(|(_, d)| *d).sum();
         assert!(staged <= t.total);
         assert!(t.render().contains("total"));
+    }
+
+    #[test]
+    fn malformed_dag_job_is_an_error_naming_the_job() {
+        // Every name parses, so integrity passes, but the names do not
+        // form a DAG: the run must fail with the job and the reason, not
+        // panic.
+        use dagscope_trace::{Status, TaskRecord};
+        let task = |job: &str, name: &str, start: i64| TaskRecord {
+            task_name: name.into(),
+            instance_num: 1,
+            job_name: job.into(),
+            task_type: "1".into(),
+            status: Status::Terminated,
+            start_time: start,
+            end_time: start + 100,
+            plan_cpu: 100.0,
+            plan_mem: 0.5,
+        };
+        for (names, reason) in [
+            (["M1", "R2_9"], "task 2 references missing parent 9"),
+            (["M1", "R1"], "duplicate task id 1"),
+            (["M1_2", "R2_1"], "cycle"),
+        ] {
+            let mut tasks = vec![task("j_good", "M1", 100), task("j_good", "R2_1", 200)];
+            tasks.extend(names.iter().map(|n| task("j_bad", n, 100)));
+            let err = Pipeline::new(small_cfg())
+                .run_on(&JobSet::from_tasks(tasks))
+                .unwrap_err();
+            assert!(
+                err.contains("j_bad") && err.contains(reason),
+                "{names:?}: {err}"
+            );
+        }
     }
 
     #[test]

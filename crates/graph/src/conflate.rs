@@ -8,8 +8,7 @@
 //! its dependency semantics. The merge is applied to a fixpoint, because
 //! collapsing one group can make another group's signatures equal.
 
-use std::collections::HashMap;
-
+use crate::dag::DagParts;
 use crate::{JobDag, NodeAttr};
 
 /// One conflation pass: merge nodes with identical
@@ -17,91 +16,80 @@ use crate::{JobDag, NodeAttr};
 /// merged.
 fn conflate_once(dag: &JobDag) -> Option<JobDag> {
     let n = dag.len();
-    // Signature → representative (lowest index in the group).
-    let mut groups: HashMap<(char, Vec<u32>, Vec<u32>), Vec<usize>> = HashMap::new();
-    for i in 0..n {
-        let sig = (
-            dag.kind(i).letter(),
-            dag.parents(i).to_vec(),
-            dag.children(i).to_vec(),
-        );
-        groups.entry(sig).or_default().push(i);
-    }
-    if groups.len() == n {
+    let signature = |i: u32| {
+        let i = i as usize;
+        (dag.kind(i).letter(), dag.parents(i), dag.children(i))
+    };
+    let same = |a: &u32, b: &u32| signature(*a) == signature(*b);
+    // Group nodes by sorting their indices on the borrowed signatures;
+    // ties break on index, so each group lists its members ascending.
+    let mut order: Vec<u32> = (0..n).map(|i| i as u32).collect();
+    order.sort_unstable_by(|&a, &b| signature(a).cmp(&signature(b)).then(a.cmp(&b)));
+    if !order.windows(2).any(|w| same(&w[0], &w[1])) {
         return None;
     }
 
-    // Representative of each node (group minimum keeps ordering stable).
-    let mut rep = vec![usize::MAX; n];
-    for members in groups.values() {
-        let r = members[0]; // members are in ascending order by construction
-        for &m in members {
-            rep[m] = r;
+    // Representative of each node: its group's minimum, which keeps the
+    // ordering stable.
+    let mut rep = vec![0u32; n];
+    for group in order.chunk_by(same) {
+        for &m in group {
+            rep[m as usize] = group[0];
         }
     }
     // Dense renumbering of representatives, preserving relative order —
     // parents have smaller indices than children, and a representative is
     // its group's minimum, so the topological property survives.
-    let mut new_index = vec![usize::MAX; n];
-    let mut kept = 0usize;
+    let mut new_index = vec![u32::MAX; n];
+    let mut kept = 0u32;
     for i in 0..n {
-        if rep[i] == i {
+        if rep[i] as usize == i {
             new_index[i] = kept;
             kept += 1;
         }
     }
-
-    let mut kinds = Vec::with_capacity(kept);
-    let mut names = Vec::with_capacity(kept);
-    let mut parents: Vec<Vec<u32>> = Vec::with_capacity(kept);
-    let mut weights = Vec::with_capacity(kept);
-    let mut attrs = Vec::with_capacity(kept);
-
-    for i in 0..n {
-        if rep[i] != i {
-            continue;
+    // Aggregate each group's weight and attributes over its members in
+    // ascending order.
+    let empty = NodeAttr {
+        instance_num: 0,
+        duration: 0,
+        plan_cpu: 0.0,
+        plan_mem: 0.0,
+    };
+    let mut merged = vec![(0u32, empty); kept as usize];
+    for group in order.chunk_by(same) {
+        let (weight, attr) = &mut merged[new_index[group[0] as usize] as usize];
+        for &m in group {
+            let m = m as usize;
+            *weight += dag.weight(m);
+            let a = dag.attr(m);
+            attr.instance_num += a.instance_num;
+            attr.plan_cpu += a.plan_cpu;
+            attr.plan_mem += a.plan_mem;
+            attr.duration = attr.duration.max(a.duration);
         }
-        kinds.push(dag.kind(i));
-        names.push(dag.task_name(i).to_string());
-        let mut ps: Vec<u32> = dag
-            .parents(i)
-            .iter()
-            .map(|&p| new_index[rep[p as usize]] as u32)
-            .collect();
-        ps.sort_unstable();
-        ps.dedup();
-        parents.push(ps);
-        // Aggregate the group's weight and attributes.
-        let mut weight = 0u32;
-        let mut attr = NodeAttr {
-            instance_num: 0,
-            duration: 0,
-            plan_cpu: 0.0,
-            plan_mem: 0.0,
-        };
-        #[allow(clippy::needless_range_loop)]
-        for j in i..n {
-            if rep[j] == i {
-                weight += dag.weight(j);
-                let a = dag.attr(j);
-                attr.instance_num += a.instance_num;
-                attr.plan_cpu += a.plan_cpu;
-                attr.plan_mem += a.plan_mem;
-                attr.duration = attr.duration.max(a.duration);
-            }
-        }
-        weights.push(weight);
-        attrs.push(attr);
     }
 
-    Some(JobDag::from_parts(
-        dag.name.clone(),
-        kinds,
-        names,
-        parents,
-        weights,
-        attrs,
-    ))
+    let mut parts = DagParts::with_capacity(kept as usize, dag.edge_count(), dag.name_bytes());
+    let mut ps: Vec<u32> = Vec::new();
+    for (i, &(weight, attr)) in (0..n).filter(|&i| rep[i] as usize == i).zip(&merged) {
+        ps.clear();
+        ps.extend(
+            dag.parents(i)
+                .iter()
+                .map(|&p| new_index[rep[p as usize] as usize]),
+        );
+        ps.sort_unstable();
+        ps.dedup();
+        parts.push(
+            dag.kind(i),
+            dag.task_name(i),
+            ps.iter().copied(),
+            weight,
+            attr,
+        );
+    }
+    Some(JobDag::from_parts(dag.name.clone(), parts))
 }
 
 /// Conflate `dag` to a fixpoint.
@@ -125,7 +113,9 @@ fn conflate_once(dag: &JobDag) -> Option<JobDag> {
 /// assert_eq!(small.total_weight(), 4);
 /// ```
 pub fn conflate(dag: &JobDag) -> JobDag {
-    let mut current = dag.clone();
+    let Some(mut current) = conflate_once(dag) else {
+        return dag.clone();
+    };
     while let Some(next) = conflate_once(&current) {
         debug_assert!(next.len() < current.len());
         current = next;

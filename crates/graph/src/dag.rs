@@ -1,11 +1,13 @@
 //! The job DAG data structure.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
 use dagscope_trace::gen::DagPlan;
-use dagscope_trace::taskname::{self, ParsedTaskName, TaskKind};
+use dagscope_trace::taskname::{self, TaskKind};
 use dagscope_trace::Job;
 
 use crate::BuildError;
@@ -41,57 +43,153 @@ impl Default for NodeAttr {
 /// the stage kind its task name encodes, the original task name, trace
 /// attributes, and a *weight*: the number of original tasks it represents
 /// (1 until [`crate::conflate`] merges nodes).
+///
+/// The layout is flat. Adjacency is compressed sparse rows in both
+/// directions (node `i`'s parents are `parent_idx[parent_off[i]..
+/// parent_off[i + 1]]`, its children likewise), and every task name lives
+/// in one `String` cut at `name_off`. A DAG of any size is therefore at
+/// most ten allocations.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobDag {
     /// Owning job name.
     pub name: String,
     kinds: Vec<TaskKind>,
-    task_names: Vec<String>,
-    parents: Vec<Vec<u32>>,
-    children: Vec<Vec<u32>>,
+    names: String,
+    name_off: Vec<u32>,
+    parent_off: Vec<u32>,
+    parent_idx: Vec<u32>,
+    child_off: Vec<u32>,
+    child_idx: Vec<u32>,
     weights: Vec<u32>,
     attrs: Vec<NodeAttr>,
 }
 
+/// The per-node arrays of a [`JobDag`] under construction, filled one node
+/// at a time in topological order. [`JobDag::from_parts`] derives the
+/// children.
+pub(crate) struct DagParts {
+    kinds: Vec<TaskKind>,
+    names: String,
+    name_off: Vec<u32>,
+    parent_off: Vec<u32>,
+    parent_idx: Vec<u32>,
+    weights: Vec<u32>,
+    attrs: Vec<NodeAttr>,
+}
+
+impl DagParts {
+    /// Empty arrays sized for `nodes` nodes, `edges` parent entries and
+    /// `name_bytes` bytes of task names.
+    pub(crate) fn with_capacity(nodes: usize, edges: usize, name_bytes: usize) -> DagParts {
+        let mut name_off = Vec::with_capacity(nodes + 1);
+        name_off.push(0);
+        let mut parent_off = Vec::with_capacity(nodes + 1);
+        parent_off.push(0);
+        DagParts {
+            kinds: Vec::with_capacity(nodes),
+            names: String::with_capacity(name_bytes),
+            name_off,
+            parent_off,
+            parent_idx: Vec::with_capacity(edges),
+            weights: Vec::with_capacity(nodes),
+            attrs: Vec::with_capacity(nodes),
+        }
+    }
+
+    /// Append the next node. Its `parents` must be nodes already pushed;
+    /// they are stored sorted, repeats kept. Panics on a non-topological
+    /// edge — callers produce topological numberings.
+    pub(crate) fn push(
+        &mut self,
+        kind: TaskKind,
+        task_name: &str,
+        parents: impl IntoIterator<Item = u32>,
+        weight: u32,
+        attr: NodeAttr,
+    ) {
+        let node = self.kinds.len();
+        self.kinds.push(kind);
+        self.names.push_str(task_name);
+        self.name_off.push(as_u32(self.names.len()));
+        let start = self.parent_idx.len();
+        self.parent_idx.extend(parents);
+        let ps = &mut self.parent_idx[start..];
+        ps.sort_unstable();
+        if let Some(&p) = ps.last() {
+            assert!((p as usize) < node, "edge {p}->{node} not topological");
+        }
+        self.parent_off.push(as_u32(self.parent_idx.len()));
+        self.weights.push(weight);
+        self.attrs.push(attr);
+    }
+}
+
+/// A length or index as a `u32`. [`JobDag::from_job`] rejects jobs whose
+/// task names exceed `u32::MAX` bytes, which bounds every array of a DAG.
+fn as_u32(len: usize) -> u32 {
+    u32::try_from(len).expect("JobDag arrays are indexed by u32")
+}
+
+/// Entries of CSR row `i`.
+fn span(off: &[u32], i: usize) -> Range<usize> {
+    off[i] as usize..off[i + 1] as usize
+}
+
+/// Reverse a CSR adjacency over `off.len() - 1` nodes by counting sort.
+/// Each reversed list comes out in ascending order of its source node,
+/// with repeats kept.
+fn transpose(off: &[u32], idx: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let n = off.len() - 1;
+    let mut t_off = vec![0u32; n + 1];
+    for &p in idx {
+        t_off[p as usize] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut t_off {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    let mut t_idx = vec![0u32; idx.len()];
+    for i in 0..n {
+        for &p in &idx[span(off, i)] {
+            let slot = &mut t_off[p as usize];
+            t_idx[*slot as usize] = as_u32(i);
+            *slot += 1;
+        }
+    }
+    // Each `t_off[p]` now holds the end of `p`'s list: the start of the
+    // next one.
+    t_off.copy_within(0..n, 1);
+    t_off[0] = 0;
+    (t_off, t_idx)
+}
+
 impl JobDag {
-    /// Assemble a DAG from parallel per-node arrays. `parents[i]` must only
-    /// reference indices `< i` (callers produce topological numberings).
-    /// Children lists are derived. Panics on inconsistent input — this is
-    /// the crate-internal constructor; fallible construction goes through
-    /// [`JobDag::from_job`].
-    pub(crate) fn from_parts(
-        name: String,
-        kinds: Vec<TaskKind>,
-        task_names: Vec<String>,
-        parents: Vec<Vec<u32>>,
-        weights: Vec<u32>,
-        attrs: Vec<NodeAttr>,
-    ) -> JobDag {
-        let n = kinds.len();
-        assert_eq!(task_names.len(), n);
-        assert_eq!(parents.len(), n);
-        assert_eq!(weights.len(), n);
-        assert_eq!(attrs.len(), n);
-        let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (i, ps) in parents.iter().enumerate() {
-            for &p in ps {
-                assert!((p as usize) < i, "edge {p}->{i} not topological");
-                children[p as usize].push(i as u32);
-            }
-        }
-        for c in &mut children {
-            c.sort_unstable();
-        }
-        let mut parents = parents;
-        for p in &mut parents {
-            p.sort_unstable();
-        }
+    /// Assemble a DAG from its per-node arrays; the children are derived
+    /// from the parents by counting sort, so each child list comes out
+    /// sorted. This is the crate-internal constructor; fallible
+    /// construction goes through [`JobDag::from_job`].
+    pub(crate) fn from_parts(name: String, parts: DagParts) -> JobDag {
+        let DagParts {
+            kinds,
+            names,
+            name_off,
+            parent_off,
+            parent_idx,
+            weights,
+            attrs,
+        } = parts;
+        let (child_off, child_idx) = transpose(&parent_off, &parent_idx);
         JobDag {
             name,
             kinds,
-            task_names,
-            parents,
-            children,
+            names,
+            name_off,
+            parent_off,
+            parent_idx,
+            child_off,
+            child_idx,
             weights,
             attrs,
         }
@@ -117,61 +215,79 @@ impl JobDag {
     /// assert_eq!(dag.sinks().len(), 1);   // R5
     /// ```
     pub fn from_job(job: &Job) -> Result<JobDag, BuildError> {
-        if job.tasks.is_empty() {
+        let n = job.tasks.len();
+        if n == 0 {
             return Err(BuildError::Empty);
         }
-        // Parse every name first.
-        let mut parsed = Vec::with_capacity(job.tasks.len());
+        let name_bytes: usize = job.tasks.iter().map(|t| t.task_name.len()).sum();
+        if u32::try_from(name_bytes).is_err() {
+            return Err(BuildError::TooLarge { name_bytes });
+        }
+        // Parse every name, appending the parent ids of row `r` to the
+        // shared `parents` at `parent_off[r]..parent_off[r + 1]`.
+        let mut kinds = Vec::with_capacity(n);
+        let mut ids = Vec::with_capacity(n);
+        let mut parent_off = Vec::with_capacity(n + 1);
+        parent_off.push(0);
+        let mut parents = Vec::with_capacity(n);
         for t in &job.tasks {
-            match taskname::parse(&t.task_name) {
-                ParsedTaskName::Dag { kind, id, parents } => parsed.push((kind, id, parents)),
-                ParsedTaskName::Independent { raw } => {
-                    return Err(BuildError::NonDagTask { name: raw })
-                }
-            }
+            let Some((kind, id)) = taskname::parse_dag_into(&t.task_name, &mut parents) else {
+                return Err(BuildError::NonDagTask {
+                    name: t.task_name.clone(),
+                });
+            };
+            kinds.push(kind);
+            ids.push(id);
+            parent_off.push(as_u32(parents.len()));
         }
-        // Map trace ids to row indices.
-        let mut by_id: HashMap<u32, usize> = HashMap::with_capacity(parsed.len());
-        for (row, (_, id, _)) in parsed.iter().enumerate() {
-            if by_id.insert(*id, row).is_some() {
-                return Err(BuildError::DuplicateId { id: *id });
-            }
+        // Map trace ids to rows through sorted `(id, row)` pairs. A
+        // row-order scan meets first the repeat whose second row is
+        // smallest.
+        let mut by_id: Vec<(u32, u32)> = ids
+            .iter()
+            .enumerate()
+            .map(|(row, &id)| (id, as_u32(row)))
+            .collect();
+        by_id.sort_unstable();
+        if let Some(w) = by_id
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0)
+            .min_by_key(|w| w[1].1)
+        {
+            return Err(BuildError::DuplicateId { id: w[0].0 });
         }
-        for (_, id, parents) in &parsed {
-            for p in parents {
-                if !by_id.contains_key(p) {
-                    return Err(BuildError::MissingParent {
-                        id: *id,
-                        parent: *p,
-                    });
+        // Parent ids become parent rows, in row order so the first
+        // dangling reference is the one reported.
+        for (row, &id) in ids.iter().enumerate() {
+            for parent in &mut parents[span(&parent_off, row)] {
+                match by_id.binary_search_by_key(parent, |&(id, _)| id) {
+                    Ok(at) => *parent = by_id[at].1,
+                    Err(_) => {
+                        return Err(BuildError::MissingParent {
+                            id,
+                            parent: *parent,
+                        })
+                    }
                 }
             }
         }
 
-        // Kahn topological order over rows.
-        let n = parsed.len();
-        let mut indeg = vec![0usize; n];
-        let mut children_rows: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (row, (_, _, parents)) in parsed.iter().enumerate() {
-            indeg[row] = parents.len();
-            for p in parents {
-                children_rows[by_id[p]].push(row);
-            }
-        }
-        // Min-heap on trace id keeps the numbering deterministic.
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut queue: BinaryHeap<Reverse<(u32, usize)>> = (0..n)
+        // Kahn topological order over rows; a min-heap on trace id keeps
+        // the numbering deterministic.
+        let (child_off, child_rows) = transpose(&parent_off, &parents);
+        let mut indeg: Vec<u32> = parent_off.windows(2).map(|w| w[1] - w[0]).collect();
+        let mut queue: BinaryHeap<Reverse<(u32, u32)>> = (0..n)
             .filter(|&r| indeg[r] == 0)
-            .map(|r| Reverse((parsed[r].1, r)))
+            .map(|r| Reverse((ids[r], as_u32(r))))
             .collect();
         let mut order = Vec::with_capacity(n);
         while let Some(Reverse((_, row))) = queue.pop() {
-            order.push(row);
-            for &c in &children_rows[row] {
+            order.push(row as usize);
+            for &c in &child_rows[span(&child_off, row as usize)] {
+                let c = c as usize;
                 indeg[c] -= 1;
                 if indeg[c] == 0 {
-                    queue.push(Reverse((parsed[c].1, c)));
+                    queue.push(Reverse((ids[c], as_u32(c))));
                 }
             }
         }
@@ -180,55 +296,47 @@ impl JobDag {
         }
         let mut new_index = vec![0u32; n];
         for (new, &row) in order.iter().enumerate() {
-            new_index[row] = new as u32;
+            new_index[row] = as_u32(new);
         }
 
-        let mut kinds = Vec::with_capacity(n);
-        let mut names = Vec::with_capacity(n);
-        let mut parents_new: Vec<Vec<u32>> = Vec::with_capacity(n);
-        let mut attrs = Vec::with_capacity(n);
+        let mut parts = DagParts::with_capacity(n, parents.len(), name_bytes);
         for &row in &order {
-            let (kind, _, ref ps) = parsed[row];
-            kinds.push(kind);
-            names.push(job.tasks[row].task_name.clone());
-            let mut np: Vec<u32> = ps.iter().map(|p| new_index[by_id[p]]).collect();
-            np.sort_unstable();
-            parents_new.push(np);
             let t = &job.tasks[row];
-            attrs.push(NodeAttr {
-                instance_num: t.instance_num,
-                duration: t.duration().unwrap_or(0),
-                plan_cpu: t.plan_cpu,
-                plan_mem: t.plan_mem,
-            });
+            parts.push(
+                kinds[row],
+                &t.task_name,
+                parents[span(&parent_off, row)]
+                    .iter()
+                    .map(|&p| new_index[p as usize]),
+                1,
+                NodeAttr {
+                    instance_num: t.instance_num,
+                    duration: t.duration().unwrap_or(0),
+                    plan_cpu: t.plan_cpu,
+                    plan_mem: t.plan_mem,
+                },
+            );
         }
-        Ok(JobDag::from_parts(
-            job.name.clone(),
-            kinds,
-            names,
-            parents_new,
-            vec![1; n],
-            attrs,
-        ))
+        Ok(JobDag::from_parts(job.name.clone(), parts))
     }
 
     /// Build directly from a generator [`DagPlan`] (used by benches that
     /// skip the trace layer).
     pub fn from_plan(name: &str, plan: &DagPlan) -> JobDag {
-        let n = plan.size();
-        let parents: Vec<Vec<u32>> = plan
-            .parents
-            .iter()
-            .map(|ps| ps.iter().map(|&p| p - 1).collect())
-            .collect();
-        JobDag::from_parts(
-            name.to_string(),
-            plan.kinds.clone(),
-            plan.task_names(),
-            parents,
-            vec![1; n],
-            vec![NodeAttr::default(); n],
-        )
+        let task_names = plan.task_names();
+        let edges = plan.parents.iter().map(Vec::len).sum();
+        let name_bytes = task_names.iter().map(String::len).sum();
+        let mut parts = DagParts::with_capacity(plan.size(), edges, name_bytes);
+        for ((&kind, task_name), ps) in plan.kinds.iter().zip(&task_names).zip(&plan.parents) {
+            parts.push(
+                kind,
+                task_name,
+                ps.iter().map(|&p| p - 1),
+                1,
+                NodeAttr::default(),
+            );
+        }
+        JobDag::from_parts(name.to_string(), parts)
     }
 
     /// Number of nodes.
@@ -253,17 +361,22 @@ impl JobDag {
 
     /// Original task name of node `i` (representative name after merging).
     pub fn task_name(&self, i: usize) -> &str {
-        &self.task_names[i]
+        &self.names[span(&self.name_off, i)]
     }
 
     /// Parent indices of node `i` (sorted ascending).
     pub fn parents(&self, i: usize) -> &[u32] {
-        &self.parents[i]
+        &self.parent_idx[span(&self.parent_off, i)]
     }
 
     /// Child indices of node `i` (sorted ascending).
     pub fn children(&self, i: usize) -> &[u32] {
-        &self.children[i]
+        &self.child_idx[span(&self.child_off, i)]
+    }
+
+    /// Total bytes of the task names.
+    pub(crate) fn name_bytes(&self) -> usize {
+        self.names.len()
     }
 
     /// Node weight (number of original tasks merged into `i`).
@@ -278,39 +391,36 @@ impl JobDag {
 
     /// In-degree of node `i`.
     pub fn in_degree(&self, i: usize) -> usize {
-        self.parents[i].len()
+        self.parents(i).len()
     }
 
     /// Out-degree of node `i`.
     pub fn out_degree(&self, i: usize) -> usize {
-        self.children[i].len()
+        self.children(i).len()
     }
 
     /// Nodes with no parents (the job's input stages).
     pub fn sources(&self) -> Vec<usize> {
         (0..self.len())
-            .filter(|&i| self.parents[i].is_empty())
+            .filter(|&i| self.in_degree(i) == 0)
             .collect()
     }
 
     /// Nodes with no children (the job's terminal stages).
     pub fn sinks(&self) -> Vec<usize> {
         (0..self.len())
-            .filter(|&i| self.children[i].is_empty())
+            .filter(|&i| self.out_degree(i) == 0)
             .collect()
     }
 
     /// Total number of edges.
     pub fn edge_count(&self) -> usize {
-        self.parents.iter().map(Vec::len).sum()
+        self.parent_idx.len()
     }
 
     /// Iterate edges as `(parent, child)` pairs.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.parents
-            .iter()
-            .enumerate()
-            .flat_map(|(c, ps)| ps.iter().map(move |&p| (p, c as u32)))
+        (0..self.len()).flat_map(move |c| self.parents(c).iter().map(move |&p| (p, as_u32(c))))
     }
 
     /// Internal invariant check used by tests: topological indexing, sorted
@@ -318,23 +428,23 @@ impl JobDag {
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.len();
         for i in 0..n {
-            for &p in &self.parents[i] {
+            for &p in self.parents(i) {
                 if p as usize >= i {
                     return Err(format!("edge {p}->{i} violates topological indexing"));
                 }
-                if !self.children[p as usize].contains(&(i as u32)) {
+                if !self.children(p as usize).contains(&(i as u32)) {
                     return Err(format!("child list of {p} misses {i}"));
                 }
             }
-            for &c in &self.children[i] {
-                if !self.parents[c as usize].contains(&(i as u32)) {
+            for &c in self.children(i) {
+                if !self.parents(c as usize).contains(&(i as u32)) {
                     return Err(format!("parent list of {c} misses {i}"));
                 }
             }
             if self.weights[i] == 0 {
                 return Err(format!("node {i} has zero weight"));
             }
-            if self.parents[i].windows(2).any(|w| w[0] >= w[1]) {
+            if self.parents(i).windows(2).any(|w| w[0] >= w[1]) {
                 return Err(format!("parents of {i} not strictly sorted"));
             }
         }

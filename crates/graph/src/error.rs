@@ -7,6 +7,12 @@ use std::fmt;
 pub enum BuildError {
     /// The job has no tasks.
     Empty,
+    /// The job's task names total more bytes than a DAG's `u32` offsets
+    /// address.
+    TooLarge {
+        /// Total bytes of the job's task names.
+        name_bytes: usize,
+    },
     /// A task name did not parse as a DAG name.
     NonDagTask {
         /// The offending raw task name.
@@ -32,6 +38,12 @@ impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BuildError::Empty => write!(f, "job has no tasks"),
+            BuildError::TooLarge { name_bytes } => {
+                write!(
+                    f,
+                    "task names total {name_bytes} bytes, over the 4 GiB limit"
+                )
+            }
             BuildError::NonDagTask { name } => {
                 write!(f, "task name {name:?} carries no dependency information")
             }
@@ -53,6 +65,11 @@ mod tests {
     #[test]
     fn messages_name_the_problem() {
         assert!(BuildError::Empty.to_string().contains("no tasks"));
+        assert!(BuildError::TooLarge {
+            name_bytes: 1 << 33
+        }
+        .to_string()
+        .contains("8589934592"));
         assert!(BuildError::NonDagTask {
             name: "task_x".into()
         }

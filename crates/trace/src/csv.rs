@@ -18,7 +18,7 @@ use std::io::{BufRead, BufWriter, Read, Write};
 
 use dagscope_faults::failpoint;
 
-use crate::intern::Interner;
+use crate::intern::{IStr, Interner};
 use crate::quarantine::{Quarantine, QuarantinedRow, ReadPolicy};
 use crate::scan;
 use crate::schema::{InstanceRecord, Status, TaskRecord};
@@ -106,10 +106,16 @@ impl TaskParts<'_> {
     /// Materialize into an owned record, interning the low-cardinality
     /// columns through `interner`.
     pub fn to_record(&self, interner: &mut Interner) -> TaskRecord {
+        self.record_of(interner.intern(self.job_name), interner)
+    }
+
+    /// [`TaskParts::to_record`] with the job name already in hand — a
+    /// caller that knows the row's job interns only the task type.
+    pub(crate) fn record_of(&self, job_name: IStr, interner: &mut Interner) -> TaskRecord {
         TaskRecord {
             task_name: self.task_name.to_string(),
             instance_num: self.instance_num,
-            job_name: interner.intern(self.job_name),
+            job_name,
             task_type: interner.intern(self.task_type),
             status: self.status,
             start_time: self.start_time,

@@ -396,15 +396,27 @@ impl<R: Read> BufLines<R> {
     /// Line source reading `capacity`-sized chunks (min 16, mirroring the
     /// historical `BufReader` floor the property tests rely on).
     pub(crate) fn new(reader: R, capacity: usize) -> BufLines<R> {
+        BufLines::with_buffer(reader, Vec::new(), capacity)
+    }
+
+    /// [`BufLines::new`] reusing `buf`'s allocation (its contents are
+    /// ignored); [`BufLines::into_buffer`] hands it back.
+    pub(crate) fn with_buffer(reader: R, mut buf: Vec<u8>, capacity: usize) -> BufLines<R> {
+        buf.resize(capacity.clamp(16, 1 << 30), 0);
         BufLines {
             reader,
-            buf: vec![0; capacity.clamp(16, 1 << 30)],
+            buf,
             start: 0,
             len: 0,
             offset: 0,
             searched: 0,
             eof: false,
         }
+    }
+
+    /// The buffer, for the next [`BufLines::with_buffer`].
+    pub(crate) fn into_buffer(self) -> Vec<u8> {
+        self.buf
     }
 
     /// One `read` into the free tail of the buffer, tolerating

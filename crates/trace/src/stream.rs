@@ -44,7 +44,7 @@ use crate::scan;
 use crate::schema::Status;
 use crate::stats::{JobFacts, StatsAccumulator, TraceStats};
 use crate::taskname;
-use crate::{Job, JobSet, TraceError};
+use crate::{IStr, Job, JobSet, TraceError};
 
 /// [`NameColumn::small`] sentinel for names that are not canonical
 /// `j_<digits>` (the string lives in the odd-name side table).
@@ -525,7 +525,12 @@ impl OpenFold {
 struct ScanState {
     policy: ReadPolicy,
     criteria: SampleCriteria,
+    /// Task types of replayed rows. Job names are not interned: a replay
+    /// makes one name per job, so the table stays as small as the set of
+    /// task types however many jobs are materialized.
     interner: crate::Interner,
+    /// The byte-range replay buffer, reused from range to range.
+    replay_buf: Vec<u8>,
     /// Canonical name per job.
     names: NameColumn,
     /// Primary byte range of each job in the source.
@@ -553,6 +558,7 @@ impl ScanState {
             policy: policy.clone(),
             criteria: criteria.clone(),
             interner: crate::Interner::new(),
+            replay_buf: Vec::new(),
             names: NameColumn::new(),
             byte_start: Vec::new(),
             byte_len: Vec::new(),
@@ -669,12 +675,14 @@ impl ScanState {
         source: &mut R,
         start: u64,
         len: u32,
-        name: &str,
+        name: &IStr,
         tasks: &mut Vec<crate::TaskRecord>,
     ) -> Result<(), TraceError> {
         source.seek(SeekFrom::Start(start))?;
         let capacity = (len as usize).min(REPLAY_BUF_MAX);
-        let mut lines = scan::BufLines::new(source.take(u64::from(len)), capacity);
+        // An error drops the buffer; the next replay starts a fresh one.
+        let buf = std::mem::take(&mut self.replay_buf);
+        let mut lines = scan::BufLines::with_buffer(source.take(u64::from(len)), buf, capacity);
         while let Some((_, _, span)) = lines.next_span()? {
             let raw = &lines.view()[span];
             if raw.is_empty() {
@@ -688,10 +696,11 @@ impl ScanState {
             else {
                 continue;
             };
-            if parts.job_name == name {
-                tasks.push(parts.to_record(&mut self.interner));
+            if parts.job_name == name.as_str() {
+                tasks.push(parts.record_of(name.clone(), &mut self.interner));
             }
         }
+        self.replay_buf = lines.into_buffer();
         Ok(())
     }
 
@@ -704,13 +713,14 @@ impl ScanState {
         with_extras: bool,
     ) -> Result<Job, TraceError> {
         let name = self.name_string(idx);
+        let job_name = IStr::from(name.as_str());
         let mut tasks = Vec::new();
         let (start, len) = (self.byte_start[idx as usize], self.byte_len[idx as usize]);
-        self.replay_range(source, start, len, &name, &mut tasks)?;
+        self.replay_range(source, start, len, &job_name, &mut tasks)?;
         if with_extras {
             if let Some(ranges) = self.extras.get(&idx).cloned() {
                 for (s, l) in ranges {
-                    self.replay_range(source, s, l, &name, &mut tasks)?;
+                    self.replay_range(source, s, l, &job_name, &mut tasks)?;
                 }
             }
         }
@@ -1205,6 +1215,40 @@ mod tests {
             .map(|j| j.size())
             .collect();
         assert_eq!(t.eligible_sizes(), batch_eligible);
+    }
+
+    #[test]
+    fn replay_interns_only_task_types() {
+        // Materializing every eligible job — what a full sample does —
+        // must leave the interner holding the distinct task types and no
+        // job names.
+        let trace = crate::gen::TraceGenerator::new(crate::gen::GeneratorConfig {
+            jobs: 300,
+            seed: 9,
+            ..Default::default()
+        })
+        .generate();
+        let mut doc = Vec::new();
+        csv::write_tasks(&mut doc, &trace.tasks).unwrap();
+        let mut t = StreamedTrace::scan(
+            Cursor::new(doc),
+            &ReadPolicy::Strict,
+            &SampleCriteria::default(),
+        )
+        .unwrap();
+        let mut task_types = BTreeSet::new();
+        let mut rows = 0;
+        for pos in 0..t.eligible_count() {
+            let job = t.materialize_eligible(pos).unwrap();
+            for task in &job.tasks {
+                assert_eq!(task.job_name, job.name.as_str());
+                task_types.insert(task.task_type.to_string());
+            }
+            rows += job.size();
+        }
+        assert!(t.eligible_count() > 100 && task_types.len() > 1);
+        assert!(rows > t.eligible_count());
+        assert_eq!(t.state.interner.len(), task_types.len());
     }
 
     #[test]

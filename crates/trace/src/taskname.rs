@@ -96,105 +96,99 @@ impl ParsedTaskName {
 /// assert!(!parse("task_Kx92").is_dag());
 /// ```
 pub fn parse(name: &str) -> ParsedTaskName {
-    let independent = || ParsedTaskName::Independent {
-        raw: name.to_string(),
-    };
-
-    // The opaque independent form is lowercase `task_…`.
-    if name.starts_with("task_") || name.is_empty() {
-        return independent();
-    }
-
-    let mut chars = name.char_indices().peekable();
-    // 1) leading letters.
-    let mut first_letter = None;
-    let mut digits_start = None;
-    for (i, c) in chars.by_ref() {
-        if c.is_ascii_alphabetic() {
-            if first_letter.is_none() {
-                first_letter = Some(c);
-            }
-        } else if c.is_ascii_digit() {
-            digits_start = Some(i);
-            break;
-        } else {
-            return independent();
-        }
-    }
-    let (Some(first_letter), Some(digits_start)) = (first_letter, digits_start) else {
-        return independent();
-    };
-
-    // 2) task id digits, then `_digits` groups.
-    let rest = &name[digits_start..];
-    let mut segments = rest.split('_');
-    let id = match segments.next().and_then(|s| s.parse::<u32>().ok()) {
-        Some(id) => id,
-        None => return independent(),
-    };
     let mut parents = Vec::new();
-    for seg in segments {
-        match seg.parse::<u32>() {
-            Ok(p) => parents.push(p),
-            // Mixed suffixes (e.g. `M1_Stg2`) carry no usable dependency
-            // info — treat the whole name as independent, like the paper's
-            // preprocessing does.
-            Err(_) => return independent(),
-        }
+    match parse_dag_into(name, &mut parents) {
+        Some((kind, id)) => ParsedTaskName::Dag { kind, id, parents },
+        None => ParsedTaskName::Independent {
+            raw: name.to_string(),
+        },
     }
+}
 
-    ParsedTaskName::Dag {
-        kind: TaskKind::from_letter(first_letter.to_ascii_uppercase()),
-        id,
-        parents,
+/// [`parse`] without the owned result: a DAG name's parent ids (in the
+/// order the name lists them) are appended to `parents` and its kind and
+/// id returned; an independent name returns `None` and leaves `parents`
+/// as it was. The DAG builder parses a whole job into one shared vector
+/// this way.
+///
+/// ```
+/// use dagscope_trace::taskname::{parse_dag_into, TaskKind};
+/// let mut parents = vec![7];
+/// assert_eq!(parse_dag_into("J3_1_2", &mut parents), Some((TaskKind::Join, 3)));
+/// assert_eq!(parse_dag_into("task_x", &mut parents), None);
+/// assert_eq!(parents, vec![7, 1, 2]);
+/// ```
+pub fn parse_dag_into(name: &str, parents: &mut Vec<u32>) -> Option<(TaskKind, u32)> {
+    let mark = parents.len();
+    let parsed = walk(name, |p| parents.push(p));
+    if parsed.is_none() {
+        parents.truncate(mark);
     }
+    parsed
 }
 
 /// Allocation-free [`parse`]`(name).is_dag()` — the ingest hot loop asks
 /// this once per task row, where [`parse`]'s parent `Vec` (or the
 /// `Independent` name copy) would be the only per-row allocation left.
-/// Kept equivalent to the full parser by construction (same grammar, same
-/// `u32` overflow behavior per segment) and pinned by tests.
 pub fn is_dag_name(name: &str) -> bool {
+    walk(name, |_| ()).is_some()
+}
+
+/// The grammar, once: walk `name`, reporting each parent id to
+/// `on_parent` in written order, and return the kind and id of a DAG
+/// name. Stops at the first segment that breaks the grammar.
+fn walk(name: &str, mut on_parent: impl FnMut(u32)) -> Option<(TaskKind, u32)> {
+    // The opaque independent form is lowercase `task_…`.
     if name.is_empty() || name.starts_with("task_") {
-        return false;
+        return None;
     }
     let bytes = name.as_bytes();
     // Leading letters; the first non-letter must be an ASCII digit. A
-    // multi-byte character's lead byte is neither, matching the char-wise
-    // parser's `Independent` verdict.
+    // multi-byte character's lead byte is neither, so such names are
+    // independent.
     let mut i = 0;
     while i < bytes.len() && bytes[i].is_ascii_alphabetic() {
         i += 1;
     }
     if i == 0 || i == bytes.len() || !bytes[i].is_ascii_digit() {
-        return false;
+        return None;
     }
-    // Task id, then `_parent` groups: every segment must be a valid `u32`,
-    // replicating `str::parse::<u32>` exactly — optional leading `+`, at
-    // least one digit, nothing else, value within range (leading zeros
-    // allowed, so the bound is on the value, not the digit count).
-    bytes[i..].split(|&b| b == b'_').all(|seg| {
-        let digits = match seg.split_first() {
-            Some((&b'+', rest)) => rest,
-            _ => seg,
-        };
-        if digits.is_empty() {
-            return false;
+    let kind = TaskKind::from_letter(char::from(bytes[0].to_ascii_uppercase()));
+    // Task id, then `_parent` groups. Mixed suffixes (e.g. `M1_Stg2`)
+    // carry no usable dependency info, so the whole name is independent,
+    // like the paper's preprocessing.
+    let mut segments = bytes[i..].split(|&b| b == b'_');
+    let id = segment_u32(segments.next()?)?;
+    for seg in segments {
+        on_parent(segment_u32(seg)?);
+    }
+    Some((kind, id))
+}
+
+/// One id segment, replicating `str::parse::<u32>` exactly — optional
+/// leading `+`, at least one digit, nothing else, value within range
+/// (leading zeros allowed, so the bound is on the value, not the digit
+/// count).
+fn segment_u32(seg: &[u8]) -> Option<u32> {
+    let digits = match seg.split_first() {
+        Some((&b'+', rest)) => rest,
+        _ => seg,
+    };
+    if digits.is_empty() {
+        return None;
+    }
+    let mut v: u64 = 0;
+    for &b in digits {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
         }
-        let mut v: u64 = 0;
-        for &b in digits {
-            let d = b.wrapping_sub(b'0');
-            if d > 9 {
-                return false;
-            }
-            v = v * 10 + u64::from(d);
-            if v > u64::from(u32::MAX) {
-                return false;
-            }
+        v = v * 10 + u64::from(d);
+        if v > u64::from(u32::MAX) {
+            return None;
         }
-        true
-    })
+    }
+    u32::try_from(v).ok()
 }
 
 /// Memoizing wrapper around [`is_dag_name`] for the ingest hot loop.
@@ -388,11 +382,54 @@ mod tests {
         }
     }
 
+    /// The grammar written the straightforward way, over `char`s and
+    /// `str::parse::<u32>`: the byte walker must reproduce it exactly.
+    fn reference_parse(name: &str) -> ParsedTaskName {
+        let independent = || ParsedTaskName::Independent {
+            raw: name.to_string(),
+        };
+        if name.starts_with("task_") || name.is_empty() {
+            return independent();
+        }
+        let mut first_letter = None;
+        let mut digits_start = None;
+        for (i, c) in name.char_indices() {
+            if c.is_ascii_alphabetic() {
+                first_letter.get_or_insert(c);
+            } else if c.is_ascii_digit() {
+                digits_start = Some(i);
+                break;
+            } else {
+                return independent();
+            }
+        }
+        let (Some(first_letter), Some(digits_start)) = (first_letter, digits_start) else {
+            return independent();
+        };
+        let mut segments = name[digits_start..].split('_');
+        let Some(Ok(id)) = segments.next().map(str::parse::<u32>) else {
+            return independent();
+        };
+        let mut parents = Vec::new();
+        for seg in segments {
+            match seg.parse::<u32>() {
+                Ok(p) => parents.push(p),
+                Err(_) => return independent(),
+            }
+        }
+        ParsedTaskName::Dag {
+            kind: TaskKind::from_letter(first_letter.to_ascii_uppercase()),
+            id,
+            parents,
+        }
+    }
+
     #[test]
     fn is_dag_name_matches_full_parser() {
-        // The fast predicate and the allocating parser must agree on every
-        // grammar edge: overflow segments, `+`-signed parents (u32::from_str
-        // accepts them), non-ASCII lead bytes, empty segments, bare letters.
+        // `parse`, `parse_dag_into` and `is_dag_name` must agree with the
+        // reference on every grammar edge: overflow segments, `+`-signed
+        // parents (u32::from_str accepts them), non-ASCII lead bytes,
+        // empty segments, bare letters, repeated parents.
         for name in [
             "M1",
             "R2_1",
@@ -423,12 +460,28 @@ mod tests {
             "Stg5_4_3",
             "X7_2",
             "J3_1_2",
+            "R3_1_1",
         ] {
-            assert_eq!(
-                is_dag_name(name),
-                parse(name).is_dag(),
-                "disagreement on {name:?}"
-            );
+            let want = reference_parse(name);
+            assert_eq!(parse(name), want, "parse disagrees on {name:?}");
+            assert_eq!(is_dag_name(name), want.is_dag(), "{name:?}");
+            let mut parents = vec![9];
+            let got = parse_dag_into(name, &mut parents);
+            match want {
+                ParsedTaskName::Dag {
+                    kind,
+                    id,
+                    parents: want_parents,
+                } => {
+                    assert_eq!(got, Some((kind, id)), "{name:?}");
+                    assert_eq!(parents[0], 9);
+                    assert_eq!(parents[1..], want_parents[..], "{name:?}");
+                }
+                ParsedTaskName::Independent { .. } => {
+                    assert_eq!(got, None, "{name:?}");
+                    assert_eq!(parents, vec![9], "{name:?} must leave the vector as it was");
+                }
+            }
         }
     }
 

@@ -1,7 +1,6 @@
 //! WL relabeling with a shared, hash-consed label vocabulary.
 
 use dagscope_graph::JobDag;
-use dagscope_trace::taskname::TaskKind;
 
 use crate::fx::FxHashMap;
 use crate::SparseVec;
@@ -73,66 +72,23 @@ impl WlVectorizer {
         self.table.len()
     }
 
-    fn compress(&mut self, key: Box<[u32]>) -> u32 {
-        if let Some(&id) = self.table.get(&key) {
+    /// The id of `key`, assigning the next free one on first sight. Only a
+    /// new key is copied into the table.
+    fn compress(&mut self, key: &[u32]) -> u32 {
+        if let Some(&id) = self.table.get(key) {
             return id;
         }
         let id = self.next_label;
         self.next_label += 1;
-        self.table.insert(key, id);
+        self.table.insert(key.into(), id);
         id
-    }
-
-    fn initial_label(&mut self, kind: TaskKind) -> u32 {
-        // Initial labels are hash-consed through the same table using a
-        // 1-element key (the letter), so ids never collide with signature
-        // labels.
-        self.compress(vec![kind.letter() as u32].into_boxed_slice())
     }
 
     /// Embed one DAG: returns the φ vector counting every label over
     /// iterations `0..=h`, each node contributing its conflation weight.
     pub fn transform(&mut self, dag: &JobDag) -> SparseVec {
-        let n = dag.len();
-        let mut labels: Vec<u32> = (0..n).map(|i| self.initial_label(dag.kind(i))).collect();
-        let mut counts: FxHashMap<u32, f64> = FxHashMap::default();
-        let use_weights = self.use_weights;
-        let bump = |counts: &mut FxHashMap<u32, f64>, labels: &[u32]| {
-            for (i, &l) in labels.iter().enumerate() {
-                let w = if use_weights {
-                    dag.weight(i) as f64
-                } else {
-                    1.0
-                };
-                *counts.entry(l).or_insert(0.0) += w;
-            }
-        };
-        bump(&mut counts, &labels);
-
-        let mut scratch: Vec<u32> = Vec::new();
-        for _ in 0..self.iterations {
-            let mut next = Vec::with_capacity(n);
-            for i in 0..n {
-                scratch.clear();
-                scratch.push(labels[i]);
-                scratch.push(SEP_PARENTS);
-                let mut ps: Vec<u32> = dag.parents(i).iter().map(|&p| labels[p as usize]).collect();
-                ps.sort_unstable();
-                scratch.extend_from_slice(&ps);
-                scratch.push(SEP_CHILDREN);
-                let mut cs: Vec<u32> = dag
-                    .children(i)
-                    .iter()
-                    .map(|&c| labels[c as usize])
-                    .collect();
-                cs.sort_unstable();
-                scratch.extend_from_slice(&cs);
-                next.push(self.compress(scratch.as_slice().into()));
-            }
-            labels = next;
-            bump(&mut counts, &labels);
-        }
-        SparseVec::from_pairs(counts)
+        let (iterations, use_weights) = (self.iterations, self.use_weights);
+        relabel(dag, iterations, use_weights, |key| self.compress(key))
     }
 
     /// Embed one DAG **without mutating the vocabulary** — the read path
@@ -156,61 +112,18 @@ impl WlVectorizer {
     pub fn transform_frozen(&self, dag: &JobDag) -> SparseVec {
         let mut overlay: FxHashMap<Box<[u32]>, u32> = FxHashMap::default();
         let mut next_overlay = self.next_label;
-        let mut compress = |key: Box<[u32]>| -> u32 {
-            if let Some(&id) = self.table.get(&key) {
+        relabel(dag, self.iterations, self.use_weights, |key| {
+            if let Some(&id) = self.table.get(key) {
                 return id;
             }
-            if let Some(&id) = overlay.get(&key) {
+            if let Some(&id) = overlay.get(key) {
                 return id;
             }
             let id = next_overlay;
             next_overlay += 1;
-            overlay.insert(key, id);
+            overlay.insert(key.into(), id);
             id
-        };
-
-        let n = dag.len();
-        let mut labels: Vec<u32> = (0..n)
-            .map(|i| compress(vec![dag.kind(i).letter() as u32].into_boxed_slice()))
-            .collect();
-        let mut counts: FxHashMap<u32, f64> = FxHashMap::default();
-        let use_weights = self.use_weights;
-        let bump = |counts: &mut FxHashMap<u32, f64>, labels: &[u32]| {
-            for (i, &l) in labels.iter().enumerate() {
-                let w = if use_weights {
-                    dag.weight(i) as f64
-                } else {
-                    1.0
-                };
-                *counts.entry(l).or_insert(0.0) += w;
-            }
-        };
-        bump(&mut counts, &labels);
-
-        let mut scratch: Vec<u32> = Vec::new();
-        for _ in 0..self.iterations {
-            let mut next = Vec::with_capacity(n);
-            for i in 0..n {
-                scratch.clear();
-                scratch.push(labels[i]);
-                scratch.push(SEP_PARENTS);
-                let mut ps: Vec<u32> = dag.parents(i).iter().map(|&p| labels[p as usize]).collect();
-                ps.sort_unstable();
-                scratch.extend_from_slice(&ps);
-                scratch.push(SEP_CHILDREN);
-                let mut cs: Vec<u32> = dag
-                    .children(i)
-                    .iter()
-                    .map(|&c| labels[c as usize])
-                    .collect();
-                cs.sort_unstable();
-                scratch.extend_from_slice(&cs);
-                next.push(compress(scratch.as_slice().into()));
-            }
-            labels = next;
-            bump(&mut counts, &labels);
-        }
-        SparseVec::from_pairs(counts)
+        })
     }
 
     /// Embed a batch, sharding the work across threads for large batches.
@@ -295,13 +208,15 @@ impl WlVectorizer {
                     map[(e - base) as usize]
                 }
             };
+            let mut k: Vec<u32> = Vec::new();
             for key in new_keys {
-                let canonical: Box<[u32]> = if key.len() == 1 {
+                let gid = if key.len() == 1 {
                     // Initial letter key: its element is a character code,
                     // not a label id.
-                    key
+                    self.compress(&key)
                 } else {
-                    let mut k: Vec<u32> = key.iter().map(|&e| remap(e, &local_to_global)).collect();
+                    k.clear();
+                    k.extend(key.iter().map(|&e| remap(e, &local_to_global)));
                     // Re-sort the neighbour segments: the shard sorted them
                     // by local id, the canonical key is sorted by global id.
                     // Layout: [own, SEP_PARENTS, parents.., SEP_CHILDREN,
@@ -313,9 +228,8 @@ impl WlVectorizer {
                         .expect("signature key has a children separator");
                     k[2..sep].sort_unstable();
                     k[sep + 1..].sort_unstable();
-                    k.into_boxed_slice()
+                    self.compress(&k)
                 };
-                let gid = self.compress(canonical);
                 local_to_global.push(gid);
             }
             for v in vecs {
@@ -326,6 +240,58 @@ impl WlVectorizer {
         }
         result
     }
+}
+
+/// The WL loop both transforms share, parameterized by how a signature key
+/// becomes a label id: `compress` sees each node's 1-element initial key
+/// (its kind letter), then per iteration its `[own, SEP_PARENTS,
+/// parents.., SEP_CHILDREN, children..]` signature with both neighbour
+/// segments sorted.
+fn relabel(
+    dag: &JobDag,
+    iterations: usize,
+    use_weights: bool,
+    mut compress: impl FnMut(&[u32]) -> u32,
+) -> SparseVec {
+    let n = dag.len();
+    // Initial labels are hash-consed through the same table as signature
+    // keys, so ids never collide with signature labels.
+    let mut labels: Vec<u32> = (0..n)
+        .map(|i| compress(&[dag.kind(i).letter() as u32]))
+        .collect();
+    let mut counts: FxHashMap<u32, f64> = FxHashMap::default();
+    let bump = |counts: &mut FxHashMap<u32, f64>, labels: &[u32]| {
+        for (i, &l) in labels.iter().enumerate() {
+            let w = if use_weights {
+                dag.weight(i) as f64
+            } else {
+                1.0
+            };
+            *counts.entry(l).or_insert(0.0) += w;
+        }
+    };
+    bump(&mut counts, &labels);
+
+    let mut next: Vec<u32> = Vec::with_capacity(n);
+    let mut key: Vec<u32> = Vec::new();
+    for _ in 0..iterations {
+        next.clear();
+        for i in 0..n {
+            key.clear();
+            key.push(labels[i]);
+            key.push(SEP_PARENTS);
+            key.extend(dag.parents(i).iter().map(|&p| labels[p as usize]));
+            key[2..].sort_unstable();
+            key.push(SEP_CHILDREN);
+            let children_at = key.len();
+            key.extend(dag.children(i).iter().map(|&c| labels[c as usize]));
+            key[children_at..].sort_unstable();
+            next.push(compress(&key));
+        }
+        std::mem::swap(&mut labels, &mut next);
+        bump(&mut counts, &labels);
+    }
+    SparseVec::from_pairs(counts)
 }
 
 #[cfg(test)]
