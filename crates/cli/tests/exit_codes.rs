@@ -174,7 +174,8 @@ fn bad_online_spec_exits_nonzero() {
 #[test]
 fn degenerate_cluster_configs_exit_two() {
     // With `--online` each of these used to run forever; without it, a
-    // compression of 0, NaN or -3 printed an absurd makespan.
+    // compression of 0, NaN or -3 printed an absurd makespan, and 1e-300
+    // (arrivals past the `i64` event clock) impossible metrics.
     let schedule = ["schedule", "--jobs", "20", "--seed", "1"];
     let replay = ["sched-replay", "--jobs", "300", "--seed", "1"];
     let online = ["--online", "0.2,0.5"];
@@ -183,8 +184,10 @@ fn degenerate_cluster_configs_exit_two() {
         (&schedule, &["--compression", "0"][..], "compression"),
         (&schedule, &["--compression", "nan"][..], "compression"),
         (&schedule, &["--compression", "-3"][..], "compression"),
+        (&schedule, &["--compression", "1e-300"][..], "compression"),
         (&replay, &["--machines", "0"][..], "machines"),
         (&replay, &["--compression", "0"][..], "compression"),
+        (&replay, &["--compression", "1e-300"][..], "compression"),
     ] {
         for with_online in [false, true] {
             let mut args = base.to_vec();

@@ -200,9 +200,11 @@ impl Simulator {
     /// Run the workload to completion and return the metrics.
     ///
     /// Errors if the cluster has no machines (or more than `u32::MAX`),
-    /// if `arrival_compression` is not finite and positive, if any
-    /// instance could never fit an empty machine (the workload would
-    /// deadlock), or if the policy gives a job a non-finite key.
+    /// if `arrival_compression` is not finite and positive, if an event
+    /// time (a compressed arrival, a finish, an hourly reconfiguration)
+    /// would pass `i64::MAX` seconds, if any instance could never fit an
+    /// empty machine (the workload would deadlock), or if the policy gives
+    /// a job a non-finite key.
     pub fn run(&self, jobs: &[SimJob]) -> Result<SimMetrics, String> {
         self.run_impl(jobs, false).map(|(m, _)| m)
     }
@@ -265,9 +267,22 @@ impl Simulator {
         let mut cluster = Cluster::new(cluster_cfg.clone());
 
         // Compressed arrivals, preserving relative order from time zero.
+        // One the `i64` event clock cannot hold is an error: a saturated
+        // arrival would make later event times wrap.
         let min_arrival = jobs.iter().map(|j| j.arrival).min().unwrap_or(0);
-        let arrival =
-            |j: &SimJob| -> i64 { ((j.arrival - min_arrival) as f64 / compression) as i64 };
+        let arrival = |j: &SimJob| -> Result<i64, String> {
+            let at = j
+                .arrival
+                .checked_sub(min_arrival)
+                .map(|d| d as f64 / compression);
+            match at {
+                Some(t) if t < i64::MAX as f64 => Ok(t as i64),
+                _ => Err(clock_overflow(
+                    &format!("job {}'s compressed arrival", j.name),
+                    compression,
+                )),
+            }
+        };
 
         // Job-level policy keys, frozen at admission; the policy reports
         // how many jobs it had no usable prediction for.
@@ -276,12 +291,14 @@ impl Simulator {
 
         let mut job_state: Vec<JobState> = jobs
             .iter()
-            .map(|j| JobState {
-                arrival: arrival(j),
-                finished_tasks: 0,
-                finish_time: None,
+            .map(|j| {
+                Ok(JobState {
+                    arrival: arrival(j)?,
+                    finished_tasks: 0,
+                    finish_time: None,
+                })
             })
-            .collect();
+            .collect::<Result<_, String>>()?;
         let mut task_state: Vec<Vec<TaskState>> = jobs
             .iter()
             .map(|j| {
@@ -462,7 +479,9 @@ impl Simulator {
                             *r = target;
                         }
                     }
-                    next_reconfig = Some(now + 3_600);
+                    next_reconfig = Some(now.checked_add(3_600).ok_or_else(|| {
+                        clock_overflow("the next online reconfiguration", compression)
+                    })?);
                 }
             }
 
@@ -508,8 +527,14 @@ impl Simulator {
                     runs.push((machine, n));
                 }
                 if !runs.is_empty() {
+                    let finish = now.checked_add(task.duration.max(1)).ok_or_else(|| {
+                        clock_overflow(
+                            &format!("job {} task {}'s finish", jobs[j].name, node),
+                            compression,
+                        )
+                    })?;
                     finishes.push(Reverse(Batch {
-                        finish: now + task.duration.max(1),
+                        finish,
                         first_seq,
                         start: now,
                         rank,
@@ -552,6 +577,14 @@ impl Simulator {
         metrics.unknown_jobs = unknown_jobs;
         Ok((metrics, trace_rows))
     }
+}
+
+/// The error for an event time past the `i64` seconds of the event clock.
+fn clock_overflow(what: &str, compression: f64) -> String {
+    format!(
+        "{what} falls past the event clock's {} s at arrival compression {compression:?}",
+        i64::MAX
+    )
 }
 
 #[cfg(test)]
@@ -820,6 +853,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn event_clock_overflow_is_an_error() {
+        // A compressed arrival past `i64::MAX` s used to saturate, and the
+        // event times after it wrapped: absurd metrics without online
+        // load, a replay that never ended with it.
+        let load = OnlineLoad {
+            trough: 0.2,
+            peak: 0.5,
+        };
+        let jobs = [
+            sim_job("j_1", 0, &[("M1", 1, 10)]),
+            sim_job("j_2", 500, &[("M1", 2, 10)]),
+        ];
+        let mut spread = jobs.clone();
+        spread[0].arrival = i64::MIN;
+        spread[1].arrival = i64::MAX;
+        for online_load in [None, Some(load)] {
+            let cfg = |arrival_compression| SimConfig {
+                arrival_compression,
+                online_load,
+                evict_for_online: online_load.is_some(),
+                ..tiny_cfg()
+            };
+            for (workload, compression) in [(&jobs, 1e-300), (&spread, 1.0)] {
+                let err = Simulator::new(cfg(compression), Policy::Fifo)
+                    .run(workload)
+                    .unwrap_err();
+                assert!(err.contains("job j_2's compressed arrival"), "{err}");
+                assert!(
+                    err.contains(&format!("compression {compression:?}")),
+                    "{err}"
+                );
+            }
+        }
+        // A finish one second short of the clock's end still runs; stretch
+        // the arrivals (compression < 1) and the same finish overflows.
+        let long = [
+            sim_job("j_1", 0, &[("M1", 1, 10)]),
+            sim_job("j_2", 1_000, &[("M1", 1, i64::MAX - 1_000)]),
+        ];
+        let m = Simulator::new(tiny_cfg(), Policy::Fifo).run(&long).unwrap();
+        assert_eq!(m.makespan, i64::MAX - 1);
+        let stretched = SimConfig {
+            arrival_compression: 0.5,
+            ..tiny_cfg()
+        };
+        let err = Simulator::new(stretched, Policy::Fifo)
+            .run(&long)
+            .unwrap_err();
+        assert!(err.contains("job j_2 task 0's finish"), "{err}");
+        assert!(err.contains("compression 0.5"), "{err}");
     }
 
     #[test]

@@ -1477,6 +1477,31 @@ mod tests {
     }
 
     #[test]
+    fn similar_with_k_past_the_index_returns_every_other_job() {
+        let index = test_index();
+        let metrics = Metrics::new();
+        let name = index.features(0).name.clone();
+        let path = format!("/v1/similar/{name}?k={}", usize::MAX);
+        assert_eq!(path, format!("/v1/similar/{name}?k=18446744073709551615"));
+        let (status, body) = get(&index, &metrics, &path);
+        assert_eq!(status, 200);
+        let mut got: Vec<&str> = body
+            .get("neighbours")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|n| n.get("name").unwrap().as_str().unwrap())
+            .collect();
+        got.sort_unstable();
+        let mut want: Vec<&str> = (1..index.len())
+            .map(|j| index.features(j).name.as_str())
+            .collect();
+        want.sort_unstable();
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn healthz_reports_draining() {
         let index = test_index();
         let metrics = Metrics::new();

@@ -34,6 +34,7 @@
 //! Retractions are exact because the accumulator's resource totals use
 //! [`crate::fsum::ExactSum`]; everything else is integer counting.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::io::{Read, Seek, SeekFrom};
 
@@ -101,6 +102,26 @@ fn encode_name(name: &str) -> Option<u64> {
     } else {
         Some(v)
     }
+}
+
+/// `10^i`, for [`digit_order`]'s per-comparison key.
+const POW10: [u64; 20] = {
+    let mut t = [1u64; 20];
+    let mut i = 1;
+    while i < t.len() {
+        t[i] = t[i - 1] * 10;
+        i += 1;
+    }
+    t
+};
+
+/// A sort key for a canonical name's value that orders as the decimal
+/// digits do byte by byte: the digits left-aligned to 19 places (no
+/// canonical value has more), then the digit count, so a name sorts after
+/// its prefixes (`j_1` < `j_10` < `j_100` < `j_11` < `j_2`).
+fn digit_order(v: u64) -> (u64, u32) {
+    let digits = v.checked_ilog10().unwrap_or(0) + 1;
+    (v * POW10[(19 - digits) as usize], digits)
 }
 
 /// Per-job name column. Alibaba-style `j_<digits>` names are stored as
@@ -211,6 +232,19 @@ impl NameColumn {
                 let digits = tmp.len() - i;
                 buf[2..2 + digits].copy_from_slice(&tmp[i..]);
                 &buf[..2 + digits]
+            }
+        }
+    }
+
+    /// Byte order of two jobs' names. Two numeric names compare by
+    /// [`digit_order`], with no formatting; an odd name compares its bytes
+    /// against the other name's.
+    fn cmp_names(&self, a: u32, b: u32) -> Ordering {
+        match (self.numeric(a), self.numeric(b)) {
+            (Some(x), Some(y)) => digit_order(x).cmp(&digit_order(y)),
+            _ => {
+                let (mut ba, mut bb) = ([0u8; 22], [0u8; 22]);
+                self.bytes(a, &mut ba).cmp(self.bytes(b, &mut bb))
             }
         }
     }
@@ -761,13 +795,7 @@ impl ScanState {
                 f & DEAD == 0 && f & ELIGIBLE != 0
             })
             .collect();
-        let names = &self.names;
-        eligible.sort_unstable_by(|&a, &b| {
-            let (mut ba, mut bb) = ([0u8; 22], [0u8; 22]);
-            let sa = names.bytes(a, &mut ba).to_vec();
-            let sb = names.bytes(b, &mut bb);
-            sa.as_slice().cmp(sb)
-        });
+        eligible.sort_unstable_by(|&a, &b| self.names.cmp_names(a, b));
         self.eligible = eligible;
         Ok(())
     }
@@ -1156,6 +1184,47 @@ mod tests {
             assert!(set.get(n).is_some(), "job {n} lost");
         }
         assert_eq!(set.get(&names[0]).unwrap().tasks.len(), 2);
+    }
+
+    #[test]
+    fn eligible_order_is_byte_order_of_names() {
+        // Ids of every length, so numeric and byte order disagree; names
+        // past u32 (the big-name table, the sentinels, 19 digits) and odd
+        // names (leading zeros, 20 digits, other prefixes) interleave.
+        let names = [
+            "j_10".to_string(),
+            "j_9".to_string(),
+            "j_100".to_string(),
+            "j_1".to_string(),
+            "j_0".to_string(),
+            "j_007".to_string(),
+            "j_19".to_string(),
+            "j_2".to_string(),
+            format!("j_{}", u64::from(u32::MAX) + 1),
+            format!("j_{}", u32::MAX),
+            format!("j_{}", u32::MAX - 1),
+            "j_4294967".to_string(),
+            "j_9999999999999999999".to_string(),
+            "j_10000000000000000000".to_string(),
+            format!("j_{}", u64::MAX),
+            "j_".to_string(),
+            "j_1x".to_string(),
+            "job_5".to_string(),
+            "J_3".to_string(),
+            "j_99z".to_string(),
+        ];
+        let mut doc = String::new();
+        for n in &names {
+            doc.push_str(&format!("M1,2,{n},1,Terminated,100,200,100,0.5\n"));
+        }
+        let mut t = scan_str(&doc);
+        assert_eq!(t.eligible_count(), names.len());
+        let got: Vec<String> = (0..t.eligible_count())
+            .map(|pos| t.materialize_eligible(pos).unwrap().name)
+            .collect();
+        let mut want = names.to_vec();
+        want.sort_unstable_by(|a, b| a.as_bytes().cmp(b.as_bytes()));
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! Online queries (`KernelCache::nearest`, `KernelCache::probe`,
 //! `ServeIndex::similar`) used to linear-scan every cached job. This module
 //! scores *unique shapes* through the feature→shape postings lists instead,
-//! then broadcasts each shape's score to its member jobs, and prunes
-//! candidate admission with the query's suffix-norm bound (Bayardo,
-//! Ma & Srikant, "Scaling Up All Pairs Similarity Search", WWW 2007).
+//! and prunes candidate admission with the query's suffix-norm bound
+//! (Bayardo, Ma & Srikant, "Scaling Up All Pairs Similarity Search",
+//! WWW 2007). [`TopkIndex::scores`] (the `probe` path) broadcasts each
+//! shape's score to its member jobs; [`TopkIndex::nearest`] ranks the
+//! shapes and expands only the best ones into jobs.
 //!
 //! # Exactness invariants
 //!
@@ -26,7 +28,14 @@
 //!   The comparison is strict and the bound is inflated by a hair
 //!   (`1 + 1e-9`) to absorb floating-point rounding of the bound itself,
 //!   so ties are never pruned and tie-breaking stays exact. Populations
-//!   or queries with negative values disable pruning entirely.
+//!   or queries with negative values disable pruning entirely;
+//! * `nearest` emits each run of equal scores (0.0 ties -0.0, as in the
+//!   sort) in ascending job index across all of its shapes, and places
+//!   the untouched shapes' jobs, at 0.0, between positive and negative
+//!   scores — the order of sorting every job by score, then index.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::fx::FxHashMap;
 use crate::gram::ShapeDedup;
@@ -154,7 +163,9 @@ impl TopkIndex {
             let Some(list) = self.postings.get(&idx) else {
                 continue;
             };
-            if prune && !closed {
+            // Once every shape is admitted, closing admission could
+            // suppress nothing: skip the k-th partial's sort.
+            if prune && !closed && order.len() < m {
                 let bound = (suffix_sq[t] / qn).sqrt() * (1.0 + 1e-9);
                 if let Some(theta) = self.kth_partial(&order, &acc, qn, admit_k, excluded_shape) {
                     if bound < theta {
@@ -241,6 +252,13 @@ impl TopkIndex {
     /// `b.score.partial_cmp(&a.score).unwrap().then(a.index.cmp(&b.index))`
     /// and truncating. `exclude` removes one job (the query itself when it
     /// is a member of the index).
+    ///
+    /// Ranks shapes, not jobs: the candidate shapes are sorted by score
+    /// and walked best first, one tie group (a run of scores comparing
+    /// `Equal`) at a time, and the jobs of shapes the query never touched
+    /// form one more group scoring exactly 0.0. After scoring, a query
+    /// costs O(m log m + k) for m candidate shapes (plus one pass over the
+    /// shapes if it reaches the 0.0 group), not O(n log n) for n jobs.
     pub fn nearest(
         &self,
         query: &SparseVec,
@@ -248,48 +266,82 @@ impl TopkIndex {
         k: usize,
     ) -> (Vec<(usize, f64)>, QueryStats) {
         let mut stats = QueryStats::default();
-        let scored = self.score_shapes(query, Some((k, exclude)), &mut stats);
-        let negatives = scored.iter().any(|&(_, s)| s < 0.0);
+        let mut scored = self.score_shapes(query, Some((k, exclude)), &mut stats);
+        scored.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+        // Positive, zero (0.0 and -0.0 tie) and negative scores, in order.
+        let positive = scored.partition_point(|&(_, s)| s > 0.0);
+        let nonnegative = scored.partition_point(|&(_, s)| s >= 0.0);
 
-        let mut cands: Vec<(usize, f64)> = Vec::new();
-        let mut is_cand = vec![false; self.members.len()];
-        for &(s, score) in &scored {
-            is_cand[s] = true;
-            for &j in &self.members[s] {
-                let j = j as usize;
-                if Some(j) != exclude {
-                    cands.push((j, score));
-                }
+        let mut out = Vec::with_capacity(k.min(self.jobs));
+        self.push_tie_groups(&scored[..positive], exclude, k, &mut out);
+        if out.len() < k {
+            // Untouched shapes score the full scan's literal 0.0 and tie
+            // with candidates whose dot product cancelled to zero. (The
+            // norm bound only closes admission once k candidate jobs beat
+            // every unseen shape, so a pruned shape never gets here.)
+            let mut is_cand = vec![false; self.members.len()];
+            for &(s, _) in &scored {
+                is_cand[s] = true;
+            }
+            let mut zeros = scored[positive..nonnegative].to_vec();
+            zeros.extend(
+                (0..self.members.len())
+                    .filter(|&s| !is_cand[s])
+                    .map(|s| (s, 0.0)),
+            );
+            self.push_tie_group(&zeros, exclude, k, &mut out);
+        }
+        self.push_tie_groups(&scored[nonnegative..], exclude, k, &mut out);
+        (out, stats)
+    }
+
+    /// Append the jobs of `sorted` (shapes sorted by descending score), one
+    /// run of equal scores at a time, until `out` holds `k` jobs.
+    fn push_tie_groups(
+        &self,
+        mut sorted: &[(usize, f64)],
+        exclude: Option<usize>,
+        k: usize,
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        while let Some(&(_, score)) = sorted.first() {
+            if out.len() >= k {
+                return;
+            }
+            let run = sorted.iter().take_while(|&&(_, s)| s == score).count();
+            self.push_tie_group(&sorted[..run], exclude, k, out);
+            sorted = &sorted[run..];
+        }
+    }
+
+    /// Append one tie group's jobs in ascending job index (the full sort's
+    /// tie-break), each with its own shape's score bits and `exclude`
+    /// skipped, until `out` holds `k` jobs: a k-way merge of the shapes'
+    /// member lists, each ascending.
+    fn push_tie_group(
+        &self,
+        group: &[(usize, f64)],
+        exclude: Option<usize>,
+        k: usize,
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        let mut heads: BinaryHeap<Reverse<(u32, usize, usize)>> = group
+            .iter()
+            .enumerate()
+            .map(|(g, &(s, _))| Reverse((self.members[s][0], g, 0)))
+            .collect();
+        while out.len() < k {
+            let Some(Reverse((j, g, at))) = heads.pop() else {
+                return;
+            };
+            let (s, score) = group[g];
+            if Some(j as usize) != exclude {
+                out.push((j as usize, score));
+            }
+            if let Some(&next) = self.members[s].get(at + 1) {
+                heads.push(Reverse((next, g, at + 1)));
             }
         }
-        cands.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-
-        let zero_jobs = |out: &mut Vec<(usize, f64)>, limit: usize| {
-            for j in 0..self.jobs {
-                if out.len() >= limit {
-                    break;
-                }
-                if Some(j) != exclude && !is_cand[self.shape_of[j]] {
-                    out.push((j, 0.0));
-                }
-            }
-        };
-
-        if negatives {
-            // Zeros outrank negative candidates: merge everything and
-            // re-sort (pruning was disabled on this path, so the list is
-            // complete).
-            zero_jobs(&mut cands, usize::MAX);
-            cands.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-            cands.truncate(k);
-        } else {
-            // Non-negative scores are strictly positive for candidates, so
-            // zero-scored non-candidates pad the tail in ascending index
-            // order — exactly where the full sort would place them.
-            cands.truncate(k);
-            zero_jobs(&mut cands, k);
-        }
-        (cands, stats)
     }
 }
 
@@ -340,21 +392,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn nearest_matches_oracle_for_every_k() {
-        let feats = population();
-        let index = TopkIndex::build(&feats);
-        for i in 0..feats.len() {
-            for k in 0..=feats.len() + 1 {
-                let (got, _) = index.nearest(&feats[i], Some(i), k);
-                let want = oracle_nearest(&feats, &feats[i], Some(i), k);
-                assert_eq!(got.len(), want.len(), "i={i} k={k}");
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.0, w.0, "i={i} k={k}");
-                    assert_eq!(g.1.to_bits(), w.1.to_bits(), "i={i} k={k}");
+    /// Check `nearest` bit for bit against the oracle for every query in
+    /// `feats` and `extra`, with no exclusion and excluding each job in
+    /// turn, at every k up to one past the population and at `usize::MAX`.
+    /// Returns the summed search counters.
+    fn assert_nearest_matches_oracle(feats: &[SparseVec], extra: &[SparseVec]) -> QueryStats {
+        let index = TopkIndex::build(feats);
+        let n = feats.len();
+        let mut total = QueryStats::default();
+        for (qi, q) in feats.iter().chain(extra).enumerate() {
+            for exclude in std::iter::once(None).chain((0..n).map(Some)) {
+                for k in (0..=n + 1).chain([usize::MAX]) {
+                    let (got, stats) = index.nearest(q, exclude, k);
+                    total.absorb(&stats);
+                    let want = oracle_nearest(feats, q, exclude, k);
+                    let at = format!("query {qi} exclude {exclude:?} k {k}");
+                    assert_eq!(got.len(), want.len(), "{at}");
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!(g.0, w.0, "{at}");
+                        assert_eq!(g.1.to_bits(), w.1.to_bits(), "{at}");
+                    }
                 }
             }
         }
+        total
+    }
+
+    #[test]
+    fn nearest_matches_oracle_for_every_k() {
+        assert_nearest_matches_oracle(&population(), &[]);
+        // Distinct shapes (0:1) and (1:1) score bitwise equal against
+        // (0:1, 1:1), with members interleaved: one tie group, merged by
+        // job index (0, 1, 2, 3, 5), never emitted shape by shape.
+        let tied = vec![
+            v(&[(0, 1.0)]),
+            v(&[(1, 1.0)]),
+            v(&[(0, 1.0)]),
+            v(&[(1, 1.0)]),
+            v(&[(7, 1.0)]),
+            v(&[(0, 1.0)]),
+        ];
+        let q = v(&[(0, 1.0), (1, 1.0)]);
+        assert_nearest_matches_oracle(&tied, std::slice::from_ref(&q));
+        let (got, _) = TopkIndex::build(&tied).nearest(&q, None, usize::MAX);
+        let order: Vec<usize> = got.iter().map(|&(j, _)| j).collect();
+        assert_eq!(order, [0, 1, 2, 3, 5, 4]);
     }
 
     #[test]
@@ -387,19 +469,24 @@ mod tests {
             v(&[(2, 1.0)]),
             v(&[(1, 3.0)]),
         ];
-        let index = TopkIndex::build(&feats);
-        for i in 0..feats.len() {
-            for k in 0..=feats.len() {
-                let (got, stats) = index.nearest(&feats[i], Some(i), k);
-                let want = oracle_nearest(&feats, &feats[i], Some(i), k);
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.0, w.0);
-                    assert_eq!(g.1.to_bits(), w.1.to_bits());
-                }
-                assert_eq!(got.len(), want.len());
-                assert_eq!(stats.pruned, 0);
-            }
-        }
+        assert_eq!(assert_nearest_matches_oracle(&feats, &[]).pruned, 0);
+        // Against (0:1, 1:-1), jobs 1 and 5 are candidates whose dot
+        // product cancels to exactly 0.0: they tie with the untouched jobs
+        // 0 and 2, between job 3 (positive) and job 4 (negative).
+        let cancelling = vec![
+            v(&[(9, 1.0)]),
+            v(&[(0, 1.0), (1, 1.0)]),
+            v(&[(5, 2.0)]),
+            v(&[(0, 1.0), (1, -2.0)]),
+            v(&[(0, -1.0)]),
+            v(&[(0, 1.0), (1, 1.0)]),
+        ];
+        let q = v(&[(0, 1.0), (1, -1.0)]);
+        let stats = assert_nearest_matches_oracle(&cancelling, std::slice::from_ref(&q));
+        assert_eq!(stats.pruned, 0);
+        let (got, _) = TopkIndex::build(&cancelling).nearest(&q, None, usize::MAX);
+        let order: Vec<usize> = got.iter().map(|&(j, _)| j).collect();
+        assert_eq!(order, [3, 0, 1, 2, 5, 4]);
     }
 
     #[test]
