@@ -133,6 +133,55 @@ fn trace_job_that_is_not_a_dag_exits_two_naming_it() {
 }
 
 #[test]
+fn first_non_dag_job_in_sample_order_is_named() {
+    // Two jobs whose names parse but dangle: j_9999998 opens the file and
+    // j_9999999 closes it. Sizes past the generator's 31 tasks make each
+    // the only job of its size, and the sampler's first pass takes one
+    // job per size in ascending size, so the 40-task j_9999999 comes
+    // first in sample order although it is last in the file.
+    let dir = std::env::temp_dir().join(format!("dagscope_notdag2_{}", std::process::id()));
+    let out = dagscope(
+        &["generate", "--jobs", "1000", "--seed", "42", "--out"]
+            .into_iter()
+            .chain(dir.to_str())
+            .collect::<Vec<_>>(),
+    );
+    assert!(out.status.success(), "generate: {}", stderr(&out));
+    let job = |name: &str, size: usize, dangling: usize| -> String {
+        (1..=size)
+            .map(|id| {
+                let task = match id {
+                    1 => "M1".to_string(),
+                    _ if id == size => format!("R{id}_{dangling}"),
+                    _ => format!("R{id}_{}", id - 1),
+                };
+                format!("{task},1,{name},1,Terminated,100,200,100,0.5\n")
+            })
+            .collect()
+    };
+    let trace = std::fs::read_to_string(dir.join("batch_task.csv")).expect("read trace");
+    let bad = job("j_9999998", 41, 97) + &trace + &job("j_9999999", 40, 98);
+    std::fs::write(dir.join("batch_task.csv"), bad).expect("write trace");
+    let out = dagscope(&[
+        "summary",
+        "--trace",
+        dir.to_str().expect("utf-8 temp dir"),
+        "--sample",
+        "100000",
+        "--cluster-engine",
+        "collapsed",
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains("job j_9999999 does not form a DAG") && err.contains("missing parent 98"),
+        "{err}"
+    );
+    assert!(!err.contains("j_9999998"), "{err}");
+    std::fs::remove_dir_all(&dir).expect("remove temp trace");
+}
+
+#[test]
 fn serve_without_snapshot_exits_nonzero() {
     let out = dagscope(&["serve"]);
     assert!(!out.status.success());

@@ -4,7 +4,7 @@ use dagscope_cluster::{
     expand_assignments, spectral_cluster, spectral_cluster_collapsed, SpectralConfig,
 };
 use dagscope_graph::metrics::JobFeatures;
-use dagscope_graph::{conflate, JobDag};
+use dagscope_graph::{conflate, BuildError, JobDag};
 use dagscope_trace::filter::{stratified_sample, SampleCriteria};
 use dagscope_trace::gen::TraceGenerator;
 use dagscope_trace::stats::TraceStats;
@@ -65,20 +65,28 @@ impl Pipeline {
         if eligible.is_empty() {
             return Err("no job passed the integrity/availability filters".to_string());
         }
-        let sample: Vec<Job> = stratified_sample(&eligible, self.cfg.sample, self.cfg.seed)
-            .into_iter()
-            .cloned()
-            .collect();
+        let sample: Vec<&Job> = stratified_sample(&eligible, self.cfg.sample, self.cfg.seed);
+        let names = sample.iter().map(|j| j.name.clone()).collect();
         timings.sample = clock.elapsed();
 
-        self.finish(run_start, timings, stats, sample)
+        let clock = Instant::now();
+        let raw_dags = dagscope_par::par_map(&sample, |job| {
+            JobDag::from_job(job).map_err(|e| not_a_dag(&job.name, e))
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+        timings.dags = clock.elapsed();
+
+        self.finish(run_start, timings, stats, names, raw_dags)
     }
 
     /// Run on a streamed trace: statistics come from the scan's running
     /// accumulator, the stratified sample is picked from the bare size
     /// column ([`StreamedTrace::sample_eligible`] consumes the identical
     /// random stream as the batch sampler), and only the sampled jobs are
-    /// materialized — the full population never exists in memory at once.
+    /// replayed, in file order, into a flat row table that the DAGs are
+    /// built from — the full population never exists in memory at once,
+    /// and no sampled job becomes a [`Job`].
     ///
     /// Produces a [`Report`] bit-identical to [`Pipeline::run_on`] over the
     /// batch-ingested (suspect-stripped) population of the same trace.
@@ -98,42 +106,36 @@ impl Pipeline {
             return Err("no job passed the integrity/availability filters".to_string());
         }
         let picked = streamed.sample_eligible(self.cfg.sample, self.cfg.seed);
-        let mut sample = Vec::with_capacity(picked.len());
-        for pos in picked {
-            sample.push(
-                streamed
-                    .materialize_eligible(pos)
-                    .map_err(|e| e.to_string())?,
-            );
-        }
+        let rows = streamed.replay_sample(&picked).map_err(|e| e.to_string())?;
         timings.sample = clock.elapsed();
 
-        self.finish(run_start, timings, stats, sample)
+        let clock = Instant::now();
+        let raw_dags = dagscope_par::par_map_with(rows.names(), |s, name| {
+            JobDag::from_rows(name.clone(), &rows.job(s)).map_err(|e| not_a_dag(name, e))
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+        let names = rows.into_names();
+        timings.dags = clock.elapsed();
+
+        self.finish(run_start, timings, stats, names, raw_dags)
     }
 
-    /// The shared back half of every entry point: everything after
-    /// sampling (DAGs, conflation, features, WL embedding, Gram assembly,
-    /// spectral grouping) depends only on the sampled jobs, so batch and
-    /// streaming ingestion converge here.
+    /// The shared back half of every entry point: everything after DAG
+    /// construction (conflation, features, WL embedding, Gram assembly,
+    /// spectral grouping) depends only on the sampled jobs' names and
+    /// DAGs, so batch and streaming ingestion converge here.
     fn finish(
         &self,
         run_start: Instant,
         mut timings: StageTimings,
         stats: TraceStats,
-        sample: Vec<Job>,
+        sample_names: Vec<String>,
+        raw_dags: Vec<JobDag>,
     ) -> Result<Report, String> {
-        // DAG construction (parallel). Integrity only checks that every
-        // task name parses, so a job whose names do not form a DAG (a
-        // dangling parent, a repeated id, a cycle) is still sampled and
-        // fails here, naming the first such job in sample order.
         let clock = Instant::now();
-        let raw_dags: Vec<JobDag> = dagscope_par::par_map(&sample, |job| {
-            JobDag::from_job(job).map_err(|e| format!("job {} does not form a DAG: {e}", job.name))
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?;
         let conflated: Vec<JobDag> = dagscope_par::par_map(&raw_dags, conflate::conflate);
-        timings.dags = clock.elapsed();
+        timings.dags += clock.elapsed();
 
         // Features before and after conflation (Figs 4 and 5).
         let clock = Instant::now();
@@ -179,7 +181,7 @@ impl Pipeline {
                 EngineKind::Collapsed
             }
             ClusterEngine::Auto => {
-                if self.cfg.dedup_shapes && sample.len() > AUTO_DENSE_MAX {
+                if self.cfg.dedup_shapes && raw_dags.len() > AUTO_DENSE_MAX {
                     EngineKind::Collapsed
                 } else {
                     EngineKind::Dense
@@ -276,7 +278,7 @@ impl Pipeline {
         Ok(Report {
             config: self.cfg.clone(),
             stats,
-            sample_names: sample.iter().map(|j| j.name.clone()).collect(),
+            sample_names,
             raw_dags,
             conflated_dags: conflated,
             features_raw,
@@ -290,6 +292,14 @@ impl Pipeline {
             timings,
         })
     }
+}
+
+/// The error for a sampled job whose task names do not form a DAG.
+/// Integrity only checks that every task name parses, so such a job (a
+/// dangling parent, a repeated id, a cycle) is still sampled, and the run
+/// fails naming the first one in sample order.
+fn not_a_dag(name: &str, e: BuildError) -> String {
+    format!("job {name} does not form a DAG: {e}")
 }
 
 #[cfg(test)]
@@ -477,6 +487,78 @@ mod tests {
             crate::figures::render_group_shapes(&crate::figures::group_shape_composition(&report)),
             crate::figures::render_group_shapes(&crate::figures::group_shape_composition(&batch))
         );
+    }
+
+    #[test]
+    fn full_streamed_sample_with_stragglers_and_bad_rows_matches_batch() {
+        // Every eligible job is sampled from a trace where some jobs'
+        // first rows arrive out of order, later in the file, and bad rows
+        // implicate others; the streamed run's DAGs and report must equal
+        // the batch run's over the suspect-stripped rows.
+        use dagscope_trace::stream::StreamedTrace;
+        use dagscope_trace::{csv, ReadPolicy};
+
+        let cfg = PipelineConfig {
+            jobs: 900,
+            sample: 100_000,
+            seed: 13,
+            ..PipelineConfig::default()
+        };
+        let trace = TraceGenerator::new(cfg.generator()).generate();
+        let mut doc = Vec::new();
+        csv::write_tasks(&mut doc, &trace.tasks).unwrap();
+        let text = String::from_utf8(doc).unwrap();
+        let mut blocks: Vec<Vec<String>> = Vec::new();
+        let mut last_job = "";
+        for line in text.lines() {
+            let job = line.split(',').nth(2).unwrap();
+            if job != last_job {
+                blocks.push(Vec::new());
+                last_job = job;
+            }
+            blocks.last_mut().unwrap().push(line.to_string());
+        }
+        let n = blocks.len();
+        let mut stragglers = 0;
+        for i in 0..n {
+            let job = blocks[i][0].split(',').nth(2).unwrap().to_string();
+            if i % 7 == 3 && blocks[i].len() > 1 {
+                let row = blocks[i].remove(0);
+                blocks[(i + 1 + i % 40).min(n - 1)].push(row);
+                stragglers += 1;
+            } else if i % 11 == 5 {
+                blocks[i].push(format!("M1,x,{job},1,Terminated,1,2,3,4"));
+            } else if i % 13 == 6 {
+                blocks[i].insert(1, format!("M9,1,{job},1,Terminated,50,10,1.0,0.5"));
+            }
+        }
+        assert!(stragglers > 20);
+        let doc = blocks.concat().join("\n") + "\n";
+
+        let policy = ReadPolicy::Quarantine { max_bad: 1_000 };
+        let (rows, quarantine) = csv::read_tasks_with_policy(doc.as_bytes(), &policy).unwrap();
+        let suspects = quarantine.suspect_jobs();
+        assert!(suspects.len() > 100);
+        let batch_set = JobSet::from_tasks(
+            rows.into_iter()
+                .filter(|t| !suspects.contains_key(t.job_name.as_str())),
+        );
+        let batch = Pipeline::new(cfg.clone()).run_on(&batch_set).unwrap();
+
+        let mut streamed = StreamedTrace::scan(
+            std::io::Cursor::new(doc.into_bytes()),
+            &policy,
+            &SampleCriteria::default(),
+        )
+        .unwrap();
+        let report = Pipeline::new(cfg).run_streamed(&mut streamed).unwrap();
+
+        assert_eq!(report.sample_names.len(), streamed.eligible_count());
+        assert_eq!(report.sample_names, batch.sample_names);
+        assert_eq!(report.raw_dags, batch.raw_dags);
+        assert_eq!(report.conflated_dags, batch.conflated_dags);
+        assert_eq!(report.groups.assignments, batch.groups.assignments);
+        assert_eq!(report.summary(), batch.summary());
     }
 
     #[test]

@@ -52,7 +52,8 @@ pub fn max_width(dag: &JobDag) -> usize {
 }
 
 /// Weighted critical path in seconds: the longest chain of task durations
-/// (scheduling gaps ignored) — a lower bound on job completion time.
+/// (scheduling gaps ignored) — a lower bound on job completion time. A
+/// chain longer than `i64::MAX` seconds saturates there.
 pub fn weighted_critical_path(dag: &JobDag) -> i64 {
     let n = dag.len();
     let mut finish = vec![0i64; n];
@@ -63,7 +64,7 @@ pub fn weighted_critical_path(dag: &JobDag) -> i64 {
             .map(|&p| finish[p as usize])
             .max()
             .unwrap_or(0);
-        finish[i] = ready + dag.attr(i).duration;
+        finish[i] = ready.saturating_add(dag.attr(i).duration);
     }
     finish.into_iter().max().unwrap_or(0)
 }
@@ -237,6 +238,17 @@ mod tests {
         };
         let d = JobDag::from_job(&job).unwrap();
         assert_eq!(weighted_critical_path(&d), 110);
+    }
+
+    #[test]
+    fn weighted_critical_path_saturates() {
+        let half = i64::MAX / 2 + 1;
+        let job = Job {
+            name: "j".into(),
+            tasks: vec![t("M1", half), t("R2_1", half)],
+        };
+        let d = JobDag::from_job(&job).unwrap();
+        assert_eq!(weighted_critical_path(&d), i64::MAX);
     }
 
     #[test]

@@ -7,8 +7,9 @@ use std::ops::Range;
 use serde::{Deserialize, Serialize};
 
 use dagscope_trace::gen::DagPlan;
+use dagscope_trace::stream::SampleJob;
 use dagscope_trace::taskname::{self, TaskKind};
-use dagscope_trace::Job;
+use dagscope_trace::{Job, TaskRecord};
 
 use crate::BuildError;
 
@@ -32,6 +33,65 @@ impl Default for NodeAttr {
             duration: 0,
             plan_cpu: 0.0,
             plan_mem: 0.0,
+        }
+    }
+}
+
+/// A job's task rows as [`JobDag::from_rows`] reads them: each row's task
+/// name and the attributes its node keeps, in row order.
+pub trait TaskRows {
+    /// Number of rows.
+    fn row_count(&self) -> usize;
+    /// Task name of row `r`.
+    fn task_name(&self, r: usize) -> &str;
+    /// Node attributes of row `r`.
+    fn attr(&self, r: usize) -> NodeAttr;
+    /// Total bytes of the task names.
+    fn name_bytes(&self) -> usize {
+        (0..self.row_count()).map(|r| self.task_name(r).len()).sum()
+    }
+}
+
+impl TaskRows for [TaskRecord] {
+    fn row_count(&self) -> usize {
+        self.len()
+    }
+
+    fn task_name(&self, r: usize) -> &str {
+        &self[r].task_name
+    }
+
+    fn attr(&self, r: usize) -> NodeAttr {
+        let t = &self[r];
+        NodeAttr {
+            instance_num: t.instance_num,
+            duration: t.duration().unwrap_or(0),
+            plan_cpu: t.plan_cpu,
+            plan_mem: t.plan_mem,
+        }
+    }
+}
+
+impl TaskRows for SampleJob<'_> {
+    fn row_count(&self) -> usize {
+        self.len()
+    }
+
+    fn task_name(&self, r: usize) -> &str {
+        SampleJob::task_name(self, r)
+    }
+
+    fn name_bytes(&self) -> usize {
+        SampleJob::name_bytes(self)
+    }
+
+    fn attr(&self, r: usize) -> NodeAttr {
+        let a = self.attrs(r);
+        NodeAttr {
+            instance_num: a.instance_num,
+            duration: a.duration,
+            plan_cpu: a.plan_cpu,
+            plan_mem: a.plan_mem,
         }
     }
 }
@@ -124,7 +184,7 @@ impl DagParts {
     }
 }
 
-/// A length or index as a `u32`. [`JobDag::from_job`] rejects jobs whose
+/// A length or index as a `u32`. [`JobDag::from_rows`] rejects jobs whose
 /// task names exceed `u32::MAX` bytes, which bounds every array of a DAG.
 fn as_u32(len: usize) -> u32 {
     u32::try_from(len).expect("JobDag arrays are indexed by u32")
@@ -169,7 +229,7 @@ impl JobDag {
     /// Assemble a DAG from its per-node arrays; the children are derived
     /// from the parents by counting sort, so each child list comes out
     /// sorted. This is the crate-internal constructor; fallible
-    /// construction goes through [`JobDag::from_job`].
+    /// construction goes through [`JobDag::from_rows`].
     pub(crate) fn from_parts(name: String, parts: DagParts) -> JobDag {
         let DagParts {
             kinds,
@@ -195,11 +255,8 @@ impl JobDag {
         }
     }
 
-    /// Reconstruct the DAG encoded in a job's task names.
-    ///
-    /// Ids in the trace need not be dense, so they are remapped to a
-    /// topological `0..n` numbering. Fails on non-DAG names, duplicate ids,
-    /// dangling parent references, or (malformed) cyclic dependencies.
+    /// Reconstruct the DAG encoded in a job's task names:
+    /// [`JobDag::from_rows`] over its task records.
     ///
     /// ```
     /// use dagscope_trace::{Job, TaskRecord, Status};
@@ -215,11 +272,20 @@ impl JobDag {
     /// assert_eq!(dag.sinks().len(), 1);   // R5
     /// ```
     pub fn from_job(job: &Job) -> Result<JobDag, BuildError> {
-        let n = job.tasks.len();
+        JobDag::from_rows(job.name.clone(), job.tasks.as_slice())
+    }
+
+    /// Reconstruct the DAG encoded in the task names of a job's rows.
+    ///
+    /// Ids in the trace need not be dense, so they are remapped to a
+    /// topological `0..n` numbering. Fails on non-DAG names, duplicate ids,
+    /// dangling parent references, or (malformed) cyclic dependencies.
+    pub fn from_rows<R: TaskRows + ?Sized>(name: String, rows: &R) -> Result<JobDag, BuildError> {
+        let n = rows.row_count();
         if n == 0 {
             return Err(BuildError::Empty);
         }
-        let name_bytes: usize = job.tasks.iter().map(|t| t.task_name.len()).sum();
+        let name_bytes = rows.name_bytes();
         if u32::try_from(name_bytes).is_err() {
             return Err(BuildError::TooLarge { name_bytes });
         }
@@ -230,10 +296,11 @@ impl JobDag {
         let mut parent_off = Vec::with_capacity(n + 1);
         parent_off.push(0);
         let mut parents = Vec::with_capacity(n);
-        for t in &job.tasks {
-            let Some((kind, id)) = taskname::parse_dag_into(&t.task_name, &mut parents) else {
+        for r in 0..n {
+            let task_name = rows.task_name(r);
+            let Some((kind, id)) = taskname::parse_dag_into(task_name, &mut parents) else {
                 return Err(BuildError::NonDagTask {
-                    name: t.task_name.clone(),
+                    name: task_name.to_string(),
                 });
             };
             kinds.push(kind);
@@ -301,23 +368,17 @@ impl JobDag {
 
         let mut parts = DagParts::with_capacity(n, parents.len(), name_bytes);
         for &row in &order {
-            let t = &job.tasks[row];
             parts.push(
                 kinds[row],
-                &t.task_name,
+                rows.task_name(row),
                 parents[span(&parent_off, row)]
                     .iter()
                     .map(|&p| new_index[p as usize]),
                 1,
-                NodeAttr {
-                    instance_num: t.instance_num,
-                    duration: t.duration().unwrap_or(0),
-                    plan_cpu: t.plan_cpu,
-                    plan_mem: t.plan_mem,
-                },
+                rows.attr(row),
             );
         }
-        Ok(JobDag::from_parts(job.name.clone(), parts))
+        Ok(JobDag::from_parts(name, parts))
     }
 
     /// Build directly from a generator [`DagPlan`] (used by benches that
@@ -344,7 +405,7 @@ impl JobDag {
         self.kinds.len()
     }
 
-    /// True when the DAG has no nodes (cannot occur via `from_job`).
+    /// True when the DAG has no nodes (cannot occur via `from_rows`).
     pub fn is_empty(&self) -> bool {
         self.kinds.is_empty()
     }

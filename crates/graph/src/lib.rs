@@ -3,7 +3,9 @@
 //! This crate turns trace task rows into [`JobDag`] values and implements
 //! everything Section IV–V of the paper does with them:
 //!
-//! * [`JobDag::from_job`] — reconstruct the DAG a job's task names encode,
+//! * [`JobDag::from_rows`] — reconstruct the DAG a job's task names encode,
+//!   from a [`Job`](dagscope_trace::Job)'s records ([`JobDag::from_job`])
+//!   or a replayed sample's flat row table,
 //! * [`algo`] — topological order, critical path, levels and width,
 //! * [`conflate`] — node conflation (merging structurally equivalent
 //!   siblings, Fig 3),
@@ -28,5 +30,5 @@ pub mod pattern;
 pub mod render;
 pub mod tasktype;
 
-pub use dag::{JobDag, NodeAttr};
+pub use dag::{JobDag, NodeAttr, TaskRows};
 pub use error::BuildError;

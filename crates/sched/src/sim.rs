@@ -856,6 +856,19 @@ mod tests {
     }
 
     #[test]
+    fn chain_past_the_event_clock_is_an_error() {
+        // Each duration fits the clock but the chain does not: the
+        // critical-path keys saturate, and the second finish is the
+        // event-clock error.
+        let half = i64::MAX / 2 + 1;
+        let jobs = [sim_job("j_1", 100, &[("M1", 1, half), ("R2_1", 1, half)])];
+        for policy in [Policy::Fifo, Policy::CriticalPathOracle] {
+            let err = Simulator::new(tiny_cfg(), policy).run(&jobs).unwrap_err();
+            assert!(err.contains("job j_1 task 1's finish"), "{err}");
+        }
+    }
+
+    #[test]
     fn event_clock_overflow_is_an_error() {
         // A compressed arrival past `i64::MAX` s used to saturate, and the
         // event times after it wrapped: absurd metrics without online

@@ -84,7 +84,8 @@ impl SimJob {
 
     /// Remaining critical path (seconds) from each task to the job's end,
     /// inclusive of the task itself — the priority key of
-    /// critical-path-first scheduling.
+    /// critical-path-first scheduling. A path longer than `i64::MAX`
+    /// seconds saturates there.
     pub fn downstream_critical_path(&self) -> Vec<i64> {
         let n = self.dag.len();
         let mut rest = vec![0i64; n];
@@ -96,7 +97,7 @@ impl SimJob {
                 .map(|&c| rest[c as usize])
                 .max()
                 .unwrap_or(0);
-            rest[i] = tail + self.tasks[i].duration;
+            rest[i] = tail.saturating_add(self.tasks[i].duration);
         }
         rest
     }
@@ -161,6 +162,14 @@ mod tests {
         let j = job(&[("M1", 1, 10), ("R2_1", 1, 20), ("R3_2", 1, 5)]);
         let sim = SimJob::from_trace_job(&j).unwrap();
         assert_eq!(sim.downstream_critical_path(), vec![35, 25, 5]);
+    }
+
+    #[test]
+    fn critical_paths_saturate() {
+        let half = i64::MAX / 2 + 1;
+        let sim = SimJob::from_trace_job(&job(&[("M1", 1, half), ("R2_1", 1, half)])).unwrap();
+        assert_eq!(sim.ideal_makespan(), i64::MAX);
+        assert_eq!(sim.downstream_critical_path(), vec![i64::MAX, half]);
     }
 
     #[test]

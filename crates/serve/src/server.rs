@@ -1548,6 +1548,25 @@ mod tests {
     }
 
     #[test]
+    fn classify_of_a_chain_past_i64_seconds_answers() {
+        // Each task lasts i64::MAX / 2 + 1 s; their critical path
+        // saturates instead of overflowing.
+        let index = test_index();
+        let metrics = Metrics::new();
+        let body = r#"{"tasks":[
+            "M1,1,probe,1,Terminated,1,4611686018427387905,100,0.5",
+            "R2_1,1,probe,1,Terminated,1,4611686018427387905,50,0.25"
+        ]}"#;
+        let raw = format!(
+            "POST /v1/classify HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let request = read_request(&mut raw.as_bytes()).unwrap();
+        let (_, response) = route_plain(&request, &index, &metrics);
+        assert_eq!(response.status, 200, "{}", response.body);
+    }
+
+    #[test]
     fn classify_rejects_bad_bodies() {
         let index = test_index();
         let metrics = Metrics::new();

@@ -396,27 +396,15 @@ impl<R: Read> BufLines<R> {
     /// Line source reading `capacity`-sized chunks (min 16, mirroring the
     /// historical `BufReader` floor the property tests rely on).
     pub(crate) fn new(reader: R, capacity: usize) -> BufLines<R> {
-        BufLines::with_buffer(reader, Vec::new(), capacity)
-    }
-
-    /// [`BufLines::new`] reusing `buf`'s allocation (its contents are
-    /// ignored); [`BufLines::into_buffer`] hands it back.
-    pub(crate) fn with_buffer(reader: R, mut buf: Vec<u8>, capacity: usize) -> BufLines<R> {
-        buf.resize(capacity.clamp(16, 1 << 30), 0);
         BufLines {
             reader,
-            buf,
+            buf: vec![0; capacity.clamp(16, 1 << 30)],
             start: 0,
             len: 0,
             offset: 0,
             searched: 0,
             eof: false,
         }
-    }
-
-    /// The buffer, for the next [`BufLines::with_buffer`].
-    pub(crate) fn into_buffer(self) -> Vec<u8> {
-        self.buf
     }
 
     /// One `read` into the free tail of the buffer, tolerating
@@ -489,9 +477,52 @@ impl<R: Read> BufLines<R> {
     }
 }
 
+/// The lines of bytes already in memory, split as [`BufLines`] splits a
+/// stream: at each `\n`, one `\r` before it trimmed, and an unterminated
+/// last line kept whole (a bare trailing `\r` stays).
+pub(crate) fn lines(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut rest = bytes;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        Some(match find_byte(rest, b'\n') {
+            Some(nl) => {
+                let line = &rest[..nl];
+                rest = &rest[nl + 1..];
+                line.strip_suffix(b"\r").unwrap_or(line)
+            }
+            None => std::mem::take(&mut rest),
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lines_split_as_buf_lines_does() {
+        let docs: [&[u8]; 9] = [
+            b"",
+            b"a",
+            b"a\n",
+            b"a\r\nb\r\n",
+            b"\n\n\r\n",
+            b"row\r",
+            b"x\ry\n\r",
+            b"one\ntwo\r\nthree",
+            b"\r\r\n\r",
+        ];
+        for doc in docs {
+            let mut reader = BufLines::new(doc, 16);
+            let mut want = Vec::new();
+            while let Some((_, _, span)) = reader.next_span().unwrap() {
+                want.push(reader.view()[span].to_vec());
+            }
+            assert_eq!(lines(doc).collect::<Vec<_>>(), want, "{doc:?}");
+        }
+    }
 
     #[test]
     fn find_byte_matches_position() {

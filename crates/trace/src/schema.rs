@@ -113,11 +113,16 @@ impl TaskRecord {
     /// Task duration in seconds; `None` when timestamps are missing or
     /// inconsistent (the *availability* filter rejects those).
     pub fn duration(&self) -> Option<i64> {
-        if self.start_time > 0 && self.end_time >= self.start_time {
-            Some(self.end_time - self.start_time)
-        } else {
-            None
-        }
+        task_duration(self.start_time, self.end_time)
+    }
+}
+
+/// [`TaskRecord::duration`] of a row's start and end times.
+pub(crate) fn task_duration(start_time: i64, end_time: i64) -> Option<i64> {
+    if start_time > 0 && end_time >= start_time {
+        Some(end_time - start_time)
+    } else {
+        None
     }
 }
 

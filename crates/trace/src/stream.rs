@@ -12,10 +12,12 @@
 //! flags).
 //!
 //! Jobs are later *re-materialized on demand* by replaying their recorded
-//! byte ranges through the same parser (the source must be `Read + Seek`),
-//! which is how the stratified sample — picked from the size column alone,
-//! see [`crate::filter::stratified_sample_indices`] — becomes concrete
-//! [`Job`]s for the downstream pipeline.
+//! byte ranges through the same parser (the source must be `Read + Seek`).
+//! The stratified sample — picked from the size column alone, see
+//! [`crate::filter::stratified_sample_indices`] — is replayed in one call,
+//! in file order, into a flat [`SampleRows`] table the DAG builder reads
+//! directly; [`StreamedTrace::materialize_eligible`] and the census paths
+//! replay one [`Job`] at a time through the same reader and row loop.
 //!
 //! Two disruptions are handled without breaking bit-identity with a batch
 //! read:
@@ -38,11 +40,13 @@ use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::io::{Read, Seek, SeekFrom};
 
+use std::ops::Range;
+
 use crate::csv::{self, TaskParts};
 use crate::filter::{DropReason, FilterStats, SampleCriteria};
 use crate::quarantine::{self, Quarantine, QuarantinedRow, ReadPolicy};
 use crate::scan;
-use crate::schema::Status;
+use crate::schema::{task_duration, Status};
 use crate::stats::{JobFacts, StatsAccumulator, TraceStats};
 use crate::taskname;
 use crate::{IStr, Job, JobSet, TraceError};
@@ -60,11 +64,11 @@ const DEAD: u8 = 1 << 1;
 const ELIGIBLE: u8 = 1 << 2;
 const DIRTY: u8 = 1 << 3;
 
-/// Largest buffer a byte-range replay allocates. A replay buffer is sized
-/// to its range, never the forward scan's 1 MiB: most jobs span a few
-/// hundred bytes, and sampling every eligible job replays tens of
-/// thousands of ranges.
-const REPLAY_BUF_MAX: usize = 64 << 10;
+/// How far past a range's start one sample-replay read may reach. A miss
+/// reads the range and every later range that ends within this many bytes
+/// of its start, so a dense sample reads the file almost sequentially and
+/// a sparse one reads exactly its own ranges.
+const REPLAY_WINDOW: usize = 256 << 10;
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -206,7 +210,13 @@ impl NameColumn {
 
     fn string(&self, idx: u32) -> String {
         match self.numeric(idx) {
-            Some(v) => format!("j_{v}"),
+            Some(_) => {
+                let mut buf = [0u8; 22];
+                self.bytes(idx, &mut buf)
+                    .iter()
+                    .map(|&b| char::from(b))
+                    .collect()
+            }
             None => self.odd[&idx].clone(),
         }
     }
@@ -553,6 +563,83 @@ impl OpenFold {
     }
 }
 
+/// Reads recorded byte ranges of the source through one reused buffer.
+/// A caller asks for ranges in order of their start offset and passes the
+/// ranges it will ask for next: on a miss the reader seeks once and reads
+/// from the range's start to the end of every later range that ends within
+/// `window` bytes of that start, so those later ranges are hits.
+struct RangeReader {
+    buf: Vec<u8>,
+    /// Source offset of `buf[0]`.
+    at: u64,
+    window: u64,
+}
+
+impl RangeReader {
+    fn new(window: usize) -> RangeReader {
+        RangeReader {
+            buf: Vec::new(),
+            at: 0,
+            window: window as u64,
+        }
+    }
+
+    /// The bytes of the `(start, len)` range, given the ranges asked for
+    /// after it. Shorter than `len` only when the source ends early.
+    fn read<R: Read + Seek>(
+        &mut self,
+        source: &mut R,
+        (start, len): (u64, u32),
+        later: impl Iterator<Item = (u64, u32)>,
+    ) -> Result<&[u8], TraceError> {
+        let end = start + u64::from(len);
+        if start < self.at || end > self.at + self.buf.len() as u64 {
+            let limit = start.saturating_add(self.window);
+            let stop = later
+                .map(|(s, l)| s + u64::from(l))
+                .take_while(|&e| e <= limit)
+                .fold(end, u64::max);
+            source.seek(SeekFrom::Start(start))?;
+            self.at = start;
+            self.buf.clear();
+            self.buf.reserve_exact((stop - start) as usize);
+            (&mut *source)
+                .take(stop - start)
+                .read_to_end(&mut self.buf)?;
+        }
+        let from = (start - self.at) as usize;
+        let to = (from + len as usize).min(self.buf.len());
+        Ok(&self.buf[from..to])
+    }
+}
+
+/// Hand every row of `bytes` that belongs to job `name` to `sink`,
+/// skipping blank lines, rows of other jobs, and rows the scan
+/// quarantined. Rows decode through the forward scan's SWAR parser, so a
+/// replayed row is exactly the row the scan folded.
+fn replay_rows(
+    policy: &ReadPolicy,
+    bytes: &[u8],
+    name: &str,
+    mut sink: impl FnMut(&TaskParts<'_>) -> Result<(), TraceError>,
+) -> Result<(), TraceError> {
+    for raw in scan::lines(bytes) {
+        if raw.is_empty() {
+            continue;
+        }
+        let Ok(parts) = scan::parse_task_parts_bytes(0, raw) else {
+            continue;
+        };
+        let Ok(parts) = csv::classify_row(policy, 0, parts, |p| (p.start_time, p.end_time)) else {
+            continue;
+        };
+        if parts.job_name == name {
+            sink(&parts)?;
+        }
+    }
+    Ok(())
+}
+
 /// Everything the scan accumulates — split from the source so the borrow
 /// of the source (held by the line reader during the scan, or by the
 /// replay reader during materialization) never aliases the metadata.
@@ -563,8 +650,8 @@ struct ScanState {
     /// makes one name per job, so the table stays as small as the set of
     /// task types however many jobs are materialized.
     interner: crate::Interner,
-    /// The byte-range replay buffer, reused from range to range.
-    replay_buf: Vec<u8>,
+    /// The reader of one-job replays, its buffer reused from job to job.
+    reader: RangeReader,
     /// Canonical name per job.
     names: NameColumn,
     /// Primary byte range of each job in the source.
@@ -592,7 +679,7 @@ impl ScanState {
             policy: policy.clone(),
             criteria: criteria.clone(),
             interner: crate::Interner::new(),
-            replay_buf: Vec::new(),
+            reader: RangeReader::new(REPLAY_WINDOW),
             names: NameColumn::new(),
             byte_start: Vec::new(),
             byte_len: Vec::new(),
@@ -700,44 +787,6 @@ impl ScanState {
         Ok(())
     }
 
-    /// Re-read one recorded byte range, appending the rows that belong to
-    /// `name` (skipping blanks, rows of other jobs, and rows the scan
-    /// quarantined) to `tasks`. Rows decode through the forward scan's
-    /// SWAR parser, so a replayed row is exactly the row the scan folded.
-    fn replay_range<R: Read + Seek>(
-        &mut self,
-        source: &mut R,
-        start: u64,
-        len: u32,
-        name: &IStr,
-        tasks: &mut Vec<crate::TaskRecord>,
-    ) -> Result<(), TraceError> {
-        source.seek(SeekFrom::Start(start))?;
-        let capacity = (len as usize).min(REPLAY_BUF_MAX);
-        // An error drops the buffer; the next replay starts a fresh one.
-        let buf = std::mem::take(&mut self.replay_buf);
-        let mut lines = scan::BufLines::with_buffer(source.take(u64::from(len)), buf, capacity);
-        while let Some((_, _, span)) = lines.next_span()? {
-            let raw = &lines.view()[span];
-            if raw.is_empty() {
-                continue;
-            }
-            let Ok(parts) = scan::parse_task_parts_bytes(0, raw) else {
-                continue;
-            };
-            let Ok(parts) =
-                csv::classify_row(&self.policy, 0, parts, |p| (p.start_time, p.end_time))
-            else {
-                continue;
-            };
-            if parts.job_name == name.as_str() {
-                tasks.push(parts.record_of(name.clone(), &mut self.interner));
-            }
-        }
-        self.replay_buf = lines.into_buffer();
-        Ok(())
-    }
-
     /// Materialize one job by replaying its byte range(s) — primary only,
     /// or with straggler extras merged in document order.
     fn replay_job<R: Read + Seek>(
@@ -748,17 +797,85 @@ impl ScanState {
     ) -> Result<Job, TraceError> {
         let name = self.name_string(idx);
         let job_name = IStr::from(name.as_str());
+        let primary = [(self.byte_start[idx as usize], self.byte_len[idx as usize])];
+        let extras = match self.extras.get(&idx) {
+            Some(ranges) if with_extras => ranges.as_slice(),
+            _ => &[],
+        };
         let mut tasks = Vec::new();
-        let (start, len) = (self.byte_start[idx as usize], self.byte_len[idx as usize]);
-        self.replay_range(source, start, len, &job_name, &mut tasks)?;
-        if with_extras {
-            if let Some(ranges) = self.extras.get(&idx).cloned() {
-                for (s, l) in ranges {
-                    self.replay_range(source, s, l, &job_name, &mut tasks)?;
-                }
+        for ranges in [&primary[..], extras] {
+            for (i, &range) in ranges.iter().enumerate() {
+                let bytes = self
+                    .reader
+                    .read(source, range, ranges[i + 1..].iter().copied())?;
+                replay_rows(&self.policy, bytes, &name, |p| {
+                    tasks.push(p.record_of(job_name.clone(), &mut self.interner));
+                    Ok(())
+                })?;
             }
         }
         Ok(Job { name, tasks })
+    }
+
+    /// Replay the eligible jobs at positions `picked` into one row table,
+    /// slot `s` holding job `picked[s]`. Every range is read once, in file
+    /// order, through one reader whose buffer is freed on return.
+    fn replay_sample<R: Read + Seek>(
+        &self,
+        source: &mut R,
+        picked: &[usize],
+        window: usize,
+    ) -> Result<SampleRows, TraceError> {
+        // Every range to read as `(start, len, slot, the job has
+        // straggler extras)`. Extras lie after their job's primary range,
+        // so file order is also each job's document order.
+        let mut plan = Vec::with_capacity(picked.len());
+        let mut names = Vec::with_capacity(picked.len());
+        let mut rows = 0;
+        for (slot, &pos) in picked.iter().enumerate() {
+            let idx = self.eligible[pos];
+            names.push(self.name_string(idx));
+            let i = idx as usize;
+            let extras = self.extras.get(&idx).map_or(&[][..], Vec::as_slice);
+            let split = !extras.is_empty();
+            plan.push((self.byte_start[i], self.byte_len[i], slot, split));
+            plan.extend(extras.iter().map(|&(start, len)| (start, len, slot, split)));
+            // A job read in several segments is copied into one run.
+            rows += self.size[i] as usize * if split { 2 } else { 1 };
+        }
+        plan.sort_unstable_by_key(|&(start, ..)| start);
+
+        let mut table = SampleRows {
+            names,
+            jobs: vec![0..0; picked.len()],
+            rows: Rows::with_capacity(rows),
+        };
+        let mut segments = Vec::new();
+        let mut reader = RangeReader::new(window);
+        for (i, &(start, len, slot, split)) in plan.iter().enumerate() {
+            let later = plan[i + 1..].iter().map(|&(start, len, ..)| (start, len));
+            let bytes = reader.read(source, (start, len), later)?;
+            let first = table.rows.len();
+            replay_rows(&self.policy, bytes, &table.names[slot], |p| {
+                table.rows.push(p)
+            })?;
+            let segment = first..table.rows.len();
+            if split {
+                segments.push((slot, segment));
+            } else {
+                table.jobs[slot] = segment;
+            }
+        }
+        // The stable sort keeps each job's segments in document order.
+        segments.sort_by_key(|&(slot, _)| slot);
+        for job in segments.chunk_by(|a, b| a.0 == b.0) {
+            let first = table.rows.len();
+            for (_, segment) in job {
+                table.rows.copy_within(segment.clone())?;
+            }
+            table.jobs[job[0].0] = first..table.rows.len();
+        }
+        Ok(table)
     }
 
     /// Apply deferred corrections, then freeze the eligible population in
@@ -1000,6 +1117,25 @@ impl<R: Read + Seek> StreamedTrace<R> {
         self.state.replay_job(&mut self.source, idx, true)
     }
 
+    /// Replay the eligible jobs at positions `picked` into one flat row
+    /// table: slot `s` holds the name, task names and attributes of the
+    /// job [`StreamedTrace::materialize_eligible`]`(picked[s])` returns,
+    /// with no [`Job`] or [`crate::TaskRecord`] made. The ranges are read
+    /// in file order, the reads of neighbouring ranges merged.
+    pub fn replay_sample(&mut self, picked: &[usize]) -> Result<SampleRows, TraceError> {
+        self.replay_sample_with_window(picked, REPLAY_WINDOW)
+    }
+
+    /// [`StreamedTrace::replay_sample`] with an explicit read window —
+    /// exposed so the property tests can force a read per range.
+    pub fn replay_sample_with_window(
+        &mut self,
+        picked: &[usize],
+        window: usize,
+    ) -> Result<SampleRows, TraceError> {
+        self.state.replay_sample(&mut self.source, picked, window)
+    }
+
     /// Total source bytes consumed by the scan.
     pub fn raw_bytes(&self) -> u64 {
         self.state.raw_bytes
@@ -1071,6 +1207,192 @@ impl<R: Read + Seek> StreamedTrace<R> {
         stats.kept = kept;
         stats.considered = self.job_count() + self.state.suspects.len();
         Ok(stats)
+    }
+}
+
+/// The trace attributes of one replayed row that its DAG node keeps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RowAttrs {
+    /// Number of instances launched for the task.
+    pub instance_num: u32,
+    /// [`crate::TaskRecord::duration`], 0 when unavailable.
+    pub duration: i64,
+    /// Requested CPU, percent of one core.
+    pub plan_cpu: f64,
+    /// Requested memory, normalized units.
+    pub plan_mem: f64,
+}
+
+/// One row of a [`SampleRows`] table: where its task name ends in the
+/// table's name string (it starts where the previous row's ends), then
+/// its [`RowAttrs`] — one record, so a job's rows are one run of memory.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    name_end: u32,
+    instance_num: u32,
+    duration: i64,
+    plan_cpu: f64,
+    plan_mem: f64,
+}
+
+/// Rows in one flat layout: row `r`'s task name is
+/// `task_names[rows[r - 1].name_end..rows[r].name_end]` (from 0 for the
+/// first row).
+#[derive(Debug)]
+struct Rows {
+    task_names: String,
+    rows: Vec<Row>,
+}
+
+impl Rows {
+    fn with_capacity(rows: usize) -> Rows {
+        Rows {
+            task_names: String::new(),
+            rows: Vec::with_capacity(rows),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Where row `r`'s task name starts.
+    fn name_start(&self, r: usize) -> u32 {
+        r.checked_sub(1).map_or(0, |prev| self.rows[prev].name_end)
+    }
+
+    /// The offset ending a row's task name.
+    fn name_end(&self) -> Result<u32, TraceError> {
+        u32::try_from(self.task_names.len()).map_err(|_| {
+            TraceError::Invalid("the sampled jobs' task names exceed 4 GiB".to_string())
+        })
+    }
+
+    fn push(&mut self, p: &TaskParts<'_>) -> Result<(), TraceError> {
+        self.task_names.push_str(p.task_name);
+        self.rows.push(Row {
+            name_end: self.name_end()?,
+            instance_num: p.instance_num,
+            duration: task_duration(p.start_time, p.end_time).unwrap_or(0),
+            plan_cpu: p.plan_cpu,
+            plan_mem: p.plan_mem,
+        });
+        Ok(())
+    }
+
+    /// Append a copy of `rows`.
+    fn copy_within(&mut self, rows: Range<usize>) -> Result<(), TraceError> {
+        for r in rows {
+            let name = self.name_start(r) as usize..self.rows[r].name_end as usize;
+            self.task_names.extend_from_within(name);
+            self.rows.push(Row {
+                name_end: self.name_end()?,
+                ..self.rows[r]
+            });
+        }
+        Ok(())
+    }
+}
+
+/// The rows of a replayed sample ([`StreamedTrace::replay_sample`]) in one
+/// flat table: every row's task name in one string and one record per row,
+/// each sample slot a run of rows and a job name.
+#[derive(Debug)]
+pub struct SampleRows {
+    names: Vec<String>,
+    jobs: Vec<Range<usize>>,
+    rows: Rows,
+}
+
+impl SampleRows {
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// True when the sample is empty.
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+
+    /// The job name of each slot.
+    pub fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// The job in slot `s`.
+    #[inline]
+    pub fn job(&self, s: usize) -> SampleJob<'_> {
+        let rows = self.jobs[s].clone();
+        SampleJob {
+            name: &self.names[s],
+            task_names: &self.rows.task_names,
+            name_start: self.rows.name_start(rows.start),
+            rows: &self.rows.rows[rows],
+        }
+    }
+
+    /// The job names, the rows freed.
+    pub fn into_names(self) -> Vec<String> {
+        self.names
+    }
+}
+
+/// One slot of a [`SampleRows`]: a job's rows in document order.
+#[derive(Debug, Clone, Copy)]
+pub struct SampleJob<'a> {
+    name: &'a str,
+    task_names: &'a str,
+    /// Where the first row's task name starts.
+    name_start: u32,
+    rows: &'a [Row],
+}
+
+impl<'a> SampleJob<'a> {
+    /// The job's name.
+    #[inline]
+    pub fn name(&self) -> &'a str {
+        self.name
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when the job has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Total bytes of the task names.
+    #[inline]
+    pub fn name_bytes(&self) -> usize {
+        self.rows
+            .last()
+            .map_or(0, |row| row.name_end - self.name_start) as usize
+    }
+
+    /// Task name of row `r`.
+    #[inline]
+    pub fn task_name(&self, r: usize) -> &'a str {
+        let start = r
+            .checked_sub(1)
+            .map_or(self.name_start, |prev| self.rows[prev].name_end);
+        &self.task_names[start as usize..self.rows[r].name_end as usize]
+    }
+
+    /// Attributes of row `r`.
+    #[inline]
+    pub fn attrs(&self, r: usize) -> RowAttrs {
+        let row = &self.rows[r];
+        RowAttrs {
+            instance_num: row.instance_num,
+            duration: row.duration,
+            plan_cpu: row.plan_cpu,
+            plan_mem: row.plan_mem,
+        }
     }
 }
 
@@ -1318,6 +1640,80 @@ mod tests {
         assert!(t.eligible_count() > 100 && task_types.len() > 1);
         assert!(rows > t.eligible_count());
         assert_eq!(t.state.interner.len(), task_types.len());
+    }
+
+    /// A source that counts its seeks and the bytes read from it.
+    struct Counted {
+        inner: Cursor<Vec<u8>>,
+        seeks: usize,
+        bytes: usize,
+    }
+
+    impl Read for Counted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.bytes += n;
+            Ok(n)
+        }
+    }
+
+    impl Seek for Counted {
+        fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+            self.seeks += 1;
+            self.inner.seek(pos)
+        }
+    }
+
+    #[test]
+    fn sample_replay_reads_each_window_once() {
+        // Nine one-row jobs of one line length each, in name order. A read
+        // covers its range and every later picked range that ends within
+        // the window of its start: floor(window / line) ranges, at least
+        // one. Slots come back in pick order, not file order.
+        let doc: String = (0..9)
+            .map(|i| format!("M1,1,j_{},1,Terminated,100,200,100,0.5\n", 1_000_001 + i))
+            .collect();
+        let line = doc.len() / 9;
+        let source = Counted {
+            inner: Cursor::new(doc.clone().into_bytes()),
+            seeks: 0,
+            bytes: 0,
+        };
+        let mut t =
+            StreamedTrace::scan(source, &ReadPolicy::Strict, &SampleCriteria::default()).unwrap();
+        let picked = [4, 0, 8, 2, 7, 1, 3, 6, 5];
+        for (window, reads) in [
+            (0, 9),
+            (line - 1, 9),
+            (line, 9),
+            (2 * line, 5),
+            (3 * line - 1, 5),
+            (3 * line, 3),
+            (4 * line - 1, 3),
+            (9 * line, 1),
+            (REPLAY_WINDOW, 1),
+        ] {
+            t.source.seeks = 0;
+            t.source.bytes = 0;
+            let rows = t.replay_sample_with_window(&picked, window).unwrap();
+            assert_eq!(t.source.seeks, reads, "window {window}");
+            assert_eq!(t.source.bytes, doc.len(), "window {window}");
+            for (s, &pos) in picked.iter().enumerate() {
+                let job = rows.job(s);
+                assert_eq!(job.name(), format!("j_{}", 1_000_001 + pos));
+                assert_eq!((job.len(), job.task_name(0)), (1, "M1"));
+                assert_eq!(job.attrs(0).duration, 100);
+            }
+        }
+        // A straggler row joins its job's slot after the primary rows.
+        let straggler = "R2_1,3,j_1000003,1,Terminated,200,250,100,0.5\n";
+        let mut t = scan_str(&format!("{doc}{straggler}"));
+        let rows = t.replay_sample_with_window(&picked, line).unwrap();
+        let job = rows.job(3);
+        assert_eq!(job.name(), "j_1000003");
+        assert_eq!((job.task_name(0), job.task_name(1)), ("M1", "R2_1"));
+        assert_eq!((job.attrs(1).instance_num, job.attrs(1).duration), (3, 50));
+        assert_eq!(rows.job(2).name(), "j_1000009");
     }
 
     #[test]

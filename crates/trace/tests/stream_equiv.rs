@@ -1,9 +1,10 @@
 //! Property tests: the streaming engine is observationally identical to
 //! the batch path — same grouped jobs, same exact statistics, same
-//! quarantine accounting, same filter verdicts, same stratified sample —
-//! for random documents mixing contiguous job blocks, out-of-order
-//! straggler rows, malformed rows (which implicate their job), blank
-//! lines, and every buffer capacity from 1 byte up.
+//! quarantine accounting, same filter verdicts, same stratified sample,
+//! and a row-table replay of the sample that holds what the per-job
+//! replay does — for random documents mixing contiguous job blocks,
+//! out-of-order straggler rows, malformed rows (which implicate their
+//! job), blank lines, and every buffer capacity from 1 byte up.
 
 use std::collections::BTreeSet;
 use std::io::Cursor;
@@ -12,8 +13,8 @@ use proptest::prelude::*;
 
 use dagscope_trace::filter::{self, SampleCriteria};
 use dagscope_trace::stats::TraceStats;
-use dagscope_trace::stream::StreamedTrace;
-use dagscope_trace::{csv, JobSet, ReadPolicy};
+use dagscope_trace::stream::{RowAttrs, SampleJob, StreamedTrace};
+use dagscope_trace::{csv, Job, JobSet, ReadPolicy};
 
 /// One valid task row for `name`. Kind 5 has zeroed times/resources so the
 /// job fails the availability gate — the filter paths must agree on it.
@@ -108,6 +109,34 @@ fn build_doc(jobs: &[GenJob], splits: &[usize], bads: &[(u8, u8)], scramble: u64
     doc
 }
 
+/// A job as the row table keeps it: its name, and each row's task name
+/// and attributes.
+type JobRows = (String, Vec<(String, RowAttrs)>);
+
+fn rows_of_job(job: &Job) -> JobRows {
+    let rows = job
+        .tasks
+        .iter()
+        .map(|t| {
+            let attrs = RowAttrs {
+                instance_num: t.instance_num,
+                duration: t.duration().unwrap_or(0),
+                plan_cpu: t.plan_cpu,
+                plan_mem: t.plan_mem,
+            };
+            (t.task_name.clone(), attrs)
+        })
+        .collect();
+    (job.name.clone(), rows)
+}
+
+fn rows_of_slot(job: SampleJob<'_>) -> JobRows {
+    let rows = (0..job.len())
+        .map(|r| (job.task_name(r).to_string(), job.attrs(r)))
+        .collect();
+    (job.name().to_string(), rows)
+}
+
 /// The core equivalence check, shared by every case below.
 fn check_equivalence(doc: &str, cap: usize, policy: &ReadPolicy) {
     let criteria = SampleCriteria::default();
@@ -179,10 +208,32 @@ fn check_equivalence(doc: &str, cap: usize, policy: &ReadPolicy) {
         &filter::stratified_sample_indices(&stream.eligible_sizes(), 5, 42)
     );
     let stream_sample: Vec<String> = picked
-        .into_iter()
-        .map(|p| stream.materialize_eligible(p).unwrap().name)
+        .iter()
+        .map(|&p| stream.materialize_eligible(p).unwrap().name)
         .collect();
     prop_assert_eq!(stream_sample, batch_sample);
+
+    // The row-table replay of the 5-job sample and of every eligible job,
+    // through the default window and through a `cap`-byte one (a read
+    // per range): slot by slot, the table holds what the per-job replay
+    // materializes, straggler extras after the primary rows.
+    let everyone = stream.sample_eligible(stream.eligible_count(), 42);
+    for picked in [picked, everyone] {
+        let want: Vec<JobRows> = picked
+            .iter()
+            .map(|&p| rows_of_job(&stream.materialize_eligible(p).unwrap()))
+            .collect();
+        for table in [
+            stream.replay_sample(&picked).unwrap(),
+            stream.replay_sample_with_window(&picked, cap).unwrap(),
+        ] {
+            prop_assert_eq!(table.len(), picked.len());
+            let got: Vec<JobRows> = (0..table.len())
+                .map(|s| rows_of_slot(table.job(s)))
+                .collect();
+            prop_assert_eq!(&got, &want);
+        }
+    }
 }
 
 fn job_strategy() -> impl Strategy<Value = (bool, Vec<(u8, u32, i64)>)> {
