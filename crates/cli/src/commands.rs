@@ -40,8 +40,8 @@ COMMANDS
   figure      regenerate one paper figure 2..9, or all
               (--n N | --all) [--csv DIR] [--dot DIR] [pipeline flags]
   census      Section V-B shape-pattern census over a full trace
-              (--jobs N --seed S | --trace DIR, streamed one job at a
-               time with a unique-WL-shape count)
+              (--jobs N --seed S | --trace DIR, replayed a bounded row
+               table at a time, with a unique-WL-shape count)
   baselines   WL+spectral vs statistical k-means vs hierarchical (ARI)
               (--jobs N --sample N --seed S)
   placement   job-task-node placement statistics from instance rows
@@ -84,7 +84,7 @@ GLOBAL FLAGS
   --trace DIR        pipeline commands ingest DIR/batch_task.csv instead
                      of synthesizing a trace: one bounded-memory scan
                      folds the statistics, and only the jobs a command
-                     uses are ever materialized (byte-range replay)
+                     uses are ever replayed (byte-range replay)
   --max-bad-rows N   with --trace: quarantine up to N malformed rows
                      instead of aborting on the first; implicated jobs
                      are dropped and a report goes to stderr
@@ -263,7 +263,7 @@ fn with_timings(flags: &Flags, report: &Report, ingest: Option<&Ingest>, body: S
         // Eigengap diagnostic: the leading Laplacian spectrum justifies
         // (or questions) the chosen group count.
         let eig = &report.laplacian_eigenvalues;
-        let shown: Vec<String> = eig.iter().take(8).map(|v| format!("{v:.4}")).collect();
+        let shown: Vec<String> = eig.iter().take(8).map(|&v| fixed4(v)).collect();
         writeln!(
             out,
             "laplacian eigenvalues (asc): {}{} | groups chosen: {}",
@@ -275,6 +275,16 @@ fn with_timings(flags: &Flags, report: &Report, ingest: Option<&Ingest>, body: S
         out
     } else {
         body
+    }
+}
+
+/// `v` to four decimals, unsigned when it rounds to zero: an eigenvalue
+/// of -1e-17 prints as `0.0000`, not `-0.0000`.
+fn fixed4(v: f64) -> String {
+    let s = format!("{v:.4}");
+    match s.strip_prefix('-') {
+        Some(digits) if digits.bytes().all(|b| b == b'0' || b == b'.') => digits.to_string(),
+        _ => s,
     }
 }
 
@@ -463,22 +473,29 @@ fn cmd_figure(flags: &Flags) -> Result<String, CliError> {
 
 fn cmd_census(flags: &Flags) -> Result<String, CliError> {
     // `--trace <dir>` censuses a real CSV with the streaming engine: one
-    // job in memory at a time, so the full 4M-job trace fits a laptop
-    // budget. Unique shapes are tracked by WL fingerprint (fresh
-    // vectorizer per job, so equal shapes hash equal) — the O(sqrt n)
-    // population the collapsed cluster engine exploits.
+    // bounded row table of eligible jobs in memory at a time, so the full
+    // 4M-job trace fits a laptop budget. Unique shapes are tracked by WL
+    // fingerprint (fresh vectorizer per job, so equal shapes hash equal)
+    // — the O(sqrt n) population the collapsed cluster engine exploits.
     let (census, unique_shapes) = if let Some(dir) = flags.str_opt("trace") {
         let mut streamed = open_streamed_trace(dir, flags)?;
         let iterations = flags.get_or("wl-iterations", 3usize, "an iteration count")?;
         let mut merged: Option<dagscope_graph::pattern::PatternCensus> = None;
         let mut shapes = std::collections::HashSet::new();
-        for pos in 0..streamed.eligible_count() {
-            let job = streamed.materialize_eligible(pos).map_err(io_err)?;
-            let dag = [JobDag::from_job(&job)
-                .map_err(|e| CliError::Run(format!("job {}: {e}", job.name)))?];
-            let mut wl = dagscope_wl::WlVectorizer::new(iterations);
-            shapes.insert(dagscope_wl::fingerprint(&wl.transform(&dag[0])));
-            let one = figures::pattern_census_of(&dag);
+        for table in streamed.replay_eligible(usize::MAX) {
+            let table = table.map_err(io_err)?;
+            let dags = (0..table.len())
+                .map(|s| {
+                    let job = table.job(s);
+                    JobDag::from_rows(job.name().to_string(), &job)
+                        .map_err(|e| CliError::Run(format!("job {}: {e}", job.name())))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            for dag in &dags {
+                let mut wl = dagscope_wl::WlVectorizer::new(iterations);
+                shapes.insert(dagscope_wl::fingerprint(&wl.transform(dag)));
+            }
+            let one = figures::pattern_census_of(&dags);
             merged = Some(match merged {
                 None => one,
                 Some(mut acc) => {
@@ -946,6 +963,41 @@ mod tests {
     }
 
     #[test]
+    fn census_ingests_generated_trace() {
+        let dir = std::env::temp_dir().join(format!("dagscope_cli_census_{}", std::process::id()));
+        run(&argv(&format!(
+            "generate --jobs 2000 --seed 42 --out {}",
+            dir.display()
+        )))
+        .unwrap();
+        let scanned = run(&argv(&format!("census --trace {}", dir.display()))).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        // The shape count, made job by job over the batch-filtered set
+        // with a fresh vectorizer each, so equal shapes hash equal.
+        let trace = TraceGenerator::new(GeneratorConfig {
+            jobs: 2000,
+            seed: 42,
+            ..Default::default()
+        })
+        .generate();
+        let set = trace.job_set();
+        let shapes: std::collections::HashSet<u64> = SampleCriteria::default()
+            .filter(&set)
+            .iter()
+            .map(|job| {
+                let dag = JobDag::from_job(job).unwrap();
+                dagscope_wl::fingerprint(&dagscope_wl::WlVectorizer::new(3).transform(&dag))
+            })
+            .collect();
+        assert!(shapes.len() > 1);
+        let synthetic = run(&argv("census --jobs 2000 --seed 42")).unwrap();
+        assert_eq!(
+            scanned,
+            format!("{synthetic}unique WL shapes: {}\n", shapes.len())
+        );
+    }
+
+    #[test]
     fn baselines_runs() {
         let out = run(&argv("baselines --jobs 250 --sample 25 --seed 3")).unwrap();
         assert!(out.contains("ARI"));
@@ -1061,6 +1113,21 @@ mod tests {
         // Without the switch the table is absent.
         let plain = run(&argv("summary --jobs 200 --sample 20 --seed 3")).unwrap();
         assert!(!plain.contains("stage timings"));
+    }
+
+    #[test]
+    fn fixed4_drops_the_sign_of_a_rounded_zero() {
+        for (v, want) in [
+            (-1e-17, "0.0000"),
+            (-0.0, "0.0000"),
+            (-0.00004, "0.0000"),
+            (0.0, "0.0000"),
+            (-0.00006, "-0.0001"),
+            (-0.5, "-0.5000"),
+            (0.76384, "0.7638"),
+        ] {
+            assert_eq!(fixed4(v), want, "{v:e}");
+        }
     }
 
     #[test]

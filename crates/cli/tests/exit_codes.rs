@@ -112,22 +112,28 @@ fn trace_job_that_is_not_a_dag_exits_two_naming_it() {
             ));
         }
         std::fs::write(dir.join("batch_task.csv"), bad).expect("write trace");
-        let out = dagscope(&[
-            "summary",
-            "--trace",
-            dir.to_str().expect("utf-8 temp dir"),
-            "--sample",
-            "100000",
-            "--cluster-engine",
-            "collapsed",
-        ]);
-        let err = stderr(&out);
-        assert_eq!(out.status.code(), Some(2), "{names:?}: {err}");
-        assert!(
-            err.contains("j_9999999") && err.contains(reason),
-            "{names:?}: {err}"
-        );
-        assert!(!err.contains("panicked"), "{names:?}: {err}");
+        let dir = dir.to_str().expect("utf-8 temp dir");
+        for args in [
+            &[
+                "summary",
+                "--trace",
+                dir,
+                "--sample",
+                "100000",
+                "--cluster-engine",
+                "collapsed",
+            ][..],
+            &["census", "--trace", dir][..],
+        ] {
+            let out = dagscope(args);
+            let err = stderr(&out);
+            assert_eq!(out.status.code(), Some(2), "{args:?} {names:?}: {err}");
+            assert!(
+                err.contains("j_9999999") && err.contains(reason),
+                "{args:?} {names:?}: {err}"
+            );
+            assert!(!err.contains("panicked"), "{args:?} {names:?}: {err}");
+        }
     }
     std::fs::remove_dir_all(&dir).expect("remove temp trace");
 }

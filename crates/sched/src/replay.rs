@@ -14,6 +14,7 @@ use crate::policy::Policy;
 use crate::sim::{SimConfig, Simulator};
 use crate::workload::SimJob;
 use dagscope_faults::failpoint;
+use dagscope_graph::JobDag;
 use dagscope_trace::stream::StreamedTrace;
 
 /// A replayable workload: simulation jobs in deterministic
@@ -27,24 +28,29 @@ pub struct ReplayWorkload {
     pub skipped: usize,
 }
 
-/// Materialize up to `max_jobs` filter-eligible jobs from a streamed
-/// store into simulation jobs. The store's columnar metadata stays
-/// resident; each job's task rows are re-read on demand, so a 100k-job
-/// replay never holds the raw trace in memory.
+/// Build simulation jobs from the first `max_jobs` filter-eligible jobs
+/// of a streamed store, each arriving at its earliest task start. The
+/// store's columnar metadata stays resident; the jobs' task rows are
+/// replayed a bounded row table at a time, so a 100k-job replay never
+/// holds the raw trace in memory.
 pub fn workload_from_stream<R: Read + Seek>(
     store: &mut StreamedTrace<R>,
     max_jobs: usize,
 ) -> Result<ReplayWorkload, String> {
-    let n = store.eligible_count().min(max_jobs);
-    let mut jobs = Vec::with_capacity(n);
+    let mut jobs = Vec::with_capacity(store.eligible_count().min(max_jobs));
     let mut skipped = 0usize;
-    for pos in 0..n {
-        let job = store
-            .materialize_eligible(pos)
-            .map_err(|e| format!("materializing eligible job {pos}: {e}"))?;
-        match SimJob::from_trace_job(&job) {
-            Ok(sj) => jobs.push(sj),
-            Err(_) => skipped += 1,
+    for table in store.replay_eligible(max_jobs) {
+        let table = table.map_err(|e| format!("replaying eligible jobs: {e}"))?;
+        for s in 0..table.len() {
+            let job = table.job(s);
+            match JobDag::from_rows(job.name().to_string(), &job) {
+                Ok(dag) => jobs.push(SimJob::from_dag(
+                    job.name().to_string(),
+                    job.start_time().unwrap_or(0),
+                    dag,
+                )),
+                Err(_) => skipped += 1,
+            }
         }
     }
     jobs.sort_by(|a, b| a.arrival.cmp(&b.arrival).then_with(|| a.name.cmp(&b.name)));
@@ -256,6 +262,75 @@ mod tests {
         let eligible = SampleCriteria::default().filter(&set);
         let via_batch = workload_from_jobs(eligible.iter().copied(), usize::MAX);
         assert_eq!(via_stream.jobs, via_batch.jobs);
+    }
+
+    #[test]
+    fn stream_and_batch_workloads_agree_with_stragglers_and_bad_rows() {
+        // ~3,000 generated jobs (more eligible jobs than one replay chunk
+        // holds). Every 7th multi-row job's first row moves to the end of
+        // the file, so the scan closes the job and then meets a straggler.
+        // Bad rows implicate every 11th job: right after its block (the
+        // open job is dropped), or at the end of the file (the closed job,
+        // straggler-split or not, is retracted at finalize). A last job
+        // whose task names parse but name a missing parent is eligible
+        // and cannot build a DAG.
+        let csv = trace_csv(3_000, 13);
+        let mut blocks: Vec<(String, Vec<&str>)> = Vec::new();
+        for line in csv.lines() {
+            let job = line.split(',').nth(2).unwrap();
+            match blocks.last_mut() {
+                Some((name, rows)) if name == job => rows.push(line),
+                _ => blocks.push((job.to_string(), vec![line])),
+            }
+        }
+        let (mut doc, mut tail) = (String::new(), String::new());
+        for (i, (name, rows)) in blocks.iter().enumerate() {
+            let moved = i % 7 == 3 && rows.len() > 1;
+            for row in &rows[usize::from(moved)..] {
+                doc.push_str(row);
+                doc.push('\n');
+            }
+            if moved {
+                tail.push_str(rows[0]);
+                tail.push('\n');
+            }
+            if i % 11 == 5 {
+                let bad = format!("M1,x,{name},1,Terminated,1,2,3,4\n");
+                if i % 2 == 0 {
+                    doc.push_str(&bad);
+                } else {
+                    tail.push_str(&bad);
+                }
+            }
+        }
+        doc.push_str(&tail);
+        doc.push_str("M1,1,j_9999999,1,Terminated,100,200,100,0.5\n");
+        doc.push_str("R2_9,1,j_9999999,1,Terminated,200,300,100,0.5\n");
+
+        let policy = ReadPolicy::Quarantine { max_bad: 1_000 };
+        let criteria = SampleCriteria::default();
+        let mut store = StreamedTrace::scan(Cursor::new(doc.as_bytes()), &policy, &criteria)
+            .expect("quarantine absorbs the bad rows");
+        assert!(store.eligible_count() > 1_024, "{}", store.eligible_count());
+        assert!(store.suspects().len() > 200);
+        let via_stream = workload_from_stream(&mut store, usize::MAX).unwrap();
+
+        let (rows, q) = dagscope_trace::csv::read_tasks_with_policy(doc.as_bytes(), &policy)
+            .expect("quarantine absorbs the bad rows");
+        let suspects = q.suspect_jobs();
+        let set = dagscope_trace::JobSet::from_tasks(
+            rows.into_iter()
+                .filter(|t| !suspects.contains_key(t.job_name.as_str())),
+        );
+        let via_batch = workload_from_jobs(criteria.filter(&set), usize::MAX);
+        assert_eq!(via_stream.skipped, 1);
+        assert_eq!(via_batch.skipped, 1);
+        assert_eq!(via_stream.jobs, via_batch.jobs);
+        assert_eq!(
+            via_stream.jobs.len() + 1,
+            store.eligible_count(),
+            "every other eligible job replays"
+        );
     }
 
     #[test]

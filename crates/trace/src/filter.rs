@@ -10,73 +10,17 @@
 //! * **Variability** — the sample preserves topological diversity, which we
 //!   realize as stratified sampling across job-size groups.
 //!
-//! [`SampleCriteria::filter_with_stats`] additionally produces a
-//! [`FilterStats`] report naming every dropped job and why — including
-//! jobs whose task set was rendered incomplete by quarantined rows (see
-//! [`crate::quarantine`]).
-
-use std::collections::{BTreeMap, BTreeSet};
+//! The criteria judge a materialized [`Job`]; the streamed scan
+//! ([`crate::stream::StreamedTrace`]) folds the same verdicts row by row,
+//! after dropping every job a quarantined row implicates (see
+//! [`crate::quarantine`]), and samples with
+//! [`stratified_sample_indices_from`] over its size column.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::{Job, JobSet};
-
-/// Why a job was dropped during filtering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropReason {
-    /// A quarantined row implicated the job, so its task set may be
-    /// incomplete; characterizing a truncated DAG would be worse than
-    /// skipping it.
-    QuarantineIncomplete,
-    /// Failed the integrity rule (non-DAG job or abnormal termination).
-    Integrity,
-    /// Failed the availability rule (missing/out-of-window timestamps or
-    /// missing resource requests).
-    Availability,
-}
-
-impl std::fmt::Display for DropReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            DropReason::QuarantineIncomplete => "quarantine-incomplete",
-            DropReason::Integrity => "integrity",
-            DropReason::Availability => "availability",
-        })
-    }
-}
-
-/// Per-job drop accounting for one filtering pass.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FilterStats {
-    /// Jobs considered (including quarantine-suspect jobs that may have
-    /// been erased from the job set entirely).
-    pub considered: usize,
-    /// Jobs that passed every gate.
-    pub kept: usize,
-    /// Every dropped job with its reason, in deterministic name order.
-    pub dropped: BTreeMap<String, DropReason>,
-}
-
-impl FilterStats {
-    /// Count of jobs dropped for a given reason.
-    pub fn dropped_for(&self, reason: DropReason) -> usize {
-        self.dropped.values().filter(|&&r| r == reason).count()
-    }
-
-    /// One-line human summary for logs and CLI output.
-    pub fn render(&self) -> String {
-        format!(
-            "filter: kept {} of {} jobs (dropped: {} quarantine-incomplete, {} integrity, {} availability)",
-            self.kept,
-            self.considered,
-            self.dropped_for(DropReason::QuarantineIncomplete),
-            self.dropped_for(DropReason::Integrity),
-            self.dropped_for(DropReason::Availability),
-        )
-    }
-}
 
 /// Integrity + availability thresholds.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,46 +73,6 @@ impl SampleCriteria {
     /// preserving the set's deterministic order.
     pub fn filter<'a>(&self, set: &'a JobSet) -> Vec<&'a Job> {
         set.jobs().iter().filter(|j| self.accepts(j)).collect()
-    }
-
-    /// Like [`SampleCriteria::filter`], but also drops every job named in
-    /// `suspects` (jobs implicated by quarantined rows — their task set
-    /// may be incomplete) and records each dropped job's reason.
-    /// Suspect jobs erased from the set entirely (every row quarantined)
-    /// are still counted as considered-and-dropped.
-    pub fn filter_with_stats<'a>(
-        &self,
-        set: &'a JobSet,
-        suspects: &BTreeSet<String>,
-    ) -> (Vec<&'a Job>, FilterStats) {
-        let mut stats = FilterStats::default();
-        for name in suspects {
-            stats
-                .dropped
-                .insert(name.clone(), DropReason::QuarantineIncomplete);
-        }
-        let mut kept = Vec::new();
-        for job in set.jobs() {
-            if suspects.contains(&job.name) {
-                continue;
-            }
-            if !self.integrity(job) {
-                stats
-                    .dropped
-                    .insert(job.name.clone(), DropReason::Integrity);
-            } else if !self.availability(job) {
-                stats
-                    .dropped
-                    .insert(job.name.clone(), DropReason::Availability);
-            } else {
-                kept.push(job);
-            }
-        }
-        stats.kept = kept.len();
-        // Suspects absent from the set were still jobs in the trace.
-        let in_set = set.jobs().iter().filter(|j| suspects.contains(&j.name));
-        stats.considered = set.jobs().len() + suspects.len() - in_set.count();
-        (kept, stats)
     }
 }
 
@@ -354,44 +258,6 @@ mod tests {
         let kept = SampleCriteria::default().filter(&set);
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].name, "j_a");
-    }
-
-    #[test]
-    fn filter_with_stats_records_reasons() {
-        let mut jobs = vec![
-            chain_job("j_ok", 2, 100),
-            chain_job("j_bad_status", 3, 50),
-            chain_job("j_suspect", 2, 100),
-            chain_job("j_early", 2, 0),
-        ];
-        jobs[1].tasks[0].status = Status::Cancelled;
-        let set = JobSet::from_jobs(jobs);
-        let suspects: BTreeSet<String> = ["j_suspect".to_string(), "j_gone".to_string()].into();
-        let (kept, stats) = SampleCriteria::default().filter_with_stats(&set, &suspects);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].name, "j_ok");
-        // j_gone never made it into the set but still counts as considered.
-        assert_eq!(stats.considered, 5);
-        assert_eq!(stats.kept, 1);
-        assert_eq!(stats.dropped["j_suspect"], DropReason::QuarantineIncomplete);
-        assert_eq!(stats.dropped["j_gone"], DropReason::QuarantineIncomplete);
-        assert_eq!(stats.dropped["j_bad_status"], DropReason::Integrity);
-        assert_eq!(stats.dropped["j_early"], DropReason::Availability);
-        assert_eq!(stats.dropped_for(DropReason::QuarantineIncomplete), 2);
-        assert!(stats.render().contains("kept 1 of 5"));
-    }
-
-    #[test]
-    fn filter_with_stats_matches_filter_without_suspects() {
-        let mut jobs = vec![chain_job("j_a", 2, 100), chain_job("j_b", 3, 50)];
-        jobs[1].tasks[0].status = Status::Cancelled;
-        let set = JobSet::from_jobs(jobs);
-        let c = SampleCriteria::default();
-        let plain: Vec<&str> = c.filter(&set).iter().map(|j| j.name.as_str()).collect();
-        let (with_stats, stats) = c.filter_with_stats(&set, &BTreeSet::new());
-        let named: Vec<&str> = with_stats.iter().map(|j| j.name.as_str()).collect();
-        assert_eq!(plain, named);
-        assert_eq!(stats.considered, 2);
     }
 
     #[test]

@@ -35,7 +35,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod container;
 pub mod csv;
 mod error;
 pub mod filter;
@@ -49,7 +48,6 @@ pub mod quarantine;
 pub mod scan;
 mod schema;
 pub mod stats;
-pub mod store;
 pub mod stream;
 pub mod taskname;
 

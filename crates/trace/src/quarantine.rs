@@ -17,9 +17,9 @@
 //!
 //! Quarantined rows may leave the jobs they belong to with a partial task
 //! set. [`Quarantine::suspect_jobs`] names every job implicated by a bad
-//! row so the ingestion layer can drop them with a recorded reason (see
-//! [`crate::filter::FilterStats`]) instead of silently characterizing a
-//! truncated DAG.
+//! row, and the streamed scan drops each of them whole (see
+//! [`crate::stream::StreamedTrace::suspects`]) instead of silently
+//! characterizing a truncated DAG.
 
 use std::collections::BTreeMap;
 

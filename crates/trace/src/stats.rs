@@ -232,11 +232,6 @@ impl StatsAccumulator {
         self.add_facts(&JobFacts::of_job(job));
     }
 
-    /// Retract one previously added job.
-    pub fn remove_job(&mut self, job: &Job) {
-        self.remove_facts(&JobFacts::of_job(job));
-    }
-
     /// Fold one job's facts in.
     pub fn add_facts(&mut self, f: &JobFacts) {
         self.jobs += 1;
@@ -515,7 +510,7 @@ mod tests {
         let mut survivors = Vec::new();
         for (i, job) in set.jobs().iter().enumerate() {
             if i % 3 == 0 {
-                acc.remove_job(job);
+                acc.remove_facts(&JobFacts::of_job(job));
             } else {
                 survivors.push(job.clone());
             }

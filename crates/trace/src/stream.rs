@@ -11,13 +11,16 @@
 //! numeric name key, the job's byte range in the source, its size, and
 //! flags).
 //!
-//! Jobs are later *re-materialized on demand* by replaying their recorded
-//! byte ranges through the same parser (the source must be `Read + Seek`).
-//! The stratified sample — picked from the size column alone, see
-//! [`crate::filter::stratified_sample_indices`] — is replayed in one call,
-//! in file order, into a flat [`SampleRows`] table the DAG builder reads
-//! directly; [`StreamedTrace::materialize_eligible`] and the census paths
-//! replay one [`Job`] at a time through the same reader and row loop.
+//! Rows leave the scan again only by replaying recorded byte ranges
+//! through the same parser (the source must be `Read + Seek`), in file
+//! order, into a flat [`SampleRows`] table the DAG builder reads directly:
+//! [`StreamedTrace::replay_sample`] for the stratified sample (picked from
+//! the size column alone, see
+//! [`crate::filter::stratified_sample_indices`]), and
+//! [`StreamedTrace::replay_eligible`] for the whole eligible population,
+//! a bounded table at a time. [`StreamedTrace::materialize_all`], the
+//! tests' bridge to the batch reader, is the one place a replay builds
+//! [`Job`]s.
 //!
 //! Two disruptions are handled without breaking bit-identity with a batch
 //! read:
@@ -26,7 +29,7 @@
 //!   correction: the extra byte range is recorded and, at finalize, the
 //!   job's old contribution is retracted and the merged job (rows in
 //!   document order, exactly as [`JobSet::from_tasks`] would have grouped
-//!   them) is folded back in.
+//!   them) is refolded through the scan's [`OpenFold`] and folded back in.
 //! * **Quarantine verdicts** — a bad row implicates its job (see
 //!   [`Quarantine::suspect_jobs`]); the implicated job is dropped entirely,
 //!   matching a batch read that deletes all rows of suspect jobs before
@@ -43,7 +46,7 @@ use std::io::{Read, Seek, SeekFrom};
 use std::ops::Range;
 
 use crate::csv::{self, TaskParts};
-use crate::filter::{DropReason, FilterStats, SampleCriteria};
+use crate::filter::SampleCriteria;
 use crate::quarantine::{self, Quarantine, QuarantinedRow, ReadPolicy};
 use crate::scan;
 use crate::schema::{task_duration, Status};
@@ -69,6 +72,12 @@ const DIRTY: u8 = 1 << 3;
 /// of its start, so a dense sample reads the file almost sequentially and
 /// a sparse one reads exactly its own ranges.
 const REPLAY_WINDOW: usize = 256 << 10;
+
+/// Most jobs in one row table of [`StreamedTrace::replay_eligible`]: a
+/// table of neighbouring positions, sorted into file order, still merges
+/// its reads through [`REPLAY_WINDOW`], and at the generator's ~4 rows
+/// per eligible job it holds ~140 KB of rows.
+const REPLAY_CHUNK: usize = 1024;
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -436,10 +445,11 @@ enum Open {
 
 /// Incremental fold of the open job — everything [`JobFacts`] and the
 /// eligibility verdict need, updated row by row so the scan never stores
-/// task rows at all. Each reduction repeats the exact fold the columnar
-/// [`crate::store::JobView`] would run over stored rows (same row order,
-/// same `f64` add sequence for the volumes, same min/max filters), so the
-/// verdicts and statistics stay bit-identical to the materialized path.
+/// task rows at all. Each reduction repeats the exact fold [`Job`]'s own
+/// methods run over its task records (same row order, same `f64` add
+/// sequence for the volumes, same min/max filters), so the verdicts and
+/// statistics stay bit-identical to the batch path. Finalize refolds a
+/// corrected job's replayed rows through the same fold.
 struct OpenFold {
     /// Job name (reused buffer; valid while a job is open).
     name: String,
@@ -456,12 +466,12 @@ struct OpenFold {
     all_dag: bool,
     /// Every row terminated so far.
     all_terminated: bool,
-    /// `min` over positive start times ([`crate::store::JobView::start_time`]),
-    /// `i64::MAX` while none seen — a sentinel instead of an `Option` keeps
-    /// the per-row fold branch-free.
+    /// `min` over positive start times ([`Job::start_time`]), `i64::MAX`
+    /// while none seen — a sentinel instead of an `Option` keeps the
+    /// per-row fold branch-free.
     min_start: i64,
-    /// `max` over positive end times ([`crate::store::JobView::end_time`]),
-    /// `i64::MIN` while none seen.
+    /// `max` over positive end times ([`Job::end_time`]), `i64::MIN` while
+    /// none seen.
     max_end: i64,
     cpu_volume: f64,
     mem_volume: f64,
@@ -469,7 +479,7 @@ struct OpenFold {
     /// Every row so far passes the per-row availability checks (valid
     /// duration, positive plans, nonzero instances).
     rows_available: bool,
-    /// Shared across jobs (not reset by [`OpenFold::begin`]): the DAG-name
+    /// Shared across jobs (not reset by [`OpenFold::clear`]): the DAG-name
     /// verdict cache — task names repeat across the whole trace.
     dag_memo: taskname::DagNameMemo,
 }
@@ -501,6 +511,11 @@ impl OpenFold {
         self.encoded = encoded;
         self.hash = hash;
         self.slot = slot;
+        self.clear();
+    }
+
+    /// Reset the row tallies, keeping the name fields and the memo.
+    fn clear(&mut self) {
         self.size = 0;
         self.all_dag = true;
         self.all_terminated = true;
@@ -534,7 +549,7 @@ impl OpenFold {
             && p.instance_num > 0;
     }
 
-    /// The folded [`JobFacts`] — [`crate::store::JobView::facts`].
+    /// The folded [`JobFacts`] — [`JobFacts::of_job`].
     fn facts(&self) -> JobFacts {
         let completion = (self.min_start != i64::MAX
             && self.max_end != i64::MIN
@@ -551,8 +566,12 @@ impl OpenFold {
         }
     }
 
-    /// [`crate::store::JobView::availability`] over the folded rows.
-    fn available(&self, criteria: &SampleCriteria) -> bool {
+    /// [`SampleCriteria::accepts`] over the folded rows: integrity (every
+    /// row a terminated DAG task), then availability.
+    fn eligible(&self, criteria: &SampleCriteria) -> bool {
+        if self.size == 0 || !self.all_dag || !self.all_terminated {
+            return false;
+        }
         if self.min_start == i64::MAX || self.max_end == i64::MIN {
             return false;
         }
@@ -646,12 +665,6 @@ fn replay_rows(
 struct ScanState {
     policy: ReadPolicy,
     criteria: SampleCriteria,
-    /// Task types of replayed rows. Job names are not interned: a replay
-    /// makes one name per job, so the table stays as small as the set of
-    /// task types however many jobs are materialized.
-    interner: crate::Interner,
-    /// The reader of one-job replays, its buffer reused from job to job.
-    reader: RangeReader,
     /// Canonical name per job.
     names: NameColumn,
     /// Primary byte range of each job in the source.
@@ -678,8 +691,6 @@ impl ScanState {
         ScanState {
             policy: policy.clone(),
             criteria: criteria.clone(),
-            interner: crate::Interner::new(),
-            reader: RangeReader::new(REPLAY_WINDOW),
             names: NameColumn::new(),
             byte_start: Vec::new(),
             byte_len: Vec::new(),
@@ -752,11 +763,7 @@ impl ScanState {
                         fold.name
                     ))
                 })?;
-                let facts = fold.facts();
-                // Integrity is already in the facts; only the availability
-                // window check remains.
-                let eligible =
-                    facts.is_dag && facts.fully_terminated && fold.available(&self.criteria);
+                let eligible = fold.eligible(&self.criteria);
                 let idx = self.names.len() as u32;
                 self.names.push_encoded(fold.encoded, &fold.name);
                 self.byte_start.push(start);
@@ -764,7 +771,7 @@ impl ScanState {
                 self.size.push(fold.size);
                 self.flags
                     .push(FOLDED | if eligible { ELIGIBLE } else { 0 });
-                self.acc.add_facts(&facts);
+                self.acc.add_facts(&fold.facts());
                 if self.index.needs_grow() {
                     let names = &self.names;
                     self.index.grow(|i| names.hash(i));
@@ -787,34 +794,47 @@ impl ScanState {
         Ok(())
     }
 
-    /// Materialize one job by replaying its byte range(s) — primary only,
-    /// or with straggler extras merged in document order.
+    /// Hand job `idx`'s rows to `sink` in document order, replayed through
+    /// `reader`: its primary range, then its straggler extras when
+    /// `with_extras`.
     fn replay_job<R: Read + Seek>(
-        &mut self,
+        &self,
         source: &mut R,
+        reader: &mut RangeReader,
         idx: u32,
         with_extras: bool,
-    ) -> Result<Job, TraceError> {
+        mut sink: impl FnMut(&TaskParts<'_>) -> Result<(), TraceError>,
+    ) -> Result<(), TraceError> {
         let name = self.name_string(idx);
-        let job_name = IStr::from(name.as_str());
         let primary = [(self.byte_start[idx as usize], self.byte_len[idx as usize])];
         let extras = match self.extras.get(&idx) {
             Some(ranges) if with_extras => ranges.as_slice(),
             _ => &[],
         };
-        let mut tasks = Vec::new();
         for ranges in [&primary[..], extras] {
             for (i, &range) in ranges.iter().enumerate() {
-                let bytes = self
-                    .reader
-                    .read(source, range, ranges[i + 1..].iter().copied())?;
-                replay_rows(&self.policy, bytes, &name, |p| {
-                    tasks.push(p.record_of(job_name.clone(), &mut self.interner));
-                    Ok(())
-                })?;
+                let bytes = reader.read(source, range, ranges[i + 1..].iter().copied())?;
+                replay_rows(&self.policy, bytes, &name, &mut sink)?;
             }
         }
-        Ok(Job { name, tasks })
+        Ok(())
+    }
+
+    /// Fold job `idx`'s replayed rows afresh into `fold` (see
+    /// [`ScanState::replay_job`]).
+    fn refold<R: Read + Seek>(
+        &self,
+        source: &mut R,
+        reader: &mut RangeReader,
+        fold: &mut OpenFold,
+        idx: u32,
+        with_extras: bool,
+    ) -> Result<(), TraceError> {
+        fold.clear();
+        self.replay_job(source, reader, idx, with_extras, |p| {
+            fold.push(p);
+            Ok(())
+        })
     }
 
     /// Replay the eligible jobs at positions `picked` into one row table,
@@ -848,6 +868,7 @@ impl ScanState {
         let mut table = SampleRows {
             names,
             jobs: vec![0..0; picked.len()],
+            starts: vec![i64::MAX; picked.len()],
             rows: Rows::with_capacity(rows),
         };
         let mut segments = Vec::new();
@@ -856,7 +877,11 @@ impl ScanState {
             let later = plan[i + 1..].iter().map(|&(start, len, ..)| (start, len));
             let bytes = reader.read(source, (start, len), later)?;
             let first = table.rows.len();
+            let start = &mut table.starts[slot];
             replay_rows(&self.policy, bytes, &table.names[slot], |p| {
+                if p.start_time > 0 {
+                    *start = (*start).min(p.start_time);
+                }
                 table.rows.push(p)
             })?;
             let segment = first..table.rows.len();
@@ -878,9 +903,15 @@ impl ScanState {
         Ok(table)
     }
 
-    /// Apply deferred corrections, then freeze the eligible population in
-    /// name order.
-    fn finalize<R: Read + Seek>(&mut self, source: &mut R) -> Result<(), TraceError> {
+    /// Apply deferred corrections, refolding each corrected job's replayed
+    /// rows through the scan's `fold`, then freeze the eligible population
+    /// in name order.
+    fn finalize<R: Read + Seek>(
+        &mut self,
+        source: &mut R,
+        fold: &mut OpenFold,
+    ) -> Result<(), TraceError> {
+        let mut reader = RangeReader::new(REPLAY_WINDOW);
         for idx in 0..self.flags.len() as u32 {
             let f = self.flags[idx as usize];
             if f & DEAD != 0 {
@@ -889,17 +920,17 @@ impl ScanState {
                 // job vanishes, like the batch path dropping every row of
                 // a suspect job.
                 if f & FOLDED != 0 {
-                    let old = self.replay_job(source, idx, false)?;
-                    self.acc.remove_job(&old);
+                    self.refold(source, &mut reader, fold, idx, false)?;
+                    self.acc.remove_facts(&fold.facts());
                     self.flags[idx as usize] &= !FOLDED;
                 }
             } else if f & DIRTY != 0 {
-                let old = self.replay_job(source, idx, false)?;
-                let merged = self.replay_job(source, idx, true)?;
-                self.acc.remove_job(&old);
-                self.acc.add_job(&merged);
-                self.size[idx as usize] = merged.size() as u32;
-                if self.criteria.accepts(&merged) {
+                self.refold(source, &mut reader, fold, idx, false)?;
+                self.acc.remove_facts(&fold.facts());
+                self.refold(source, &mut reader, fold, idx, true)?;
+                self.acc.add_facts(&fold.facts());
+                self.size[idx as usize] = fold.size;
+                if fold.eligible(&self.criteria) {
                     self.flags[idx as usize] |= ELIGIBLE;
                 } else {
                     self.flags[idx as usize] &= !ELIGIBLE;
@@ -926,11 +957,11 @@ impl ScanState {
 fn run_scan<R: Read + Seek>(
     source: &mut R,
     state: &mut ScanState,
+    fold: &mut OpenFold,
     buffer: usize,
 ) -> Result<(), TraceError> {
     source.seek(SeekFrom::Start(0))?;
     let mut lines = scan::BufLines::new(&mut *source, buffer);
-    let mut fold = OpenFold::new();
     let mut open: Option<Open> = None;
 
     while let Some((offset, consumed, span)) = lines.next_span()? {
@@ -963,7 +994,7 @@ fn run_scan<R: Read + Seek>(
                 });
                 if let Some(name) = job_name {
                     if state.suspects.insert(name.clone()) {
-                        open = state.on_new_suspect(&name, open, &fold);
+                        open = state.on_new_suspect(&name, open, fold);
                     }
                 }
                 continue;
@@ -988,7 +1019,7 @@ fn run_scan<R: Read + Seek>(
         }
         // The row opens something else: close what was open first.
         if let Some(prev) = open.take() {
-            state.close_open(prev, &fold)?;
+            state.close_open(prev, fold)?;
         }
         let encoded = encode_name(parts.job_name);
         let hash = match encoded {
@@ -1018,7 +1049,7 @@ fn run_scan<R: Read + Seek>(
         });
     }
     if let Some(prev) = open.take() {
-        state.close_open(prev, &fold)?;
+        state.close_open(prev, fold)?;
     }
     Ok(())
 }
@@ -1050,8 +1081,9 @@ impl<R: Read + Seek> StreamedTrace<R> {
         buffer: usize,
     ) -> Result<StreamedTrace<R>, TraceError> {
         let mut state = ScanState::new(policy, criteria);
-        run_scan(&mut source, &mut state, buffer)?;
-        state.finalize(&mut source)?;
+        let mut fold = OpenFold::new();
+        run_scan(&mut source, &mut state, &mut fold, buffer)?;
+        state.finalize(&mut source, &mut fold)?;
         Ok(StreamedTrace { source, state })
     }
 
@@ -1110,18 +1142,13 @@ impl<R: Read + Seek> StreamedTrace<R> {
         )
     }
 
-    /// Materialize the `pos`-th eligible job (positions as in
-    /// [`StreamedTrace::eligible_sizes`]) by replaying its byte ranges.
-    pub fn materialize_eligible(&mut self, pos: usize) -> Result<Job, TraceError> {
-        let idx = self.state.eligible[pos];
-        self.state.replay_job(&mut self.source, idx, true)
-    }
-
-    /// Replay the eligible jobs at positions `picked` into one flat row
-    /// table: slot `s` holds the name, task names and attributes of the
-    /// job [`StreamedTrace::materialize_eligible`]`(picked[s])` returns,
-    /// with no [`Job`] or [`crate::TaskRecord`] made. The ranges are read
-    /// in file order, the reads of neighbouring ranges merged.
+    /// Replay the eligible jobs at positions `picked` (positions as in
+    /// [`StreamedTrace::eligible_sizes`]) into one flat row table: slot `s`
+    /// holds the name, task names, attributes and earliest start of job
+    /// `picked[s]`, its rows in document order, straggler extras after
+    /// the primary rows, with no [`Job`] or [`crate::TaskRecord`] made.
+    /// The ranges are read in file order, the reads of neighbouring ranges
+    /// merged.
     pub fn replay_sample(&mut self, picked: &[usize]) -> Result<SampleRows, TraceError> {
         self.replay_sample_with_window(picked, REPLAY_WINDOW)
     }
@@ -1153,60 +1180,53 @@ impl<R: Read + Seek> StreamedTrace<R> {
             + self.state.eligible.capacity() * 4
     }
 
-    /// Visit every surviving job in arrival order, materialized one at a
-    /// time — the full-trace census path: per-job peak memory, O(1)
-    /// retained.
-    pub fn for_each_job(&mut self, mut f: impl FnMut(Job)) -> Result<(), TraceError> {
-        for idx in 0..self.state.flags.len() as u32 {
-            if self.state.flags[idx as usize] & DEAD == 0 {
-                f(self.state.replay_job(&mut self.source, idx, true)?);
-            }
-        }
-        Ok(())
+    /// Replay the eligible jobs at positions `0..n` (every eligible job when
+    /// `n` is larger) as row tables of at most [`REPLAY_CHUNK`] jobs, in
+    /// position order: each table is [`StreamedTrace::replay_sample`] of
+    /// the next run of positions. A caller that drops each table before
+    /// taking the next holds one at a time, however large the population.
+    pub fn replay_eligible(
+        &mut self,
+        n: usize,
+    ) -> impl Iterator<Item = Result<SampleRows, TraceError>> + '_ {
+        self.replay_eligible_in(n, REPLAY_CHUNK)
     }
 
-    /// Materialize every surviving job — test/equivalence support, not a
-    /// memory-bounded path. Equals [`JobSet::from_tasks`] over the batch
-    /// rows with suspect jobs dropped.
+    /// [`StreamedTrace::replay_eligible`] in tables of at most `chunk`
+    /// jobs.
+    fn replay_eligible_in(
+        &mut self,
+        n: usize,
+        chunk: usize,
+    ) -> impl Iterator<Item = Result<SampleRows, TraceError>> + '_ {
+        let n = n.min(self.eligible_count());
+        (0..n).step_by(chunk).map(move |first| {
+            let picked: Vec<usize> = (first..n.min(first + chunk)).collect();
+            self.replay_sample(&picked)
+        })
+    }
+
+    /// Materialize every surviving job — the tests' bridge to the batch
+    /// reader, not a memory-bounded path. Equals [`JobSet::from_tasks`]
+    /// over the batch rows with suspect jobs dropped.
     pub fn materialize_all(&mut self) -> Result<JobSet, TraceError> {
+        let state = &self.state;
+        let mut reader = RangeReader::new(REPLAY_WINDOW);
+        let mut interner = crate::Interner::new();
         let mut jobs = Vec::with_capacity(self.job_count());
-        for idx in 0..self.state.flags.len() as u32 {
-            if self.state.flags[idx as usize] & DEAD == 0 {
-                jobs.push(self.state.replay_job(&mut self.source, idx, true)?);
+        for idx in 0..state.flags.len() as u32 {
+            if state.flags[idx as usize] & DEAD == 0 {
+                let name = state.name_string(idx);
+                let job_name = IStr::from(name.as_str());
+                let mut tasks = Vec::new();
+                state.replay_job(&mut self.source, &mut reader, idx, true, |p| {
+                    tasks.push(p.record_of(job_name.clone(), &mut interner));
+                    Ok(())
+                })?;
+                jobs.push(Job { name, tasks });
             }
         }
         Ok(JobSet::from_jobs(jobs))
-    }
-
-    /// Drop accounting identical to
-    /// [`SampleCriteria::filter_with_stats`] run on the batch path's
-    /// suspect-stripped [`JobSet`]. Replays every alive job, so this is a
-    /// reporting/test path, not a hot one.
-    pub fn filter_stats(&mut self) -> Result<FilterStats, TraceError> {
-        let mut stats = FilterStats::default();
-        for name in &self.state.suspects {
-            stats
-                .dropped
-                .insert(name.clone(), DropReason::QuarantineIncomplete);
-        }
-        let criteria = self.state.criteria.clone();
-        let mut kept = 0usize;
-        for idx in 0..self.state.flags.len() as u32 {
-            if self.state.flags[idx as usize] & DEAD != 0 {
-                continue;
-            }
-            let job = self.state.replay_job(&mut self.source, idx, true)?;
-            if !criteria.integrity(&job) {
-                stats.dropped.insert(job.name, DropReason::Integrity);
-            } else if !criteria.availability(&job) {
-                stats.dropped.insert(job.name, DropReason::Availability);
-            } else {
-                kept += 1;
-            }
-        }
-        stats.kept = kept;
-        stats.considered = self.job_count() + self.state.suspects.len();
-        Ok(stats)
     }
 }
 
@@ -1301,6 +1321,9 @@ impl Rows {
 pub struct SampleRows {
     names: Vec<String>,
     jobs: Vec<Range<usize>>,
+    /// Each slot's earliest positive start time, `i64::MAX` when it has
+    /// none.
+    starts: Vec<i64>,
     rows: Rows,
 }
 
@@ -1326,6 +1349,7 @@ impl SampleRows {
         let rows = self.jobs[s].clone();
         SampleJob {
             name: &self.names[s],
+            start: self.starts[s],
             task_names: &self.rows.task_names,
             name_start: self.rows.name_start(rows.start),
             rows: &self.rows.rows[rows],
@@ -1342,6 +1366,7 @@ impl SampleRows {
 #[derive(Debug, Clone, Copy)]
 pub struct SampleJob<'a> {
     name: &'a str,
+    start: i64,
     task_names: &'a str,
     /// Where the first row's task name starts.
     name_start: u32,
@@ -1353,6 +1378,12 @@ impl<'a> SampleJob<'a> {
     #[inline]
     pub fn name(&self) -> &'a str {
         self.name
+    }
+
+    /// Earliest positive start time of the job's rows, if any —
+    /// [`Job::start_time`].
+    pub fn start_time(&self) -> Option<i64> {
+        (self.start != i64::MAX).then_some(self.start)
     }
 
     /// Number of rows.
@@ -1541,9 +1572,8 @@ mod tests {
         }
         let mut t = scan_str(&doc);
         assert_eq!(t.eligible_count(), names.len());
-        let got: Vec<String> = (0..t.eligible_count())
-            .map(|pos| t.materialize_eligible(pos).unwrap().name)
-            .collect();
+        let got = t.replay_eligible(usize::MAX).next().unwrap().unwrap();
+        let got = got.into_names();
         let mut want = names.to_vec();
         want.sort_unstable_by(|a, b| a.as_bytes().cmp(b.as_bytes()));
         assert_eq!(got, want);
@@ -1609,37 +1639,47 @@ mod tests {
     }
 
     #[test]
-    fn replay_interns_only_task_types() {
-        // Materializing every eligible job — what a full sample does —
-        // must leave the interner holding the distinct task types and no
-        // job names.
-        let trace = crate::gen::TraceGenerator::new(crate::gen::GeneratorConfig {
-            jobs: 300,
-            seed: 9,
-            ..Default::default()
-        })
-        .generate();
-        let mut doc = Vec::new();
-        csv::write_tasks(&mut doc, &trace.tasks).unwrap();
-        let mut t = StreamedTrace::scan(
-            Cursor::new(doc),
-            &ReadPolicy::Strict,
-            &SampleCriteria::default(),
-        )
-        .unwrap();
-        let mut task_types = BTreeSet::new();
-        let mut rows = 0;
-        for pos in 0..t.eligible_count() {
-            let job = t.materialize_eligible(pos).unwrap();
-            for task in &job.tasks {
-                assert_eq!(task.job_name, job.name.as_str());
-                task_types.insert(task.task_type.to_string());
-            }
-            rows += job.size();
+    fn eligible_replay_is_the_sample_replay_of_every_position() {
+        // Tables of three positions, in position order, hold what one
+        // table of every position holds, straggler rows and earliest
+        // starts included; a cap stops at its position.
+        let mut doc = String::new();
+        for i in 0..8 {
+            let name = format!("j_{}", 1_000_001 + i);
+            doc.push_str(&format!(
+                "M1,1,{name},1,Terminated,{},300,100,0.5\n",
+                150 - i
+            ));
+            doc.push_str(&format!("R2_1,1,{name},1,Terminated,200,300,100,0.5\n"));
         }
-        assert!(t.eligible_count() > 100 && task_types.len() > 1);
-        assert!(rows > t.eligible_count());
-        assert_eq!(t.state.interner.len(), task_types.len());
+        doc.push_str("R3_2,1,j_1000003,1,Terminated,90,300,100,0.5\n");
+        let mut t = scan_str(&doc);
+        assert_eq!(t.eligible_count(), 8);
+        let all: Vec<usize> = (0..8).collect();
+        let whole = t.replay_sample(&all).unwrap();
+        let view = |rows: &SampleRows, s: usize| {
+            let job = rows.job(s);
+            let tasks: Vec<_> = (0..job.len())
+                .map(|r| (job.task_name(r).to_string(), job.attrs(r)))
+                .collect();
+            (job.name().to_string(), job.start_time(), tasks)
+        };
+        let want: Vec<_> = (0..8).map(|s| view(&whole, s)).collect();
+        assert_eq!(want[2].1, Some(90), "the straggler row starts first");
+        assert_eq!((want[2].2.len(), want[5].1), (3, Some(145)));
+        for (n, tables) in [(usize::MAX, 3), (8, 3), (7, 3), (6, 2), (1, 1), (0, 0)] {
+            let chunks: Vec<SampleRows> = t
+                .replay_eligible_in(n, 3)
+                .collect::<Result<_, _>>()
+                .unwrap();
+            assert_eq!(chunks.len(), tables, "cap {n}");
+            assert!(chunks.iter().all(|c| c.len() <= 3));
+            let got: Vec<_> = chunks
+                .iter()
+                .flat_map(|c| (0..c.len()).map(move |s| view(c, s)))
+                .collect();
+            assert_eq!(got, want[..n.min(8)], "cap {n}");
+        }
     }
 
     /// A source that counts its seeks and the bytes read from it.
@@ -1751,25 +1791,6 @@ mod tests {
         assert_eq!(t.stats().total_jobs, 1);
         let q = t.quarantine();
         assert_eq!(q.rows_good + q.rows_quarantined(), q.rows_total);
-    }
-
-    #[test]
-    fn filter_stats_accounts_suspects_and_reasons() {
-        let bad = "M9,x,j_1000001,1,Terminated,1,2,3,4";
-        // j_1000003 fails availability (start before the window margin).
-        let early = "M1,1,j_1000003,1,Terminated,0,0,50,0.25";
-        let policy = ReadPolicy::Quarantine { max_bad: 8 };
-        let mut t = StreamedTrace::scan(
-            Cursor::new(format!("{L1}\n{L2}\n{bad}\n{L3}\n{early}\n").into_bytes()),
-            &policy,
-            &SampleCriteria::default(),
-        )
-        .unwrap();
-        let stats = t.filter_stats().unwrap();
-        assert_eq!(stats.considered, 3);
-        assert_eq!(stats.kept, 1);
-        assert_eq!(stats.dropped["j_1000001"], DropReason::QuarantineIncomplete);
-        assert_eq!(stats.dropped["j_1000003"], DropReason::Availability);
     }
 
     #[test]

@@ -6,12 +6,15 @@
 //! bytes it *cannot* read (an IO error mid-line), the read fails loudly;
 //! a fault must never surface as a silently shorter trace. This file
 //! proves both halves under `dagscope-faults` injection across arbitrary
-//! corrupt traces, scan-buffer sizes, and fault lines.
+//! corrupt traces, scan-buffer sizes, and fault lines, and checks that
+//! the scan's finalize-time corrections (straggler merges and suspect
+//! retractions) leave it equal to the batch read.
 //!
 //! Build with `--features failpoints`; the whole file vanishes without
 //! the feature.
 #![cfg(feature = "failpoints")]
 
+use std::collections::BTreeSet;
 use std::io::{BufReader, Cursor};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -19,8 +22,9 @@ use proptest::prelude::*;
 
 use dagscope_trace::filter::SampleCriteria;
 use dagscope_trace::gen::{GeneratorConfig, TraceGenerator};
+use dagscope_trace::stats::TraceStats;
 use dagscope_trace::stream::StreamedTrace;
-use dagscope_trace::{csv, ReadPolicy};
+use dagscope_trace::{csv, JobSet, ReadPolicy};
 
 /// The failpoint registry is process-global and `reset()` clears every
 /// site, so property cases must not interleave across test threads.
@@ -61,8 +65,99 @@ fn corrupt_trace(jobs: usize, seed: u64, corrupt_every: usize) -> (Vec<u8>, usiz
     (out, corrupted)
 }
 
+/// A synthetic trace that forces every finalize-time correction, and the
+/// number of jobs its bad rows implicate. Job block `i`, by `i % every`:
+/// 1 moves its first row to the end of the file (a straggler), and every
+/// other such block also gets a bad row after it there (a dead job that
+/// is also split); 2 gets a bad row inside its block (the open job is
+/// dropped); 0 gets a bad row at the end of the file (a closed job
+/// retracted). A bad row keeps its job's name and fails to parse.
+fn displaced_trace(jobs: usize, seed: u64, every: usize) -> (Vec<u8>, usize) {
+    let trace = TraceGenerator::new(GeneratorConfig {
+        jobs,
+        seed,
+        emit_instances: false,
+        ..Default::default()
+    })
+    .generate();
+    let mut bytes = Vec::new();
+    csv::write_tasks(&mut bytes, &trace.tasks).unwrap();
+    let text = String::from_utf8(bytes).unwrap();
+    let mut blocks: Vec<(&str, Vec<&str>)> = Vec::new();
+    for line in text.lines() {
+        let job = line.split(',').nth(2).unwrap();
+        match blocks.last_mut() {
+            Some((name, rows)) if *name == job => rows.push(line),
+            _ => blocks.push((job, vec![line])),
+        }
+    }
+    let bad = |job: &str| format!("M1,x,{job},1,Terminated,1,2,3,4\n");
+    let (mut head, mut tail) = (String::new(), String::new());
+    let mut implicated = BTreeSet::new();
+    for (i, (job, rows)) in blocks.iter().enumerate() {
+        let moved = i % every == 1 && rows.len() > 1;
+        for (r, row) in rows.iter().enumerate().skip(usize::from(moved)) {
+            if i % every == 2 && r == 1 {
+                head.push_str(&bad(job));
+                implicated.insert(*job);
+            }
+            head.push_str(row);
+            head.push('\n');
+        }
+        if moved {
+            tail.push_str(rows[0]);
+            tail.push('\n');
+        }
+        if i % every == 0 || (moved && i % (2 * every) == 1) {
+            tail.push_str(&bad(job));
+            implicated.insert(*job);
+        }
+    }
+    head.push_str(&tail);
+    (head.into_bytes(), implicated.len())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Finalize's corrections: the streamed scan of a trace with
+    /// stragglers and name-keeping bad rows holds the batch read's jobs,
+    /// statistics (bit for bit) and eligible population, every suspect
+    /// job stripped.
+    #[test]
+    fn finalize_corrections_match_the_batch_read(
+        jobs in 8usize..40,
+        seed in any::<u64>(),
+        every in 3usize..9,
+        cap in 128usize..2048,
+    ) {
+        let _g = exclusive();
+        dagscope_faults::reset();
+        let (data, implicated) = displaced_trace(jobs, seed, every);
+        let policy = ReadPolicy::Quarantine { max_bad: usize::MAX };
+
+        let (rows, q_seq) =
+            csv::read_tasks_with_policy(BufReader::new(&data[..]), &policy).unwrap();
+        let mut streamed = scan(&data, &policy, cap).unwrap();
+        prop_assert_eq!(streamed.quarantine(), &q_seq);
+        let suspects = q_seq.suspect_jobs();
+        prop_assert_eq!(suspects.len(), implicated);
+        prop_assert_eq!(streamed.suspects().len(), implicated);
+
+        let set = JobSet::from_tasks(
+            rows.into_iter()
+                .filter(|t| !suspects.contains_key(t.job_name.as_str())),
+        );
+        prop_assert_eq!(&streamed.materialize_all().unwrap(), &set);
+        let (want, got) = (TraceStats::compute(&set), streamed.stats());
+        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        let sizes: Vec<usize> = SampleCriteria::default()
+            .filter(&set)
+            .iter()
+            .map(|j| j.size())
+            .collect();
+        prop_assert_eq!(streamed.eligible_sizes(), sizes);
+    }
 
     /// Clean half of the contract: exact accounting, reader agreement,
     /// and every deliberately-mangled row quarantined — for arbitrary

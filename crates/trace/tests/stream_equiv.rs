@@ -1,10 +1,11 @@
 //! Property tests: the streaming engine is observationally identical to
 //! the batch path — same grouped jobs, same exact statistics, same
 //! quarantine accounting, same filter verdicts, same stratified sample,
-//! and a row-table replay of the sample that holds what the per-job
-//! replay does — for random documents mixing contiguous job blocks,
-//! out-of-order straggler rows, malformed rows (which implicate their
-//! job), blank lines, and every buffer capacity from 1 byte up.
+//! and row-table replays of the sample and of the whole eligible
+//! population that hold what the batch-filtered jobs do — for random
+//! documents mixing contiguous job blocks, out-of-order straggler rows,
+//! malformed rows (which implicate their job), blank lines, and every
+//! buffer capacity from 1 byte up.
 
 use std::collections::BTreeSet;
 use std::io::Cursor;
@@ -109,9 +110,9 @@ fn build_doc(jobs: &[GenJob], splits: &[usize], bads: &[(u8, u8)], scramble: u64
     doc
 }
 
-/// A job as the row table keeps it: its name, and each row's task name
-/// and attributes.
-type JobRows = (String, Vec<(String, RowAttrs)>);
+/// A job as the row table keeps it: its name, its earliest start, and
+/// each row's task name and attributes.
+type JobRows = (String, Option<i64>, Vec<(String, RowAttrs)>);
 
 fn rows_of_job(job: &Job) -> JobRows {
     let rows = job
@@ -127,14 +128,14 @@ fn rows_of_job(job: &Job) -> JobRows {
             (t.task_name.clone(), attrs)
         })
         .collect();
-    (job.name.clone(), rows)
+    (job.name.clone(), job.start_time(), rows)
 }
 
 fn rows_of_slot(job: SampleJob<'_>) -> JobRows {
     let rows = (0..job.len())
         .map(|r| (job.task_name(r).to_string(), job.attrs(r)))
         .collect();
-    (job.name().to_string(), rows)
+    (job.name().to_string(), job.start_time(), rows)
 }
 
 /// The core equivalence check, shared by every case below.
@@ -188,10 +189,10 @@ fn check_equivalence(doc: &str, cap: usize, policy: &ReadPolicy) {
     prop_assert_eq!(&stream_stats, &batch_stats);
     prop_assert_eq!(format!("{stream_stats:?}"), format!("{batch_stats:?}"));
 
-    // Filter verdicts and drop accounting agree.
-    let (kept, batch_fs) = criteria.filter_with_stats(&batch_set, &suspects);
-    let stream_fs = stream.filter_stats().unwrap();
-    prop_assert_eq!(stream_fs, batch_fs);
+    // Filter verdicts agree: the eligible population is the batch filter's
+    // output, position by position.
+    let kept = criteria.filter(&batch_set);
+    prop_assert_eq!(stream.eligible_count(), kept.len());
     let batch_sizes: Vec<usize> = kept.iter().map(|j| j.size()).collect();
     prop_assert_eq!(stream.eligible_sizes(), batch_sizes);
 
@@ -207,22 +208,16 @@ fn check_equivalence(doc: &str, cap: usize, policy: &ReadPolicy) {
         &picked,
         &filter::stratified_sample_indices(&stream.eligible_sizes(), 5, 42)
     );
-    let stream_sample: Vec<String> = picked
-        .iter()
-        .map(|&p| stream.materialize_eligible(p).unwrap().name)
-        .collect();
+    let stream_sample: Vec<String> = picked.iter().map(|&p| kept[p].name.clone()).collect();
     prop_assert_eq!(stream_sample, batch_sample);
 
     // The row-table replay of the 5-job sample and of every eligible job,
     // through the default window and through a `cap`-byte one (a read
-    // per range): slot by slot, the table holds what the per-job replay
-    // materializes, straggler extras after the primary rows.
+    // per range): slot by slot, the table holds the batch-filtered job at
+    // that position, straggler extras after the primary rows.
     let everyone = stream.sample_eligible(stream.eligible_count(), 42);
     for picked in [picked, everyone] {
-        let want: Vec<JobRows> = picked
-            .iter()
-            .map(|&p| rows_of_job(&stream.materialize_eligible(p).unwrap()))
-            .collect();
+        let want: Vec<JobRows> = picked.iter().map(|&p| rows_of_job(kept[p])).collect();
         for table in [
             stream.replay_sample(&picked).unwrap(),
             stream.replay_sample_with_window(&picked, cap).unwrap(),
@@ -234,6 +229,15 @@ fn check_equivalence(doc: &str, cap: usize, policy: &ReadPolicy) {
             prop_assert_eq!(&got, &want);
         }
     }
+
+    // The population replay visits every eligible job in position order.
+    let want: Vec<JobRows> = kept.iter().map(|j| rows_of_job(j)).collect();
+    let mut got = Vec::new();
+    for table in stream.replay_eligible(usize::MAX) {
+        let table = table.unwrap();
+        got.extend((0..table.len()).map(|s| rows_of_slot(table.job(s))));
+    }
+    prop_assert_eq!(&got, &want);
 }
 
 fn job_strategy() -> impl Strategy<Value = (bool, Vec<(u8, u32, i64)>)> {
