@@ -11,7 +11,8 @@ use dagscope_core::{
     compare_baselines, export, figures, BaseKernel, ClusterEngine, IndexSnapshot, Pipeline,
     PipelineConfig, Report,
 };
-use dagscope_graph::JobDag;
+use dagscope_graph::pattern::{self, Pattern, PatternCensus};
+use dagscope_graph::{JobDag, ShapeTable};
 use dagscope_sched::{
     replay, workload_from_jobs, workload_from_stream, ClusterConfig, GroupPredictor, OnlineLoad,
     Policy, Predictions, ReplayWorkload, SimConfig, SimJob, Simulator, DEFAULT_MIN_CONFIDENCE,
@@ -474,43 +475,42 @@ fn cmd_figure(flags: &Flags) -> Result<String, CliError> {
 fn cmd_census(flags: &Flags) -> Result<String, CliError> {
     // `--trace <dir>` censuses a real CSV with the streaming engine: one
     // bounded row table of eligible jobs in memory at a time, so the full
-    // 4M-job trace fits a laptop budget. Unique shapes are tracked by WL
-    // fingerprint (fresh vectorizer per job, so equal shapes hash equal)
-    // — the O(sqrt n) population the collapsed cluster engine exploits.
+    // 4M-job trace fits a laptop budget. Jobs are keyed by task names
+    // through one shape table, so each distinct list is built, classified
+    // and fingerprinted once. Unique shapes are counted by WL fingerprint
+    // (fresh vectorizer per list, so equal shapes hash equal) — the
+    // O(sqrt n) population the collapsed cluster engine exploits.
     let (census, unique_shapes) = if let Some(dir) = flags.str_opt("trace") {
         let mut streamed = open_streamed_trace(dir, flags)?;
         let iterations = flags.get_or("wl-iterations", 3usize, "an iteration count")?;
-        let mut merged: Option<dagscope_graph::pattern::PatternCensus> = None;
-        let mut shapes = std::collections::HashSet::new();
-        for table in streamed.replay_eligible(usize::MAX) {
-            let table = table.map_err(io_err)?;
-            let dags = (0..table.len())
-                .map(|s| {
-                    let job = table.job(s);
-                    JobDag::from_rows(job.name().to_string(), &job)
-                        .map_err(|e| CliError::Run(format!("job {}: {e}", job.name())))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            for dag in &dags {
-                let mut wl = dagscope_wl::WlVectorizer::new(iterations);
-                shapes.insert(dagscope_wl::fingerprint(&wl.transform(dag)));
-            }
-            let one = figures::pattern_census_of(&dags);
-            merged = Some(match merged {
-                None => one,
-                Some(mut acc) => {
-                    acc.total += one.total;
-                    for (row, (_, c)) in acc.counts.iter_mut().zip(&one.counts) {
-                        row.1 += c;
-                    }
-                    acc
+        let mut table = ShapeTable::new();
+        // Per table entry: its pattern, its WL fingerprint and its jobs.
+        let mut shapes: Vec<(Pattern, u64, usize)> = Vec::new();
+        for rows in streamed.replay_eligible(usize::MAX) {
+            let rows = rows.map_err(io_err)?;
+            for s in 0..rows.len() {
+                let job = rows.job(s);
+                let id = table.intern(&job);
+                if id == shapes.len() {
+                    let entry = table
+                        .get(id)
+                        .map_err(|e| CliError::Run(format!("job {}: {e}", job.name())))?;
+                    let dag = entry.raw(String::new(), &job);
+                    let mut wl = dagscope_wl::WlVectorizer::new(iterations);
+                    let fingerprint = dagscope_wl::fingerprint(&wl.transform(&dag));
+                    shapes.push((pattern::classify(&dag), fingerprint, 0));
                 }
-            });
+                shapes[id].2 += 1;
+            }
         }
-        let census = merged.ok_or_else(|| {
-            CliError::Run("no job passed the integrity/availability filters".to_string())
-        })?;
-        (census, Some(shapes.len()))
+        if shapes.is_empty() {
+            return Err(CliError::Run(
+                "no job passed the integrity/availability filters".to_string(),
+            ));
+        }
+        let census = PatternCensus::tally(shapes.iter().map(|&(p, _, jobs)| (p, jobs)));
+        let unique: std::collections::HashSet<u64> = shapes.iter().map(|s| s.1).collect();
+        (census, Some(unique.len()))
     } else {
         let jobs = flags.get_or("jobs", 20_000usize, "a job count")?;
         let seed = flags.get_or("seed", 42u64, "a seed")?;

@@ -4,7 +4,7 @@ use dagscope_cluster::{
     expand_assignments, spectral_cluster, spectral_cluster_collapsed, SpectralConfig,
 };
 use dagscope_graph::metrics::JobFeatures;
-use dagscope_graph::{conflate, BuildError, JobDag};
+use dagscope_graph::{BuildError, JobDag, ShapeTable, TaskRows};
 use dagscope_trace::filter::{stratified_sample, SampleCriteria};
 use dagscope_trace::gen::TraceGenerator;
 use dagscope_trace::stats::TraceStats;
@@ -66,18 +66,14 @@ impl Pipeline {
             return Err("no job passed the integrity/availability filters".to_string());
         }
         let sample: Vec<&Job> = stratified_sample(&eligible, self.cfg.sample, self.cfg.seed);
-        let names = sample.iter().map(|j| j.name.clone()).collect();
+        let names: Vec<String> = sample.iter().map(|j| j.name.clone()).collect();
         timings.sample = clock.elapsed();
 
         let clock = Instant::now();
-        let raw_dags = dagscope_par::par_map(&sample, |job| {
-            JobDag::from_job(job).map_err(|e| not_a_dag(&job.name, e))
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+        let dags = build_sample(&names, |s| sample[s].tasks.as_slice())?;
         timings.dags = clock.elapsed();
 
-        self.finish(run_start, timings, stats, names, raw_dags)
+        self.finish(run_start, timings, stats, names, dags)
     }
 
     /// Run on a streamed trace: statistics come from the scan's running
@@ -110,32 +106,31 @@ impl Pipeline {
         timings.sample = clock.elapsed();
 
         let clock = Instant::now();
-        let raw_dags = dagscope_par::par_map_with(rows.names(), |s, name| {
-            JobDag::from_rows(name.clone(), &rows.job(s)).map_err(|e| not_a_dag(name, e))
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+        let dags = build_sample(rows.names(), |s| rows.job(s))?;
         let names = rows.into_names();
         timings.dags = clock.elapsed();
 
-        self.finish(run_start, timings, stats, names, raw_dags)
+        self.finish(run_start, timings, stats, names, dags)
     }
 
     /// The shared back half of every entry point: everything after DAG
-    /// construction (conflation, features, WL embedding, Gram assembly,
-    /// spectral grouping) depends only on the sampled jobs' names and
-    /// DAGs, so batch and streaming ingestion converge here.
+    /// construction and conflation (features, WL embedding, Gram
+    /// assembly, spectral grouping) depends only on the sampled jobs'
+    /// names and DAGs, so batch and streaming ingestion converge here.
     fn finish(
         &self,
         run_start: Instant,
         mut timings: StageTimings,
         stats: TraceStats,
         sample_names: Vec<String>,
-        raw_dags: Vec<JobDag>,
+        dags: SampleDags,
     ) -> Result<Report, String> {
-        let clock = Instant::now();
-        let conflated: Vec<JobDag> = dagscope_par::par_map(&raw_dags, conflate::conflate);
-        timings.dags += clock.elapsed();
+        let SampleDags {
+            raw: raw_dags,
+            conflated,
+            shape_of,
+            firsts,
+        } = dags;
 
         // Features before and after conflation (Figs 4 and 5).
         let clock = Instant::now();
@@ -146,23 +141,30 @@ impl Pipeline {
 
         // Kernel embedding + normalized similarity matrix (Fig 7). The
         // base kernel of eq. (1) is configurable: WL subtree (default) or
-        // shortest-path.
+        // shortest-path. Both read only a DAG's shape, so each shape is
+        // embedded once, in the order its first job appears: a later job
+        // of the same shape would add no label and get the same vector.
         let kernel_input: &[JobDag] = if self.cfg.conflate {
             &conflated
         } else {
             &raw_dags
         };
         let clock = Instant::now();
-        let wl_features = match self.cfg.base_kernel {
+        let shapes: Vec<JobDag> = firsts.iter().map(|&s| kernel_input[s].clone()).collect();
+        let shape_features = match self.cfg.base_kernel {
             crate::BaseKernel::WlSubtree => {
                 let mut wl = WlVectorizer::new(self.cfg.wl_iterations);
-                wl.transform_all(kernel_input)
+                wl.transform_all(&shapes)
             }
             crate::BaseKernel::ShortestPath => {
                 let mut sp = SpVectorizer::new();
-                sp.transform_all(kernel_input)
+                sp.transform_all(&shapes)
             }
         };
+        let wl_features: Vec<SparseVec> = shape_of
+            .iter()
+            .map(|&k| shape_features[k].clone())
+            .collect();
         timings.embed = clock.elapsed();
 
         // Resolve the clustering engine before the Gram stage: the
@@ -292,6 +294,52 @@ impl Pipeline {
             timings,
         })
     }
+}
+
+/// The sampled jobs' DAGs, in sample order, built through one
+/// [`ShapeTable`].
+struct SampleDags {
+    raw: Vec<JobDag>,
+    conflated: Vec<JobDag>,
+    /// Each job's table entry; entries are numbered in order of first
+    /// appearance.
+    shape_of: Vec<usize>,
+    /// The first job of each entry.
+    firsts: Vec<usize>,
+}
+
+/// Build the raw and conflated DAG of every sampled job: key each job's
+/// task names through one [`ShapeTable`] in sample order, which builds
+/// each distinct list once, then gather every job's attributes in
+/// parallel (the first gather of an entry's conflated DAG conflates its
+/// shape). Fails naming the first job in sample order whose names do not
+/// form a DAG.
+fn build_sample<R: TaskRows>(
+    names: &[String],
+    job: impl Fn(usize) -> R + Sync,
+) -> Result<SampleDags, String> {
+    let mut table = ShapeTable::new();
+    let mut shape_of = Vec::with_capacity(names.len());
+    let mut firsts = Vec::new();
+    for (s, name) in names.iter().enumerate() {
+        let id = table.intern(&job(s));
+        if id == firsts.len() {
+            if let Err(e) = table.get(id) {
+                return Err(not_a_dag(name, e.clone()));
+            }
+            firsts.push(s);
+        }
+        shape_of.push(id);
+    }
+    let entry = |s: usize| table.get(shape_of[s]).expect("failed entries returned");
+    let raw = dagscope_par::par_map_with(names, |s, name| entry(s).raw(name.clone(), &job(s)));
+    let conflated = dagscope_par::par_map_with(&raw, |s, dag| entry(s).conflated(dag));
+    Ok(SampleDags {
+        raw,
+        conflated,
+        shape_of,
+        firsts,
+    })
 }
 
 /// The error for a sampled job whose task names do not form a DAG.

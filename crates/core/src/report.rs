@@ -1,9 +1,12 @@
 //! The pipeline's output bundle.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use dagscope_cluster::GroupModel;
 use dagscope_graph::conflate::conflate;
 use dagscope_graph::metrics::JobFeatures;
-use dagscope_graph::JobDag;
+use dagscope_graph::{DagShape, JobDag};
 use dagscope_sched::{GroupPredictor, JobHint, ProfileBuilder, SimJob};
 use dagscope_trace::stats::TraceStats;
 use dagscope_wl::{GramStats, KernelCache, SparseVec};
@@ -71,7 +74,10 @@ impl Report {
     /// group centroids on the sample, profiles each group's work and
     /// critical path from the sampled DAGs, and classifies every job
     /// through the frozen WL vocabulary — the same embed-then-classify
-    /// chain `/v1/classify` runs online.
+    /// chain `/v1/classify` runs online. The verdict depends only on a
+    /// job's shape, so each distinct shape (jobs built through one
+    /// [`ShapeTable`](dagscope_graph::ShapeTable) share one) is conflated,
+    /// embedded and classified once.
     pub fn group_predictor(&self, jobs: &[SimJob]) -> GroupPredictor {
         let k = self.groups.group_count();
         let model = GroupModel::fit(&self.groups.assignments, k, &self.wl_features);
@@ -85,11 +91,26 @@ impl Report {
             let sim = SimJob::from_dag(dag.name.clone(), 0, dag.clone());
             builder.observe(self.groups.assignments[i], &sim);
         }
-        let hints: Vec<JobHint> = dagscope_par::par_map(jobs, |job| {
+        // Each job's shape, numbered in order of first appearance, and the
+        // first job of each.
+        let mut seen: HashMap<*const DagShape, usize> = HashMap::new();
+        let mut firsts = Vec::new();
+        let shape_of: Vec<usize> = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, job)| {
+                *seen.entry(Arc::as_ptr(job.dag.shape())).or_insert_with(|| {
+                    firsts.push(i);
+                    firsts.len() - 1
+                })
+            })
+            .collect();
+        let hints: Vec<JobHint> = dagscope_par::par_map(&firsts, |&i| {
+            let dag = &jobs[i].dag;
             let probe = if self.config.conflate {
-                cache.embed(&conflate(&job.dag))
+                cache.embed(&conflate(dag))
             } else {
-                cache.embed(&job.dag)
+                cache.embed(dag)
             };
             let c = model.classify(&probe);
             JobHint {
@@ -98,8 +119,8 @@ impl Report {
             }
         });
         let mut predictor = GroupPredictor::new(builder.finish(&labels));
-        for (job, hint) in jobs.iter().zip(hints) {
-            predictor.insert_hint(job.name.as_str(), hint);
+        for (job, &shape) in jobs.iter().zip(&shape_of) {
+            predictor.insert_hint(job.name.as_str(), hints[shape]);
         }
         predictor
     }

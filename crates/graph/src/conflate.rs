@@ -8,17 +8,19 @@
 //! its dependency semantics. The merge is applied to a fixpoint, because
 //! collapsing one group can make another group's signatures equal.
 
-use crate::dag::DagParts;
+use std::sync::Arc;
+
+use crate::dag::{DagParts, DagShape};
 use crate::{JobDag, NodeAttr};
 
-/// One conflation pass: merge nodes with identical
-/// `(kind, parents, children)` signatures. Returns `None` when nothing
-/// merged.
-fn conflate_once(dag: &JobDag) -> Option<JobDag> {
-    let n = dag.len();
+/// One conflation pass over a shape: merge nodes with identical
+/// `(kind, parents, children)` signatures. Returns the merged shape and
+/// each old node's new index, or `None` when nothing merged.
+fn conflate_once(shape: &DagShape) -> Option<(DagShape, Vec<u32>)> {
+    let n = shape.len();
     let signature = |i: u32| {
         let i = i as usize;
-        (dag.kind(i).letter(), dag.parents(i), dag.children(i))
+        (shape.kind(i).letter(), shape.parents(i), shape.children(i))
     };
     let same = |a: &u32, b: &u32| signature(*a) == signature(*b);
     // Group nodes by sorting their indices on the borrowed signatures;
@@ -48,48 +50,77 @@ fn conflate_once(dag: &JobDag) -> Option<JobDag> {
             kept += 1;
         }
     }
-    // Aggregate each group's weight and attributes over its members in
-    // ascending order.
+    let node_map: Vec<u32> = rep.iter().map(|&r| new_index[r as usize]).collect();
+    let mut weights = vec![0u32; kept as usize];
+    for (i, &to) in node_map.iter().enumerate() {
+        weights[to as usize] += shape.weight(i);
+    }
+
+    let mut parts = DagParts::with_capacity(kept as usize, shape.edge_count(), shape.name_bytes());
+    let mut ps: Vec<u32> = Vec::new();
+    for (i, &weight) in (0..n).filter(|&i| rep[i] as usize == i).zip(&weights) {
+        ps.clear();
+        ps.extend(shape.parents(i).iter().map(|&p| node_map[p as usize]));
+        ps.sort_unstable();
+        ps.dedup();
+        parts.push(
+            shape.kind(i),
+            shape.task_name(i),
+            ps.iter().copied(),
+            weight,
+        );
+    }
+    Some((parts.finish(Vec::new()), node_map))
+}
+
+/// Conflate a shape to a fixpoint: the merged shape (the same `Arc` when
+/// nothing merges) and, per pass, each node's index in the next pass.
+/// Attributes follow through [`replay_attrs`].
+pub(crate) fn conflate_shape(shape: &Arc<DagShape>) -> (Arc<DagShape>, Vec<Vec<u32>>) {
+    let mut current = Arc::clone(shape);
+    let mut passes = Vec::new();
+    while let Some((next, node_map)) = conflate_once(&current) {
+        debug_assert!(next.len() < current.len());
+        current = Arc::new(next);
+        passes.push(node_map);
+    }
+    (current, passes)
+}
+
+/// Merge per-node attributes through conflation passes. Each pass sums a
+/// group's instances, CPU and memory and keeps its longest duration,
+/// adding members in ascending node order, so every `f64` sum is the one
+/// a pass over the whole DAG computes.
+pub(crate) fn replay_attrs(attrs: &[NodeAttr], passes: &[Vec<u32>]) -> Vec<NodeAttr> {
+    let Some((first, rest)) = passes.split_first() else {
+        return attrs.to_vec();
+    };
+    let mut current = merge_attrs(attrs, first);
+    for node_map in rest {
+        current = merge_attrs(&current, node_map);
+    }
+    current
+}
+
+/// One pass of [`replay_attrs`]: node `i`'s attributes join node
+/// `node_map[i]`'s group.
+fn merge_attrs(attrs: &[NodeAttr], node_map: &[u32]) -> Vec<NodeAttr> {
     let empty = NodeAttr {
         instance_num: 0,
         duration: 0,
         plan_cpu: 0.0,
         plan_mem: 0.0,
     };
-    let mut merged = vec![(0u32, empty); kept as usize];
-    for group in order.chunk_by(same) {
-        let (weight, attr) = &mut merged[new_index[group[0] as usize] as usize];
-        for &m in group {
-            let m = m as usize;
-            *weight += dag.weight(m);
-            let a = dag.attr(m);
-            attr.instance_num += a.instance_num;
-            attr.plan_cpu += a.plan_cpu;
-            attr.plan_mem += a.plan_mem;
-            attr.duration = attr.duration.max(a.duration);
-        }
+    let kept = node_map.iter().max().map_or(0, |&m| m as usize + 1);
+    let mut merged = vec![empty; kept];
+    for (a, &to) in attrs.iter().zip(node_map) {
+        let m = &mut merged[to as usize];
+        m.instance_num += a.instance_num;
+        m.plan_cpu += a.plan_cpu;
+        m.plan_mem += a.plan_mem;
+        m.duration = m.duration.max(a.duration);
     }
-
-    let mut parts = DagParts::with_capacity(kept as usize, dag.edge_count(), dag.name_bytes());
-    let mut ps: Vec<u32> = Vec::new();
-    for (i, &(weight, attr)) in (0..n).filter(|&i| rep[i] as usize == i).zip(&merged) {
-        ps.clear();
-        ps.extend(
-            dag.parents(i)
-                .iter()
-                .map(|&p| new_index[rep[p as usize] as usize]),
-        );
-        ps.sort_unstable();
-        ps.dedup();
-        parts.push(
-            dag.kind(i),
-            dag.task_name(i),
-            ps.iter().copied(),
-            weight,
-            attr,
-        );
-    }
-    Some(JobDag::from_parts(dag.name.clone(), parts))
+    merged
 }
 
 /// Conflate `dag` to a fixpoint.
@@ -113,14 +144,8 @@ fn conflate_once(dag: &JobDag) -> Option<JobDag> {
 /// assert_eq!(small.total_weight(), 4);
 /// ```
 pub fn conflate(dag: &JobDag) -> JobDag {
-    let Some(mut current) = conflate_once(dag) else {
-        return dag.clone();
-    };
-    while let Some(next) = conflate_once(&current) {
-        debug_assert!(next.len() < current.len());
-        current = next;
-    }
-    current
+    let (shape, passes) = conflate_shape(dag.shape());
+    JobDag::with_shape(dag.name.clone(), shape, replay_attrs(dag.attrs(), &passes))
 }
 
 #[cfg(test)]

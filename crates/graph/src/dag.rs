@@ -3,6 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -52,6 +53,24 @@ pub trait TaskRows {
     }
 }
 
+impl<T: TaskRows + ?Sized> TaskRows for &T {
+    fn row_count(&self) -> usize {
+        (**self).row_count()
+    }
+
+    fn task_name(&self, r: usize) -> &str {
+        (**self).task_name(r)
+    }
+
+    fn attr(&self, r: usize) -> NodeAttr {
+        (**self).attr(r)
+    }
+
+    fn name_bytes(&self) -> usize {
+        (**self).name_bytes()
+    }
+}
+
 impl TaskRows for [TaskRecord] {
     fn row_count(&self) -> usize {
         self.len()
@@ -96,23 +115,44 @@ impl TaskRows for SampleJob<'_> {
     }
 }
 
-/// A batch job's task-dependency DAG.
+/// Structural measures of a [`DagShape`], computed once when the shape is
+/// built. They depend on nothing a job's rows carry beyond its task names,
+/// so every job of one shape shares them.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) struct ShapeSummary {
+    /// Critical path in vertices ([`crate::algo::critical_path`]).
+    pub(crate) critical_path: usize,
+    /// Largest level population ([`crate::algo::max_width`]).
+    pub(crate) max_width: usize,
+    /// Nodes with no parents.
+    pub(crate) sources: usize,
+    /// Nodes with no children.
+    pub(crate) sinks: usize,
+    /// Edge count.
+    pub(crate) edges: usize,
+    /// Sum of node weights.
+    pub(crate) total_weight: u32,
+    /// Node weights summed per stage kind: `M`, `J`, `R`, then any other
+    /// code.
+    pub(crate) kind_weights: [u32; 4],
+    /// Node population of each longest-path level
+    /// ([`crate::algo::level_widths`]).
+    pub(crate) level_widths: Vec<usize>,
+}
+
+/// The structure of a job DAG, without the job: stage kinds, task names,
+/// adjacency and weights, plus a [`ShapeSummary`]. Jobs whose task names
+/// are equal row for row have equal shapes, so a
+/// [`ShapeTable`](crate::ShapeTable) builds each once and every such
+/// [`JobDag`] holds it through one `Arc`.
 ///
 /// Nodes are indexed `0..n` in a topological order (every edge goes from a
-/// lower to a higher index — guaranteed at construction). Each node carries
-/// the stage kind its task name encodes, the original task name, trace
-/// attributes, and a *weight*: the number of original tasks it represents
-/// (1 until [`crate::conflate`] merges nodes).
-///
-/// The layout is flat. Adjacency is compressed sparse rows in both
+/// lower to a higher index). Adjacency is compressed sparse rows in both
 /// directions (node `i`'s parents are `parent_idx[parent_off[i]..
 /// parent_off[i + 1]]`, its children likewise), and every task name lives
-/// in one `String` cut at `name_off`. A DAG of any size is therefore at
-/// most ten allocations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct JobDag {
-    /// Owning job name.
-    pub name: String,
+/// in one `String` cut at `name_off`.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct DagShape {
     kinds: Vec<TaskKind>,
     names: String,
     name_off: Vec<u32>,
@@ -121,12 +161,74 @@ pub struct JobDag {
     child_off: Vec<u32>,
     child_idx: Vec<u32>,
     weights: Vec<u32>,
-    attrs: Vec<NodeAttr>,
+    /// The row each node was read from, when [`JobDag::from_rows`] built
+    /// the shape; empty for shapes derived some other way.
+    rows: Vec<u32>,
+    summary: ShapeSummary,
 }
 
-/// The per-node arrays of a [`JobDag`] under construction, filled one node
-/// at a time in topological order. [`JobDag::from_parts`] derives the
-/// children.
+impl DagShape {
+    /// Number of nodes.
+    pub(crate) fn len(&self) -> usize {
+        self.kinds.len()
+    }
+
+    /// The structural measures computed when the shape was built.
+    pub(crate) fn summary(&self) -> &ShapeSummary {
+        &self.summary
+    }
+
+    /// The row of each node in the rows [`JobDag::from_rows`] read (empty
+    /// when the shape was not built from rows).
+    pub(crate) fn rows(&self) -> &[u32] {
+        &self.rows
+    }
+
+    /// Total bytes of the task names.
+    pub(crate) fn name_bytes(&self) -> usize {
+        self.names.len()
+    }
+
+    pub(crate) fn kind(&self, i: usize) -> TaskKind {
+        self.kinds[i]
+    }
+
+    pub(crate) fn task_name(&self, i: usize) -> &str {
+        &self.names[span(&self.name_off, i)]
+    }
+
+    pub(crate) fn parents(&self, i: usize) -> &[u32] {
+        &self.parent_idx[span(&self.parent_off, i)]
+    }
+
+    pub(crate) fn children(&self, i: usize) -> &[u32] {
+        &self.child_idx[span(&self.child_off, i)]
+    }
+
+    pub(crate) fn weight(&self, i: usize) -> u32 {
+        self.weights[i]
+    }
+
+    pub(crate) fn edge_count(&self) -> usize {
+        self.parent_idx.len()
+    }
+
+    /// Equal kinds, task names, parents and weights: the children and the
+    /// summary follow from those, and the rows are how the shape was read,
+    /// not what it is.
+    fn same_structure(&self, other: &DagShape) -> bool {
+        self.kinds == other.kinds
+            && self.names == other.names
+            && self.name_off == other.name_off
+            && self.parent_off == other.parent_off
+            && self.parent_idx == other.parent_idx
+            && self.weights == other.weights
+    }
+}
+
+/// The per-node arrays of a [`DagShape`] under construction, filled one
+/// node at a time in topological order. [`DagParts::finish`] derives the
+/// children and the summary.
 pub(crate) struct DagParts {
     kinds: Vec<TaskKind>,
     names: String,
@@ -134,7 +236,6 @@ pub(crate) struct DagParts {
     parent_off: Vec<u32>,
     parent_idx: Vec<u32>,
     weights: Vec<u32>,
-    attrs: Vec<NodeAttr>,
 }
 
 impl DagParts {
@@ -152,7 +253,6 @@ impl DagParts {
             parent_off,
             parent_idx: Vec::with_capacity(edges),
             weights: Vec::with_capacity(nodes),
-            attrs: Vec::with_capacity(nodes),
         }
     }
 
@@ -165,7 +265,6 @@ impl DagParts {
         task_name: &str,
         parents: impl IntoIterator<Item = u32>,
         weight: u32,
-        attr: NodeAttr,
     ) {
         let node = self.kinds.len();
         self.kinds.push(kind);
@@ -180,7 +279,104 @@ impl DagParts {
         }
         self.parent_off.push(as_u32(self.parent_idx.len()));
         self.weights.push(weight);
-        self.attrs.push(attr);
+    }
+
+    /// The finished shape: the children derived from the parents by
+    /// counting sort, so each child list comes out sorted, and the
+    /// summary measured once. `rows` is each node's row, or empty.
+    pub(crate) fn finish(self, rows: Vec<u32>) -> DagShape {
+        let DagParts {
+            kinds,
+            names,
+            name_off,
+            parent_off,
+            parent_idx,
+            weights,
+        } = self;
+        let (child_off, child_idx) = transpose(&parent_off, &parent_idx);
+        let summary = summarize(&kinds, &parent_off, &parent_idx, &child_off, &weights);
+        DagShape {
+            kinds,
+            names,
+            name_off,
+            parent_off,
+            parent_idx,
+            child_off,
+            child_idx,
+            weights,
+            rows,
+            summary,
+        }
+    }
+}
+
+/// Measure a shape from its arrays: longest-path levels in one pass over
+/// the topological order, degrees from the CSR offsets, weights per kind.
+fn summarize(
+    kinds: &[TaskKind],
+    parent_off: &[u32],
+    parent_idx: &[u32],
+    child_off: &[u32],
+    weights: &[u32],
+) -> ShapeSummary {
+    let n = kinds.len();
+    let mut level = vec![0usize; n];
+    let mut level_widths: Vec<usize> = Vec::new();
+    for i in 0..n {
+        let l = parent_idx[span(parent_off, i)]
+            .iter()
+            .map(|&p| level[p as usize] + 1)
+            .max()
+            .unwrap_or(0);
+        level[i] = l;
+        if l == level_widths.len() {
+            level_widths.push(0);
+        }
+        level_widths[l] += 1;
+    }
+    let mut kind_weights = [0u32; 4];
+    for (&kind, &w) in kinds.iter().zip(weights) {
+        let k = match kind {
+            TaskKind::Map => 0,
+            TaskKind::Join => 1,
+            TaskKind::Reduce => 2,
+            TaskKind::Other(_) => 3,
+        };
+        kind_weights[k] += w;
+    }
+    let degree = |off: &[u32], i: usize| off[i + 1] - off[i];
+    ShapeSummary {
+        critical_path: level_widths.len(),
+        max_width: level_widths.iter().copied().max().unwrap_or(0),
+        sources: (0..n).filter(|&i| degree(parent_off, i) == 0).count(),
+        sinks: (0..n).filter(|&i| degree(child_off, i) == 0).count(),
+        edges: parent_idx.len(),
+        total_weight: weights.iter().sum(),
+        kind_weights,
+        level_widths,
+    }
+}
+
+/// A batch job's task-dependency DAG: its name, its shared [`DagShape`]
+/// and one [`NodeAttr`] per node.
+///
+/// Each node carries the stage kind its task name encodes, the original
+/// task name, trace attributes, and a *weight*: the number of original
+/// tasks it represents (1 until [`crate::conflate`] merges nodes). Nodes
+/// are indexed in a topological order, guaranteed at construction.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct JobDag {
+    /// Owning job name.
+    pub name: String,
+    shape: Arc<DagShape>,
+    attrs: Vec<NodeAttr>,
+}
+
+impl PartialEq for JobDag {
+    fn eq(&self, other: &JobDag) -> bool {
+        self.name == other.name
+            && self.attrs == other.attrs
+            && (Arc::ptr_eq(&self.shape, &other.shape) || self.shape.same_structure(&other.shape))
     }
 }
 
@@ -226,33 +422,10 @@ fn transpose(off: &[u32], idx: &[u32]) -> (Vec<u32>, Vec<u32>) {
 }
 
 impl JobDag {
-    /// Assemble a DAG from its per-node arrays; the children are derived
-    /// from the parents by counting sort, so each child list comes out
-    /// sorted. This is the crate-internal constructor; fallible
-    /// construction goes through [`JobDag::from_rows`].
-    pub(crate) fn from_parts(name: String, parts: DagParts) -> JobDag {
-        let DagParts {
-            kinds,
-            names,
-            name_off,
-            parent_off,
-            parent_idx,
-            weights,
-            attrs,
-        } = parts;
-        let (child_off, child_idx) = transpose(&parent_off, &parent_idx);
-        JobDag {
-            name,
-            kinds,
-            names,
-            name_off,
-            parent_off,
-            parent_idx,
-            child_off,
-            child_idx,
-            weights,
-            attrs,
-        }
+    /// A DAG of `shape` with one attribute per node.
+    pub(crate) fn with_shape(name: String, shape: Arc<DagShape>, attrs: Vec<NodeAttr>) -> JobDag {
+        debug_assert_eq!(attrs.len(), shape.len());
+        JobDag { name, shape, attrs }
     }
 
     /// Reconstruct the DAG encoded in a job's task names:
@@ -280,6 +453,8 @@ impl JobDag {
     /// Ids in the trace need not be dense, so they are remapped to a
     /// topological `0..n` numbering. Fails on non-DAG names, duplicate ids,
     /// dangling parent references, or (malformed) cyclic dependencies.
+    /// This is the one builder: a [`ShapeTable`](crate::ShapeTable) calls
+    /// it for the first job of each shape.
     pub fn from_rows<R: TaskRows + ?Sized>(name: String, rows: &R) -> Result<JobDag, BuildError> {
         let n = rows.row_count();
         if n == 0 {
@@ -349,7 +524,7 @@ impl JobDag {
             .collect();
         let mut order = Vec::with_capacity(n);
         while let Some(Reverse((_, row))) = queue.pop() {
-            order.push(row as usize);
+            order.push(row);
             for &c in &child_rows[span(&child_off, row as usize)] {
                 let c = c as usize;
                 indeg[c] -= 1;
@@ -363,11 +538,12 @@ impl JobDag {
         }
         let mut new_index = vec![0u32; n];
         for (new, &row) in order.iter().enumerate() {
-            new_index[row] = as_u32(new);
+            new_index[row as usize] = as_u32(new);
         }
 
         let mut parts = DagParts::with_capacity(n, parents.len(), name_bytes);
         for &row in &order {
+            let row = row as usize;
             parts.push(
                 kinds[row],
                 rows.task_name(row),
@@ -375,10 +551,14 @@ impl JobDag {
                     .iter()
                     .map(|&p| new_index[p as usize]),
                 1,
-                rows.attr(row),
             );
         }
-        Ok(JobDag::from_parts(name, parts))
+        let attrs = order.iter().map(|&row| rows.attr(row as usize)).collect();
+        Ok(JobDag::with_shape(
+            name,
+            Arc::new(parts.finish(order)),
+            attrs,
+        ))
     }
 
     /// Build directly from a generator [`DagPlan`] (used by benches that
@@ -389,60 +569,63 @@ impl JobDag {
         let name_bytes = task_names.iter().map(String::len).sum();
         let mut parts = DagParts::with_capacity(plan.size(), edges, name_bytes);
         for ((&kind, task_name), ps) in plan.kinds.iter().zip(&task_names).zip(&plan.parents) {
-            parts.push(
-                kind,
-                task_name,
-                ps.iter().map(|&p| p - 1),
-                1,
-                NodeAttr::default(),
-            );
+            parts.push(kind, task_name, ps.iter().map(|&p| p - 1), 1);
         }
-        JobDag::from_parts(name.to_string(), parts)
+        JobDag::with_shape(
+            name.to_string(),
+            Arc::new(parts.finish(Vec::new())),
+            vec![NodeAttr::default(); plan.size()],
+        )
+    }
+
+    /// The shape this DAG shares with every job of equal task names.
+    pub fn shape(&self) -> &Arc<DagShape> {
+        &self.shape
+    }
+
+    /// Per-node trace attributes, in node order.
+    pub(crate) fn attrs(&self) -> &[NodeAttr] {
+        &self.attrs
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.kinds.len()
+        self.shape.len()
     }
 
     /// True when the DAG has no nodes (cannot occur via `from_rows`).
     pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
+        self.len() == 0
     }
 
     /// Sum of node weights — the original task count before conflation.
     pub fn total_weight(&self) -> u32 {
-        self.weights.iter().sum()
+        self.shape.summary.total_weight
     }
 
     /// Stage kind of node `i`.
     pub fn kind(&self, i: usize) -> TaskKind {
-        self.kinds[i]
+        self.shape.kind(i)
     }
 
     /// Original task name of node `i` (representative name after merging).
     pub fn task_name(&self, i: usize) -> &str {
-        &self.names[span(&self.name_off, i)]
+        self.shape.task_name(i)
     }
 
     /// Parent indices of node `i` (sorted ascending).
     pub fn parents(&self, i: usize) -> &[u32] {
-        &self.parent_idx[span(&self.parent_off, i)]
+        self.shape.parents(i)
     }
 
     /// Child indices of node `i` (sorted ascending).
     pub fn children(&self, i: usize) -> &[u32] {
-        &self.child_idx[span(&self.child_off, i)]
-    }
-
-    /// Total bytes of the task names.
-    pub(crate) fn name_bytes(&self) -> usize {
-        self.names.len()
+        self.shape.children(i)
     }
 
     /// Node weight (number of original tasks merged into `i`).
     pub fn weight(&self, i: usize) -> u32 {
-        self.weights[i]
+        self.shape.weight(i)
     }
 
     /// Trace attributes of node `i`.
@@ -476,7 +659,7 @@ impl JobDag {
 
     /// Total number of edges.
     pub fn edge_count(&self) -> usize {
-        self.parent_idx.len()
+        self.shape.edge_count()
     }
 
     /// Iterate edges as `(parent, child)` pairs.
@@ -485,9 +668,13 @@ impl JobDag {
     }
 
     /// Internal invariant check used by tests: topological indexing, sorted
-    /// adjacency, parent/child consistency, positive weights.
+    /// adjacency, parent/child consistency, positive weights, one
+    /// attribute per node.
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.len();
+        if self.attrs.len() != n {
+            return Err(format!("{} attributes for {n} nodes", self.attrs.len()));
+        }
         for i in 0..n {
             for &p in self.parents(i) {
                 if p as usize >= i {
@@ -502,7 +689,7 @@ impl JobDag {
                     return Err(format!("parent list of {c} misses {i}"));
                 }
             }
-            if self.weights[i] == 0 {
+            if self.weight(i) == 0 {
                 return Err(format!("node {i} has zero weight"));
             }
             if self.parents(i).windows(2).any(|w| w[0] >= w[1]) {
@@ -628,6 +815,51 @@ mod tests {
                 via_job.edges().collect::<Vec<_>>()
             );
         }
+    }
+
+    #[test]
+    fn summary_matches_the_algorithms() {
+        use crate::{algo, conflate::conflate};
+        use dagscope_trace::gen::{GeneratorConfig, TraceGenerator};
+        let trace = TraceGenerator::new(GeneratorConfig {
+            jobs: 400,
+            seed: 9,
+            ..Default::default()
+        })
+        .generate();
+        let mut checked = 0;
+        for job in trace.job_set().jobs() {
+            let Ok(raw) = JobDag::from_job(job) else {
+                continue;
+            };
+            for dag in [conflate(&raw), raw] {
+                let s = dag.shape().summary();
+                assert_eq!(s.critical_path, algo::critical_path(&dag));
+                assert_eq!(s.max_width, algo::max_width(&dag));
+                assert_eq!(s.level_widths, algo::level_widths(&dag));
+                assert_eq!(s.sources, dag.sources().len());
+                assert_eq!(s.sinks, dag.sinks().len());
+                assert_eq!(s.edges, dag.edges().count());
+                assert_eq!(s.total_weight, (0..dag.len()).map(|i| dag.weight(i)).sum());
+                let kind_weight = |k: fn(TaskKind) -> bool| -> u32 {
+                    (0..dag.len())
+                        .filter(|&i| k(dag.kind(i)))
+                        .map(|i| dag.weight(i))
+                        .sum()
+                };
+                assert_eq!(
+                    s.kind_weights,
+                    [
+                        kind_weight(|k| k == TaskKind::Map),
+                        kind_weight(|k| k == TaskKind::Join),
+                        kind_weight(|k| k == TaskKind::Reduce),
+                        kind_weight(|k| matches!(k, TaskKind::Other(_))),
+                    ]
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 200, "{checked}");
     }
 
     #[test]

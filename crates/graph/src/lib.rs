@@ -6,6 +6,8 @@
 //! * [`JobDag::from_rows`] — reconstruct the DAG a job's task names encode,
 //!   from a [`Job`](dagscope_trace::Job)'s records ([`JobDag::from_job`])
 //!   or a replayed sample's flat row table,
+//! * [`ShapeTable`] — build, conflate and measure each distinct task-name
+//!   list once; every job of it shares one [`DagShape`],
 //! * [`algo`] — topological order, critical path, levels and width,
 //! * [`conflate`] — node conflation (merging structurally equivalent
 //!   siblings, Fig 3),
@@ -28,7 +30,9 @@ pub mod metrics;
 pub mod motifs;
 pub mod pattern;
 pub mod render;
+mod table;
 pub mod tasktype;
 
-pub use dag::{JobDag, NodeAttr, TaskRows};
+pub use dag::{DagShape, JobDag, NodeAttr, TaskRows};
 pub use error::BuildError;
+pub use table::{ShapeEntry, ShapeTable};

@@ -2,8 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use dagscope_trace::taskname::TaskKind;
-
 use crate::{algo, JobDag};
 
 /// The structural feature vector of one job DAG — everything the paper's
@@ -44,35 +42,27 @@ pub struct JobFeatures {
 }
 
 impl JobFeatures {
-    /// Extract features from a DAG.
+    /// Extract features from a DAG. The structural counts come from its
+    /// shape's summary; instances, CPU volume and the weighted critical
+    /// path are summed over the DAG's own attributes in node order.
     pub fn extract(dag: &JobDag) -> JobFeatures {
-        let mut map_tasks = 0u32;
-        let mut join_tasks = 0u32;
-        let mut reduce_tasks = 0u32;
-        let mut other_tasks = 0u32;
+        let s = dag.shape().summary();
         let mut total_instances = 0u64;
         let mut cpu_volume = 0.0f64;
-        for i in 0..dag.len() {
-            let w = dag.weight(i);
-            match dag.kind(i) {
-                TaskKind::Map => map_tasks += w,
-                TaskKind::Join => join_tasks += w,
-                TaskKind::Reduce => reduce_tasks += w,
-                TaskKind::Other(_) => other_tasks += w,
-            }
-            let a = dag.attr(i);
+        for a in dag.attrs() {
             total_instances += a.instance_num as u64;
             cpu_volume += a.instance_num as f64 * a.plan_cpu;
         }
+        let [map_tasks, join_tasks, reduce_tasks, other_tasks] = s.kind_weights;
         JobFeatures {
             name: dag.name.clone(),
             size: dag.len(),
-            weight: dag.total_weight(),
-            critical_path: algo::critical_path(dag),
-            max_width: algo::max_width(dag),
-            sources: dag.sources().len(),
-            sinks: dag.sinks().len(),
-            edges: dag.edge_count(),
+            weight: s.total_weight,
+            critical_path: s.critical_path,
+            max_width: s.max_width,
+            sources: s.sources,
+            sinks: s.sinks,
+            edges: s.edges,
             map_tasks,
             join_tasks,
             reduce_tasks,

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use dagscope_trace::gen::ShapeKind;
 
-use crate::{algo, JobDag};
+use crate::JobDag;
 
 /// Classification result: one of the paper's named shapes, or `Irregular`
 /// for width profiles matching none of them.
@@ -47,8 +47,7 @@ impl Pattern {
 /// 6. **trapezium** — non-decreasing widths, more outputs than inputs;
 /// 7. otherwise **irregular**.
 pub fn classify(dag: &JobDag) -> Pattern {
-    let widths = algo::level_widths(dag);
-    classify_widths(&widths)
+    classify_widths(&dag.shape().summary().level_widths)
 }
 
 /// Classify a width profile directly (exposed for tests and for the
@@ -104,13 +103,18 @@ pub struct PatternCensus {
 impl PatternCensus {
     /// Classify every DAG and tally.
     pub fn compute(dags: &[JobDag]) -> PatternCensus {
+        PatternCensus::tally(dags.iter().map(|dag| (classify(dag), 1)))
+    }
+
+    /// Tally `(pattern, jobs)` pairs, a pattern any number of times.
+    pub fn tally(patterns: impl IntoIterator<Item = (Pattern, usize)>) -> PatternCensus {
         let mut tally = [0usize; 7];
-        for dag in dags {
-            let idx = match classify(dag) {
+        for (pattern, jobs) in patterns {
+            let idx = match pattern {
                 Pattern::Shape(s) => ShapeKind::ALL.iter().position(|k| *k == s).unwrap(),
                 Pattern::Irregular => 6,
             };
-            tally[idx] += 1;
+            tally[idx] += jobs;
         }
         let mut counts = Vec::with_capacity(7);
         for (i, kind) in ShapeKind::ALL.iter().enumerate() {
@@ -118,7 +122,7 @@ impl PatternCensus {
         }
         counts.push(("irregular".to_string(), tally[6]));
         PatternCensus {
-            total: dags.len(),
+            total: tally.iter().sum(),
             counts,
         }
     }
@@ -138,6 +142,7 @@ impl PatternCensus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo;
     use dagscope_trace::gen::{build_shape, ShapeKind};
     use dagscope_trace::{Job, Status, TaskRecord};
     use rand::rngs::StdRng;

@@ -4,7 +4,10 @@
 //! `HashMap` keys of owned signature vectors. On every job both sides must
 //! return the same `Err`, or DAGs with equal kinds, task names, parents,
 //! children, weights and attributes, bit for bit, before and after
-//! conflation.
+//! conflation. Each job is built three times: directly, through a shared
+//! `ShapeTable`, and through the table again with re-rolled attributes,
+//! where the table must hit and replay the attributes through its stored
+//! shape and conflation passes.
 
 use std::collections::HashMap;
 
@@ -14,7 +17,7 @@ use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 
 use dagscope_graph::conflate::conflate;
-use dagscope_graph::{BuildError, JobDag, NodeAttr};
+use dagscope_graph::{BuildError, JobDag, NodeAttr, ShapeTable};
 use dagscope_trace::gen::{GeneratorConfig, TraceGenerator};
 use dagscope_trace::taskname::{self, ParsedTaskName, TaskKind};
 use dagscope_trace::{Job, Status, TaskRecord};
@@ -351,10 +354,24 @@ enum Outcome {
     Cycle,
 }
 
-/// Build and conflate `job` on both sides; `Err` describes the first
-/// difference.
-fn compare(job: &Job) -> Result<Outcome, String> {
-    match (JobDag::from_job(job), RefDag::from_job(job)) {
+/// Conflation passes the reference takes to reach its fixpoint.
+fn ref_passes(dag: &RefDag) -> usize {
+    let mut passes = 0;
+    let mut current = dag.clone();
+    while let Some(next) = ref_conflate_once(&current) {
+        current = next;
+        passes += 1;
+    }
+    passes
+}
+
+/// Check one build — a DAG and its conflation, or an error — against the
+/// reference.
+fn check(
+    built: Result<(JobDag, JobDag), BuildError>,
+    want: Result<RefDag, BuildError>,
+) -> Result<Outcome, String> {
+    match (built, want) {
         (Err(got), Err(want)) => {
             if got != want {
                 return Err(format!("error {got:?}, reference {want:?}"));
@@ -367,11 +384,10 @@ fn compare(job: &Job) -> Result<Outcome, String> {
                 other => return Err(format!("unexpected error {other:?}")),
             })
         }
-        (Ok(dag), Ok(want)) => {
+        (Ok((dag, merged)), Ok(want)) => {
             if fields(&RefDag::of(&dag)) != fields(&want) {
                 return Err(format!("built {dag:?}, reference {want:?}"));
             }
-            let merged = conflate(&dag);
             let want_merged = ref_conflate(&want);
             if fields(&RefDag::of(&merged)) != fields(&want_merged) {
                 return Err(format!("conflated {merged:?}, reference {want_merged:?}"));
@@ -384,6 +400,60 @@ fn compare(job: &Job) -> Result<Outcome, String> {
         }
         (got, want) => Err(format!("built {got:?}, reference {want:?}")),
     }
+}
+
+/// The same task names with fresh attributes drawn from `seed`.
+fn reroll(job: &Job, seed: u64) -> Job {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+    let mut job = job.clone();
+    for t in &mut job.tasks {
+        t.instance_num = rng.random_range(1..=5_000u32);
+        t.start_time = rng.random_range(1..1_000i64);
+        t.end_time = t.start_time + rng.random_range(0..500i64);
+        t.plan_cpu = CPU[rng.random_range(0..CPU.len())];
+        t.plan_mem = MEM[rng.random_range(0..MEM.len())];
+    }
+    job
+}
+
+/// Build and conflate `job` on both sides: directly, then through `table`
+/// twice, the second time with attributes re-rolled from `seed` so the
+/// table hits. Returns the outcome and the reference's conflation passes;
+/// `Err` describes the first difference.
+fn compare(job: &Job, table: &mut ShapeTable, seed: u64) -> Result<(Outcome, usize), String> {
+    let want = RefDag::from_job(job);
+    let direct = JobDag::from_job(job).map(|dag| {
+        let merged = conflate(&dag);
+        (dag, merged)
+    });
+    let outcome = check(direct, want.clone())?;
+    let passes = want.as_ref().map_or(0, ref_passes);
+    for (round, job) in [job.clone(), reroll(job, seed)].iter().enumerate() {
+        let seen = table.len();
+        let id = table.intern(job.tasks.as_slice());
+        if round == 1 && table.len() != seen {
+            return Err("the same task names missed the table".to_string());
+        }
+        let built = match table.get(id) {
+            Ok(entry) => {
+                if entry.passes() != passes {
+                    return Err(format!(
+                        "table conflated in {} passes, reference in {passes}",
+                        entry.passes()
+                    ));
+                }
+                let dag = entry.raw(job.name.clone(), job.tasks.as_slice());
+                let merged = entry.conflated(&dag);
+                Ok((dag, merged))
+            }
+            Err(e) => Err(e.clone()),
+        };
+        let got = check(built, RefDag::from_job(job)).map_err(|e| format!("table: {e}"))?;
+        if got != outcome {
+            return Err(format!("table: {got:?}, direct build: {outcome:?}"));
+        }
+    }
+    Ok((outcome, passes))
 }
 
 /// Float attributes whose sums depend on addition order.
@@ -516,12 +586,18 @@ fn random_job(seed: u64) -> Job {
     }
 }
 
+thread_local! {
+    /// One table across the property's cases, so keys of unrelated jobs
+    /// meet in it.
+    static TABLE: std::cell::RefCell<ShapeTable> = std::cell::RefCell::new(ShapeTable::new());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(500))]
 
     #[test]
     fn builder_and_conflation_match_the_reference(seed in any::<u64>()) {
-        let outcome = compare(&random_job(seed));
+        let outcome = TABLE.with(|t| compare(&random_job(seed), &mut t.borrow_mut(), seed));
         prop_assert!(outcome.is_ok(), "seed {}: {}", seed, outcome.unwrap_err());
     }
 }
@@ -529,11 +605,19 @@ proptest! {
 #[test]
 fn random_jobs_reach_every_outcome() {
     // The generator must exercise every path the property compares: a
-    // plain build, a build that conflates, and each build error.
+    // plain build, a build that conflates, each build error, and a
+    // conflation that needs a second pass (a repeated parent such as
+    // `R3_1_1` stays a repeated edge until the first merge dedups it).
     let mut seen: HashMap<Outcome, usize> = HashMap::new();
+    let mut multi_pass = 0;
+    let mut table = ShapeTable::new();
     for seed in 0..3_000 {
-        let outcome = compare(&random_job(seed)).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let (outcome, passes) = compare(&random_job(seed), &mut table, seed)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         *seen.entry(outcome).or_default() += 1;
+        if passes > 1 {
+            multi_pass += 1;
+        }
     }
     for outcome in [
         Outcome::Built,
@@ -548,6 +632,10 @@ fn random_jobs_reach_every_outcome() {
             "{outcome:?} reached too rarely: {seen:?}"
         );
     }
+    assert!(
+        multi_pass >= 10,
+        "only {multi_pass} jobs conflated in 2+ passes"
+    );
 }
 
 #[test]
@@ -559,12 +647,21 @@ fn generated_trace_matches_the_reference() {
     })
     .generate();
     let mut merged = 0;
-    for job in trace.job_set().jobs() {
-        match compare(job) {
-            Ok(Outcome::Merged) => merged += 1,
+    let mut table = ShapeTable::new();
+    let jobs = trace.job_set();
+    for (seed, job) in jobs.jobs().iter().enumerate() {
+        match compare(job, &mut table, seed as u64) {
+            Ok((Outcome::Merged, _)) => merged += 1,
             Ok(_) => {}
             Err(e) => panic!("job {}: {e}", job.name),
         }
     }
     assert!(merged > 100, "only {merged} jobs conflated");
+    // Recurring jobs hit the table on their first build too.
+    assert!(
+        table.len() < jobs.len(),
+        "{} distinct task-name lists in {} jobs",
+        table.len(),
+        jobs.len()
+    );
 }

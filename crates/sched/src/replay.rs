@@ -14,7 +14,7 @@ use crate::policy::Policy;
 use crate::sim::{SimConfig, Simulator};
 use crate::workload::SimJob;
 use dagscope_faults::failpoint;
-use dagscope_graph::JobDag;
+use dagscope_graph::ShapeTable;
 use dagscope_trace::stream::StreamedTrace;
 
 /// A replayable workload: simulation jobs in deterministic
@@ -32,22 +32,26 @@ pub struct ReplayWorkload {
 /// of a streamed store, each arriving at its earliest task start. The
 /// store's columnar metadata stays resident; the jobs' task rows are
 /// replayed a bounded row table at a time, so a 100k-job replay never
-/// holds the raw trace in memory.
+/// holds the raw trace in memory. Jobs are keyed by task names through
+/// one [`ShapeTable`], so each distinct list is built once and its jobs
+/// share one shape.
 pub fn workload_from_stream<R: Read + Seek>(
     store: &mut StreamedTrace<R>,
     max_jobs: usize,
 ) -> Result<ReplayWorkload, String> {
     let mut jobs = Vec::with_capacity(store.eligible_count().min(max_jobs));
     let mut skipped = 0usize;
+    let mut shapes = ShapeTable::new();
     for table in store.replay_eligible(max_jobs) {
         let table = table.map_err(|e| format!("replaying eligible jobs: {e}"))?;
         for s in 0..table.len() {
             let job = table.job(s);
-            match JobDag::from_rows(job.name().to_string(), &job) {
-                Ok(dag) => jobs.push(SimJob::from_dag(
+            let id = shapes.intern(&job);
+            match shapes.get(id) {
+                Ok(entry) => jobs.push(SimJob::from_dag(
                     job.name().to_string(),
                     job.start_time().unwrap_or(0),
-                    dag,
+                    entry.raw(job.name().to_string(), &job),
                 )),
                 Err(_) => skipped += 1,
             }
@@ -58,20 +62,27 @@ pub fn workload_from_stream<R: Read + Seek>(
 }
 
 /// Build a replay workload directly from materialized trace jobs (the
-/// batch path), with the same ordering contract as
-/// [`workload_from_stream`].
+/// batch path), with the same ordering contract and the same shape
+/// sharing as [`workload_from_stream`].
 pub fn workload_from_jobs<'a, I: IntoIterator<Item = &'a dagscope_trace::Job>>(
     jobs: I,
     max_jobs: usize,
 ) -> ReplayWorkload {
     let mut out = Vec::new();
     let mut skipped = 0usize;
+    let mut shapes = ShapeTable::new();
     for job in jobs {
         if out.len() >= max_jobs {
             break;
         }
-        match SimJob::from_trace_job(job) {
-            Ok(sj) => out.push(sj),
+        let rows = job.tasks.as_slice();
+        let id = shapes.intern(rows);
+        match shapes.get(id) {
+            Ok(entry) => out.push(SimJob::from_dag(
+                job.name.clone(),
+                job.start_time().unwrap_or(0),
+                entry.raw(job.name.clone(), rows),
+            )),
             Err(_) => skipped += 1,
         }
     }

@@ -15,7 +15,7 @@ use dagscope_cluster::Classification;
 use dagscope_core::{IndexSnapshot, SnapshotGroup, SnapshotMeta};
 use dagscope_graph::conflate::conflate;
 use dagscope_graph::metrics::JobFeatures;
-use dagscope_graph::{pattern, JobDag};
+use dagscope_graph::{pattern, JobDag, ShapeTable};
 use dagscope_sched::{ProfileBuilder, ProfileTable, SimJob, DEFAULT_MIN_CONFIDENCE};
 use dagscope_trace::Job;
 use dagscope_wl::{KernelCache, QueryStats, ShapeDedup, SparseVec};
@@ -99,16 +99,25 @@ impl ServeIndex {
             shapes,
         } = snapshot;
 
+        // Indexed jobs recur, so each distinct task-name list is built and
+        // conflated once and its jobs share the shapes.
+        let mut table = ShapeTable::new();
         let mut raw_dags = Vec::with_capacity(jobs.len());
+        let mut kernel_dags = Vec::with_capacity(jobs.len());
         for job in &jobs {
-            raw_dags
-                .push(JobDag::from_job(job).map_err(|e| format!("rebuild DAG {}: {e}", job.name))?);
+            let rows = job.tasks.as_slice();
+            let id = table.intern(rows);
+            let entry = table
+                .get(id)
+                .map_err(|e| format!("rebuild DAG {}: {e}", job.name))?;
+            let raw = entry.raw(job.name.clone(), rows);
+            kernel_dags.push(if meta.conflate {
+                entry.conflated(&raw)
+            } else {
+                raw.clone()
+            });
+            raw_dags.push(raw);
         }
-        let kernel_dags: Vec<JobDag> = if meta.conflate {
-            raw_dags.iter().map(conflate).collect()
-        } else {
-            raw_dags.clone()
-        };
         // Sequential push order == the pipeline's embedding order, so the
         // shared vocabulary (and thus every φ vector) matches bit-for-bit.
         let cache = KernelCache::from_dags(meta.wl_iterations, &kernel_dags);
