@@ -354,8 +354,11 @@ fn main() {
         "{{\n  \"bench\": \"fulltrace_streaming\",\n  \"host_parallelism\": {host},\n  \
          \"rss_floor_bytes\": {rss_floor},\n  \"sizes\": [\n{rows}  ],\n  \
          \"note\": \"each (size, mode) runs in a fresh child process so VmHWM isolates that \
-         measurement; scan_secs is the single forward pass (SWAR zero-copy scanner) that folds \
-         statistics and per-job metadata columns, sample_secs covers the stratified draw plus \
+         measurement; scan_secs is StreamedTrace::scan: the forward pass, whose read stage \
+         (SWAR zero-copy scanner) runs on a thread of its own ahead of the fold stage that folds \
+         statistics and per-job metadata columns when host_parallelism is 2 or more, then \
+         finalize; metadata_bytes counts the columns that outlive the scan (the name index is \
+         freed before finalize). sample_secs covers the stratified draw plus \
          byte-range replay of the sampled jobs, cluster_secs is Gram assembly + collapsed \
          spectral clustering. peak_rss_fraction_of_raw is the headline: the streaming engine \
          never holds the trace, only O(jobs) metadata columns plus the ~100-job sample. \

@@ -99,7 +99,9 @@ GLOBAL FLAGS
   --timings          summary/report: append per-stage wall-clock table,
                      engine provenance, gram-engine cost counters, and
                      the Laplacian eigengap diagnostic (with --trace
-                     also the ingest throughput in MB/s)
+                     also the ingest throughput in MB/s, the scan's
+                     batch count and how long its read and fold stages
+                     waited on each other)
 ";
 
 /// CLI-level errors.
@@ -193,7 +195,25 @@ impl Ingest {
     fn render(&self) -> String {
         let mb = self.trace.raw_bytes() as f64 / 1e6;
         let rate = if self.secs > 0.0 { mb / self.secs } else { 0.0 };
-        format!("ingest: {mb:.1} MB in {:.3} s — {rate:.1} MB/s", self.secs)
+        // Which scan stage bounds the ingest: the one the other waited on.
+        let c = self.trace.scan_counters();
+        let batches = match c.batches {
+            1 => "1 batch".to_string(),
+            n => format!("{n} batches"),
+        };
+        let stages = if c.threaded {
+            format!(
+                "read waited {:.3} s, fold waited {:.3} s",
+                c.read_wait.as_secs_f64(),
+                c.fold_wait.as_secs_f64()
+            )
+        } else {
+            "one stage".to_string()
+        };
+        format!(
+            "ingest: {mb:.1} MB in {:.3} s — {rate:.1} MB/s; {batches}, {stages}",
+            self.secs
+        )
     }
 }
 
@@ -1183,6 +1203,9 @@ mod tests {
         .unwrap();
         assert!(timed.contains("ingest:"), "{timed}");
         assert!(timed.contains("MB/s"), "{timed}");
+        // A trace within one read-buffer fill is folded as it is read, on
+        // one thread, whatever the thread count.
+        assert!(timed.contains("MB/s; 1 batch, one stage"), "{timed}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -89,6 +89,17 @@ pub(crate) fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
         .map(|i| base + i)
 }
 
+/// Per-lane exact zero detector: lane `i` of the result has its high bit
+/// set iff byte `i` of `x` is zero. Masking bit 7 before the add keeps
+/// every carry inside its lane, so unlike [`zero_lanes`] — whose borrow
+/// can flag a `0x01` lane just above a zero lane — every flagged lane is
+/// genuine, which a splitter that takes every hit needs: `,-` in one word
+/// is one comma, not two.
+#[inline]
+fn zero_lanes_exact(x: u64) -> u64 {
+    !(((x & !LANES_HI) + !LANES_HI) | x) & LANES_HI
+}
+
 /// Split `line` into exactly `N` comma-separated fields, verifying the
 /// whole line is ASCII in the same pass. `None` means "let the scalar
 /// oracle look at this line": wrong field count or any non-ASCII byte.
@@ -106,7 +117,7 @@ fn split_ascii_fields<const N: usize>(line: &[u8]) -> Option<[&[u8]; N]> {
     for chunk in &mut chunks {
         let w = word(chunk);
         acc |= w;
-        let mut hits = zero_lanes(w ^ pat);
+        let mut hits = zero_lanes_exact(w ^ pat);
         while hits != 0 {
             let pos = base + (hits.trailing_zeros() as usize >> 3);
             if n + 1 >= N {
@@ -471,6 +482,11 @@ impl<R: Read> BufLines<R> {
         }
     }
 
+    /// Bytes one refill can hold before the buffer grows.
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.len()
+    }
+
     /// The buffer the most recent span indexes into.
     pub(crate) fn view(&self) -> &[u8] {
         &self.buf
@@ -574,6 +590,30 @@ mod tests {
         // Empty fields survive, including leading/trailing.
         let f = split_ascii_fields::<3>(b",,").unwrap();
         assert_eq!(f, [b"" as &[u8]; 3]);
+        // `,-` inside one 8-byte word is one comma: `-` is `,` ^ 1, the
+        // lane a borrowing zero-lane test would also flag.
+        let f = split_ascii_fields::<4>(b"abcdefgh,-1,-,--x").unwrap();
+        assert_eq!(f, [b"abcdefgh" as &[u8], b"-1", b"-", b"--x"]);
+        assert_eq!(split_ascii_fields::<5>(b"abcdefgh,-1,-,--x"), None);
+    }
+
+    #[test]
+    fn short_row_with_a_negative_field_fails_like_the_oracle() {
+        // One field short, `-5` right after a comma in the same word: a
+        // splitter that counted the `-` as a comma would find nine fields
+        // and accept the row.
+        let row = b"M1,2,j_1,1,Terminated,-5,6,7";
+        assert_eq!(&row[16..24], b"nated,-5");
+        let want = csv::task_parts_fallback(3, row).unwrap_err();
+        assert_eq!(parse_task_parts_bytes(3, row).unwrap_err(), want);
+        assert_eq!(
+            want,
+            TraceError::FieldCount {
+                line: 3,
+                expected: 9,
+                found: 8
+            }
+        );
     }
 
     #[test]

@@ -22,6 +22,20 @@
 //! tests' bridge to the batch reader, is the one place a replay builds
 //! [`Job`]s.
 //!
+//! The forward scan runs in two stages over one batch type, both walking
+//! the lines in file order. The **read stage** splits lines, parses and
+//! classifies each row, takes its task name's DAG verdict and notes when
+//! its job name changes, and writes one 56-byte descriptor per line into a
+//! batch (blank lines, bad rows and I/O errors ride along in order). The
+//! **fold stage** groups the described rows into jobs: the suspect, open,
+//! straggler, probe and close logic. With two threads or more and a trace
+//! longer than one read-buffer fill, a scoped reader thread runs the read
+//! stage ahead of the fold through a few recycled batches; otherwise the
+//! two stages alternate on the calling thread. The fold sees the same
+//! lines in the same order either way, so every statistic, quarantine
+//! row, line number, byte offset, first error and `max_bad` stop is the
+//! same ([`ScanCounters`] records which way a scan ran).
+//!
 //! Two disruptions are handled without breaking bit-identity with a batch
 //! read:
 //!
@@ -29,7 +43,7 @@
 //!   correction: the extra byte range is recorded and, at finalize, the
 //!   job's old contribution is retracted and the merged job (rows in
 //!   document order, exactly as [`JobSet::from_tasks`] would have grouped
-//!   them) is refolded through the scan's [`OpenFold`] and folded back in.
+//!   them) is refolded through an [`OpenFold`] and folded back in.
 //! * **Quarantine verdicts** — a bad row implicates its job (see
 //!   [`Quarantine::suspect_jobs`]); the implicated job is dropped entirely,
 //!   matching a batch read that deletes all rows of suspect jobs before
@@ -39,11 +53,11 @@
 //! Retractions are exact because the accumulator's resource totals use
 //! [`crate::fsum::ExactSum`]; everything else is integer counting.
 
-use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::io::{Read, Seek, SeekFrom};
-
 use std::ops::Range;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 use crate::csv::{self, TaskParts};
 use crate::filter::SampleCriteria;
@@ -95,6 +109,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The name hash the name index is keyed by: of the numeric value for a
+/// canonical name, of the bytes for any other.
+fn name_hash(encoded: Option<u64>, name: &str) -> u64 {
+    match encoded {
+        Some(v) => splitmix64(v),
+        None => fnv1a(name.as_bytes()),
+    }
+}
+
 /// Encode a canonical `j_<digits>` name (no leading zeros) as its numeric
 /// value; anything else — including a value colliding with the sentinel —
 /// stays a string in the odd-name side table.
@@ -117,7 +140,7 @@ fn encode_name(name: &str) -> Option<u64> {
     }
 }
 
-/// `10^i`, for [`digit_order`]'s per-comparison key.
+/// `10^i`, for [`left_aligned`].
 const POW10: [u64; 20] = {
     let mut t = [1u64; 20];
     let mut i = 1;
@@ -128,13 +151,14 @@ const POW10: [u64; 20] = {
     t
 };
 
-/// A sort key for a canonical name's value that orders as the decimal
-/// digits do byte by byte: the digits left-aligned to 19 places (no
-/// canonical value has more), then the digit count, so a name sorts after
-/// its prefixes (`j_1` < `j_10` < `j_100` < `j_11` < `j_2`).
-fn digit_order(v: u64) -> (u64, u32) {
+/// A canonical name's digits left-aligned to 19 places (no canonical
+/// value has more): two names whose values differ here order as their
+/// digits do byte by byte (`j_11` < `j_2`); equal values mean one name is
+/// the other plus trailing zeros (`j_1`, `j_10`, `j_100`), and their bytes
+/// decide.
+fn left_aligned(v: u64) -> u64 {
     let digits = v.checked_ilog10().unwrap_or(0) + 1;
-    (v * POW10[(19 - digits) as usize], digits)
+    v * POW10[(19 - digits) as usize]
 }
 
 /// Per-job name column. Alibaba-style `j_<digits>` names are stored as
@@ -207,16 +231,6 @@ impl NameColumn {
         }
     }
 
-    fn is(&self, idx: u32, name: &str) -> bool {
-        match encode_name(name) {
-            Some(v) => self.numeric(idx) == Some(v),
-            None => {
-                self.small[idx as usize] == ODD_NAME
-                    && self.odd.get(&idx).is_some_and(|n| n == name)
-            }
-        }
-    }
-
     fn string(&self, idx: u32) -> String {
         match self.numeric(idx) {
             Some(_) => {
@@ -255,17 +269,36 @@ impl NameColumn {
         }
     }
 
-    /// Byte order of two jobs' names. Two numeric names compare by
-    /// [`digit_order`], with no formatting; an odd name compares its bytes
-    /// against the other name's.
-    fn cmp_names(&self, a: u32, b: u32) -> Ordering {
-        match (self.numeric(a), self.numeric(b)) {
-            (Some(x), Some(y)) => digit_order(x).cmp(&digit_order(y)),
-            _ => {
+    /// The jobs `idx` in byte order of their names. Each job's 12-byte key
+    /// is built once, so a comparison reads two keys, not the name column
+    /// at two random indices: a numeric name's [`left_aligned`] value
+    /// split into two `u32` halves (all ones for an odd name), then the
+    /// job index. Comparisons that meet an odd name or equal values
+    /// compare the two names' bytes. At 12 bytes a job the keys and the
+    /// sorted indices fit where the freed name index was.
+    fn sort_by_name(&self, idx: impl Iterator<Item = u32>) -> Vec<u32> {
+        const ODD: u64 = u64::MAX;
+        let left = |key: &[u32; 3]| u64::from(key[0]) << 32 | u64::from(key[1]);
+        let mut keys: Vec<[u32; 3]> = idx
+            .map(|i| {
+                let left = self.numeric(i).map_or(ODD, left_aligned);
+                [(left >> 32) as u32, left as u32, i]
+            })
+            .collect();
+        keys.sort_unstable_by(|a, b| {
+            let (x, y) = (left(a), left(b));
+            if x != y && x != ODD && y != ODD {
+                x.cmp(&y)
+            } else {
                 let (mut ba, mut bb) = ([0u8; 22], [0u8; 22]);
-                self.bytes(a, &mut ba).cmp(self.bytes(b, &mut bb))
+                self.bytes(a[2], &mut ba).cmp(self.bytes(b[2], &mut bb))
             }
-        }
+        });
+        // A fresh exact-size vector: collecting the keys in place could keep
+        // their 12-byte slots allocated under 4-byte entries.
+        let mut sorted = Vec::with_capacity(keys.len());
+        sorted.extend(keys.iter().map(|key| key[2]));
+        sorted
     }
 
     /// Heap footprint of the per-job column (side tables excluded — they
@@ -335,7 +368,7 @@ impl NameIndex {
     /// Walk the probe chain for `hash`: `Ok(idx)` when a matching entry is
     /// found, `Err(slot)` with the first empty slot otherwise. The miss
     /// slot is exactly where a subsequent insert of the same key belongs,
-    /// so callers that miss-then-insert ([`ScanState::close_open`]) pay the
+    /// so callers that miss-then-insert ([`FoldStage::close`]) pay the
     /// chain — one cache miss per probe at 4M-job table sizes — only once.
     fn probe(&self, hash: u64, eq: impl Fn(u32) -> bool) -> Result<u32, usize> {
         let mask = self.slots.len() - 1;
@@ -443,6 +476,44 @@ enum Open {
     Straggler { idx: u32, start: u64, end: u64 },
 }
 
+/// What the fold reads of one good row: its numbers, its status and its
+/// task name's DAG verdict, copied out of the read buffer.
+#[derive(Debug, Clone, Copy)]
+struct RowFacts {
+    start_time: i64,
+    end_time: i64,
+    plan_cpu: f64,
+    plan_mem: f64,
+    instance_num: u32,
+    status: Status,
+    is_dag: bool,
+}
+
+impl RowFacts {
+    /// The facts of a line that holds no row.
+    const NONE: RowFacts = RowFacts {
+        start_time: 0,
+        end_time: 0,
+        plan_cpu: 0.0,
+        plan_mem: 0.0,
+        instance_num: 0,
+        status: Status::Ready,
+        is_dag: false,
+    };
+
+    fn of(p: &TaskParts<'_>, memo: &mut taskname::DagNameMemo) -> RowFacts {
+        RowFacts {
+            start_time: p.start_time,
+            end_time: p.end_time,
+            plan_cpu: p.plan_cpu,
+            plan_mem: p.plan_mem,
+            instance_num: p.instance_num,
+            status: p.status,
+            is_dag: memo.is_dag_name(p.task_name),
+        }
+    }
+}
+
 /// Incremental fold of the open job — everything [`JobFacts`] and the
 /// eligibility verdict need, updated row by row so the scan never stores
 /// task rows at all. Each reduction repeats the exact fold [`Job`]'s own
@@ -479,9 +550,6 @@ struct OpenFold {
     /// Every row so far passes the per-row availability checks (valid
     /// duration, positive plans, nonzero instances).
     rows_available: bool,
-    /// Shared across jobs (not reset by [`OpenFold::clear`]): the DAG-name
-    /// verdict cache — task names repeat across the whole trace.
-    dag_memo: taskname::DagNameMemo,
 }
 
 impl OpenFold {
@@ -500,7 +568,6 @@ impl OpenFold {
             mem_volume: 0.0,
             status_counts: [0; Status::ALL.len()],
             rows_available: true,
-            dag_memo: taskname::DagNameMemo::new(),
         }
     }
 
@@ -514,7 +581,7 @@ impl OpenFold {
         self.clear();
     }
 
-    /// Reset the row tallies, keeping the name fields and the memo.
+    /// Reset the row tallies, keeping the name fields.
     fn clear(&mut self) {
         self.size = 0;
         self.all_dag = true;
@@ -528,9 +595,9 @@ impl OpenFold {
     }
 
     /// Fold one row.
-    fn push(&mut self, p: &TaskParts<'_>) {
+    fn push(&mut self, p: &RowFacts) {
         self.size += 1;
-        self.all_dag = self.all_dag && self.dag_memo.is_dag_name(p.task_name);
+        self.all_dag = self.all_dag && p.is_dag;
         self.all_terminated = self.all_terminated && p.status == Status::Terminated;
         if p.start_time > 0 {
             self.min_start = self.min_start.min(p.start_time);
@@ -660,7 +727,7 @@ fn replay_rows(
 }
 
 /// Everything the scan accumulates — split from the source so the borrow
-/// of the source (held by the line reader during the scan, or by the
+/// of the source (held by the read stage during the scan, or by the
 /// replay reader during materialization) never aliases the metadata.
 struct ScanState {
     policy: ReadPolicy,
@@ -675,7 +742,6 @@ struct ScanState {
     flags: Vec<u8>,
     /// Straggler byte ranges, in document order, for dirty jobs.
     extras: HashMap<u32, Vec<(u64, u32)>>,
-    index: NameIndex,
     suspects: BTreeSet<String>,
     acc: StatsAccumulator,
     quarantine: Quarantine,
@@ -684,6 +750,7 @@ struct ScanState {
     eligible: Vec<u32>,
     dead: usize,
     raw_bytes: u64,
+    counters: ScanCounters,
 }
 
 impl ScanState {
@@ -697,26 +764,14 @@ impl ScanState {
             size: Vec::new(),
             flags: Vec::new(),
             extras: HashMap::new(),
-            index: NameIndex::new(),
             suspects: BTreeSet::new(),
             acc: StatsAccumulator::new(),
             quarantine: Quarantine::default(),
             eligible: Vec::new(),
             dead: 0,
             raw_bytes: 0,
+            counters: ScanCounters::default(),
         }
-    }
-
-    fn name_is(&self, idx: u32, name: &str) -> bool {
-        self.names.is(idx, name)
-    }
-
-    fn lookup(&self, name: &str) -> Option<u32> {
-        let hash = match encode_name(name) {
-            Some(v) => splitmix64(v),
-            None => fnv1a(name.as_bytes()),
-        };
-        self.index.lookup(hash, |idx| self.name_is(idx, name))
     }
 
     /// The job's name, decoded.
@@ -729,69 +784,6 @@ impl ScanState {
             self.flags[idx as usize] |= DEAD;
             self.dead += 1;
         }
-    }
-
-    /// React to a name becoming suspect mid-scan. Open state referencing
-    /// the name is discarded; a closed job is marked dead for
-    /// finalize-time retraction. Returns the (possibly cleared) open state.
-    fn on_new_suspect(&mut self, name: &str, open: Option<Open>, fold: &OpenFold) -> Option<Open> {
-        match open {
-            // The open fold is simply dropped; the next `begin` resets it.
-            Some(Open::New { .. }) if fold.name == name => None,
-            Some(Open::Straggler { idx, .. }) if self.name_is(idx, name) => {
-                self.kill(idx);
-                None
-            }
-            other => {
-                if let Some(idx) = self.lookup(name) {
-                    self.kill(idx);
-                }
-                other
-            }
-        }
-    }
-
-    /// Seal whatever was accumulating. A new job gets its index, metadata
-    /// row, eligibility verdict, and statistics fold — all read off the
-    /// incremental [`OpenFold`]. A straggler batch just records its range.
-    fn close_open(&mut self, open: Open, fold: &OpenFold) -> Result<(), TraceError> {
-        match open {
-            Open::New { start, end } => {
-                let len = u32::try_from(end - start).map_err(|_| {
-                    TraceError::Io(format!(
-                        "job '{}' spans more than 4 GiB of trace",
-                        fold.name
-                    ))
-                })?;
-                let eligible = fold.eligible(&self.criteria);
-                let idx = self.names.len() as u32;
-                self.names.push_encoded(fold.encoded, &fold.name);
-                self.byte_start.push(start);
-                self.byte_len.push(len);
-                self.size.push(fold.size);
-                self.flags
-                    .push(FOLDED | if eligible { ELIGIBLE } else { 0 });
-                self.acc.add_facts(&fold.facts());
-                if self.index.needs_grow() {
-                    let names = &self.names;
-                    self.index.grow(|i| names.hash(i));
-                    self.index.insert(fold.hash, idx);
-                } else {
-                    // No insert has happened since this job's open-time
-                    // probe, so the probed empty slot is still the right
-                    // home — skip the second probe chain.
-                    self.index.insert_at(fold.slot, fold.hash, idx);
-                }
-            }
-            Open::Straggler { idx, start, end } => {
-                let len = u32::try_from(end - start).map_err(|_| {
-                    TraceError::Io("straggler batch spans more than 4 GiB of trace".to_string())
-                })?;
-                self.extras.entry(idx).or_default().push((start, len));
-                self.flags[idx as usize] |= DIRTY;
-            }
-        }
-        Ok(())
     }
 
     /// Hand job `idx`'s rows to `sink` in document order, replayed through
@@ -821,18 +813,20 @@ impl ScanState {
     }
 
     /// Fold job `idx`'s replayed rows afresh into `fold` (see
-    /// [`ScanState::replay_job`]).
+    /// [`ScanState::replay_job`]), each task name's DAG verdict read
+    /// through `memo`.
     fn refold<R: Read + Seek>(
         &self,
         source: &mut R,
         reader: &mut RangeReader,
         fold: &mut OpenFold,
+        memo: &mut taskname::DagNameMemo,
         idx: u32,
         with_extras: bool,
     ) -> Result<(), TraceError> {
         fold.clear();
         self.replay_job(source, reader, idx, with_extras, |p| {
-            fold.push(p);
+            fold.push(&RowFacts::of(p, memo));
             Ok(())
         })
     }
@@ -904,14 +898,11 @@ impl ScanState {
     }
 
     /// Apply deferred corrections, refolding each corrected job's replayed
-    /// rows through the scan's `fold`, then freeze the eligible population
-    /// in name order.
-    fn finalize<R: Read + Seek>(
-        &mut self,
-        source: &mut R,
-        fold: &mut OpenFold,
-    ) -> Result<(), TraceError> {
+    /// rows through an [`OpenFold`] as the scan folded them, then freeze
+    /// the eligible population in name order.
+    fn finalize<R: Read + Seek>(&mut self, source: &mut R) -> Result<(), TraceError> {
         let mut reader = RangeReader::new(REPLAY_WINDOW);
+        let (mut fold, mut memo) = (OpenFold::new(), taskname::DagNameMemo::new());
         for idx in 0..self.flags.len() as u32 {
             let f = self.flags[idx as usize];
             if f & DEAD != 0 {
@@ -920,14 +911,14 @@ impl ScanState {
                 // job vanishes, like the batch path dropping every row of
                 // a suspect job.
                 if f & FOLDED != 0 {
-                    self.refold(source, &mut reader, fold, idx, false)?;
+                    self.refold(source, &mut reader, &mut fold, &mut memo, idx, false)?;
                     self.acc.remove_facts(&fold.facts());
                     self.flags[idx as usize] &= !FOLDED;
                 }
             } else if f & DIRTY != 0 {
-                self.refold(source, &mut reader, fold, idx, false)?;
+                self.refold(source, &mut reader, &mut fold, &mut memo, idx, false)?;
                 self.acc.remove_facts(&fold.facts());
-                self.refold(source, &mut reader, fold, idx, true)?;
+                self.refold(source, &mut reader, &mut fold, &mut memo, idx, true)?;
                 self.acc.add_facts(&fold.facts());
                 self.size[idx as usize] = fold.size;
                 if fold.eligible(&self.criteria) {
@@ -937,121 +928,551 @@ impl ScanState {
                 }
             }
         }
-        let mut eligible: Vec<u32> = (0..self.flags.len() as u32)
-            .filter(|&i| {
-                let f = self.flags[i as usize];
+        let flags = &self.flags;
+        self.eligible = self
+            .names
+            .sort_by_name((0..flags.len() as u32).filter(|&i| {
+                let f = flags[i as usize];
                 f & DEAD == 0 && f & ELIGIBLE != 0
-            })
-            .collect();
-        eligible.sort_unstable_by(|&a, &b| self.names.cmp_names(a, b));
-        self.eligible = eligible;
+            }));
         Ok(())
     }
 }
 
-/// The forward scan: group rows into jobs as they complete, fold each into
-/// the running statistics, record byte ranges, and drop the rows. Rows
-/// parse in place in one reused [`scan::BufLines`] buffer of `buffer`
-/// bytes via the SWAR scanner — no scratch line buffer, no per-row
-/// allocation.
-fn run_scan<R: Read + Seek>(
-    source: &mut R,
-    state: &mut ScanState,
-    fold: &mut OpenFold,
-    buffer: usize,
-) -> Result<(), TraceError> {
-    source.seek(SeekFrom::Start(0))?;
-    let mut lines = scan::BufLines::new(&mut *source, buffer);
-    let mut open: Option<Open> = None;
+/// Lines per batch the read stage hands the fold stage: at 56 bytes a
+/// line descriptor, ~230 KB, so a hand-off is rare next to the batch's
+/// work.
+const BATCH_LINES: usize = 4096;
 
-    while let Some((offset, consumed, span)) = lines.next_span()? {
-        state.raw_bytes = offset + consumed;
-        state.quarantine.lines_total += 1;
-        let line_no = state.quarantine.lines_total;
-        if span.is_empty() {
-            continue;
+/// Batches in flight when the stages run on two threads: ~32k lines, so
+/// either stage can run ~5 ms ahead of the other. On a shared 2-vCPU
+/// host, where a vCPU is now and then taken away for milliseconds, eight
+/// left the 1M-job scan ~7% faster than three (median of eight pairs),
+/// at 1.8 MB more peak RSS.
+const PIPELINE_BATCHES: usize = 8;
+
+/// [`Line::job`] of a blank line.
+const BLANK: u32 = u32::MAX;
+/// [`Line::job`] of a bad row: its details are the batch's next
+/// [`BadRow`].
+const BAD: u32 = u32::MAX - 1;
+
+/// One line of the trace as the read stage leaves it for the fold stage:
+/// 56 bytes, nothing borrowed from the read buffer.
+#[derive(Debug, Clone, Copy)]
+struct Line {
+    /// Stream offset just past the line's terminator; the line starts
+    /// where the previous one ends.
+    end: u64,
+    /// A good row's job name, as an index into [`Batch::jobs`], or
+    /// [`BLANK`] / [`BAD`].
+    job: u32,
+    /// A good row whose job name is the previous good row's.
+    same_job: bool,
+    row: RowFacts,
+}
+
+const _: () = assert!(std::mem::size_of::<Line>() == 56);
+
+/// A line that failed to parse or classify, as the read stage found it.
+#[derive(Debug)]
+struct BadRow {
+    error: TraceError,
+    excerpt: String,
+    job_name: Option<String>,
+}
+
+/// Where the read stage left the source after a batch.
+#[derive(Debug)]
+enum BatchEnd {
+    /// More lines may follow.
+    More,
+    /// The source ended after the batch's last line.
+    Eof,
+    /// Reading failed after the batch's last line.
+    Failed(TraceError),
+}
+
+/// Consecutive lines of the trace, in file order, from the read stage to
+/// the fold stage. A batch's buffers are reused from batch to batch.
+#[derive(Debug)]
+struct Batch {
+    /// Stream offset of the first line.
+    start: u64,
+    lines: Vec<Line>,
+    /// Each job name's bytes in `names`: one entry per run of good rows
+    /// of one name.
+    jobs: Vec<Range<usize>>,
+    names: String,
+    /// One entry per [`BAD`] line, in order.
+    bad: Vec<BadRow>,
+    end: BatchEnd,
+}
+
+impl Batch {
+    fn new(lines: usize) -> Batch {
+        Batch {
+            start: 0,
+            lines: Vec::with_capacity(lines),
+            jobs: Vec::new(),
+            names: String::new(),
+            bad: Vec::new(),
+            end: BatchEnd::More,
         }
-        let raw = &lines.view()[span];
-        state.quarantine.rows_total += 1;
-        let verdict = scan::parse_task_parts_bytes(line_no, raw).and_then(|p| {
-            csv::classify_row(&state.policy, line_no, p, |p| (p.start_time, p.end_time))
-        });
-        let parts = match verdict {
-            Ok(parts) => parts,
-            Err(error) => {
-                if !state.policy.is_quarantine()
-                    || state.quarantine.rows.len() >= state.policy.max_bad()
-                {
-                    return Err(error);
+    }
+}
+
+/// The read stage's copy of the job name of the last good row before the
+/// batch it is filling.
+#[derive(Default)]
+struct LastName {
+    name: String,
+    /// False before the first good row.
+    seen: bool,
+}
+
+impl LastName {
+    /// The [`Batch::jobs`] entry of a good row of job `name`, and whether
+    /// the previous good row had the same name. Consecutive rows of one
+    /// name share the batch's last entry.
+    fn entry(&mut self, batch: &mut Batch, name: &str) -> (u32, bool) {
+        let same = match batch.jobs.last() {
+            Some(last) => {
+                if batch.names.as_bytes()[last.clone()] == *name.as_bytes() {
+                    return ((batch.jobs.len() - 1) as u32, true);
                 }
-                let job_name = quarantine::job_name_of(raw);
-                state.quarantine.rows.push(QuarantinedRow {
-                    line: line_no,
-                    byte_offset: offset,
-                    error,
-                    excerpt: quarantine::excerpt_of(raw),
-                    job_name: job_name.clone(),
+                false
+            }
+            None => self.seen && self.name == name,
+        };
+        let start = batch.names.len();
+        batch.names.push_str(name);
+        batch.jobs.push(start..batch.names.len());
+        ((batch.jobs.len() - 1) as u32, same)
+    }
+
+    /// Carry the last name of a filled batch into the next.
+    fn keep(&mut self, batch: &Batch) {
+        if let Some(last) = batch.jobs.last() {
+            self.name.clear();
+            self.name.push_str(&batch.names[last.clone()]);
+            self.seen = true;
+        }
+    }
+}
+
+/// The read stage: split the source into lines, parse and classify each
+/// row, and describe every line — blank, good or bad — in file order.
+/// It decides nothing the fold must see first, so it can run ahead.
+struct ReadStage<R> {
+    lines: scan::BufLines<R>,
+    policy: ReadPolicy,
+    /// DAG-name verdicts; task names repeat across the whole trace.
+    memo: taskname::DagNameMemo,
+    last: LastName,
+    /// Lines read so far.
+    line_no: usize,
+    /// Stream offset past the last line read.
+    offset: u64,
+}
+
+impl<R: Read> ReadStage<R> {
+    fn new(source: R, buffer: usize, policy: &ReadPolicy) -> ReadStage<R> {
+        ReadStage {
+            lines: scan::BufLines::new(source, buffer),
+            policy: policy.clone(),
+            memo: taskname::DagNameMemo::new(),
+            last: LastName::default(),
+            line_no: 0,
+            offset: 0,
+        }
+    }
+
+    /// Refill `batch` with the next `max_lines` lines, or fewer when the
+    /// source ends or fails (recorded in [`Batch::end`]). Returns whether
+    /// more lines may follow.
+    fn fill(&mut self, batch: &mut Batch, max_lines: usize) -> bool {
+        batch.start = self.offset;
+        batch.lines.clear();
+        batch.jobs.clear();
+        batch.names.clear();
+        batch.bad.clear();
+        batch.end = BatchEnd::More;
+        while batch.lines.len() < max_lines {
+            let (offset, consumed, span) = match self.lines.next_span() {
+                Ok(Some(line)) => line,
+                Ok(None) => {
+                    batch.end = BatchEnd::Eof;
+                    break;
+                }
+                Err(e) => {
+                    batch.end = BatchEnd::Failed(e.into());
+                    break;
+                }
+            };
+            self.line_no += 1;
+            self.offset = offset + consumed;
+            let (job, same_job, row) = if span.is_empty() {
+                (BLANK, false, RowFacts::NONE)
+            } else {
+                let raw = &self.lines.view()[span];
+                let line_no = self.line_no;
+                let verdict = scan::parse_task_parts_bytes(line_no, raw).and_then(|p| {
+                    csv::classify_row(&self.policy, line_no, p, |p| (p.start_time, p.end_time))
                 });
-                if let Some(name) = job_name {
-                    if state.suspects.insert(name.clone()) {
-                        open = state.on_new_suspect(&name, open, fold);
+                match verdict {
+                    Ok(parts) => {
+                        let (job, same_job) = self.last.entry(batch, parts.job_name);
+                        (job, same_job, RowFacts::of(&parts, &mut self.memo))
+                    }
+                    Err(error) => {
+                        batch.bad.push(BadRow {
+                            error,
+                            excerpt: quarantine::excerpt_of(raw),
+                            job_name: quarantine::job_name_of(raw),
+                        });
+                        (BAD, false, RowFacts::NONE)
                     }
                 }
-                continue;
-            }
-        };
-        state.quarantine.rows_good += 1;
-        if !state.suspects.is_empty() && state.suspects.contains(parts.job_name) {
-            continue;
+            };
+            batch.lines.push(Line {
+                end: self.offset,
+                job,
+                same_job,
+                row,
+            });
         }
-        // Fast path: the row continues whatever is open.
-        match &mut open {
-            Some(Open::New { end, .. }) if fold.name == parts.job_name => {
-                fold.push(&parts);
-                *end = offset + consumed;
+        self.last.keep(batch);
+        matches!(batch.end, BatchEnd::More)
+    }
+}
+
+/// The fold stage: group rows into jobs as they complete, fold each into
+/// the running statistics, record byte ranges, and account for bad rows —
+/// everything the scan decides, in file order.
+struct FoldStage {
+    /// What the scan is accumulating.
+    open: Option<Open>,
+    /// The last good row continued or opened `open` (it was not a
+    /// suspect's): a row of the same job name continues `open` with no
+    /// name comparison.
+    open_is_last: bool,
+    fold: OpenFold,
+    /// Closed jobs by name. Only the scan reads it, so it is freed with
+    /// the stage, before finalize.
+    index: NameIndex,
+}
+
+impl FoldStage {
+    fn new() -> FoldStage {
+        FoldStage {
+            open: None,
+            open_is_last: false,
+            fold: OpenFold::new(),
+            index: NameIndex::new(),
+        }
+    }
+
+    /// Fold one batch. Returns whether more batches follow; after the last
+    /// line of the source it closes the open job.
+    fn fold_batch(&mut self, state: &mut ScanState, batch: &mut Batch) -> Result<bool, TraceError> {
+        let mut offset = batch.start;
+        let mut bad = batch.bad.drain(..);
+        for line in &batch.lines {
+            let start = std::mem::replace(&mut offset, line.end);
+            state.quarantine.lines_total += 1;
+            if line.job == BLANK {
                 continue;
             }
-            Some(Open::Straggler { idx, end, .. }) if state.name_is(*idx, parts.job_name) => {
-                *end = offset + consumed;
+            state.quarantine.rows_total += 1;
+            if line.job == BAD {
+                let row = bad.next().expect("the read stage records every bad line");
+                self.quarantine(state, row, start)?;
                 continue;
+            }
+            state.quarantine.rows_good += 1;
+            // Fast path: the row continues whatever is open. A suspect's
+            // rows never reach here: a row naming the open job cleared it.
+            if line.same_job && self.open_is_last {
+                match &mut self.open {
+                    Some(Open::New { end, .. }) => {
+                        self.fold.push(&line.row);
+                        *end = line.end;
+                        continue;
+                    }
+                    Some(Open::Straggler { end, .. }) => {
+                        *end = line.end;
+                        continue;
+                    }
+                    None => {}
+                }
+            }
+            let name = &batch.names[batch.jobs[line.job as usize].clone()];
+            self.push(state, name, line, start)?;
+        }
+        state.raw_bytes = offset;
+        match std::mem::replace(&mut batch.end, BatchEnd::More) {
+            BatchEnd::More => Ok(true),
+            BatchEnd::Eof => {
+                if let Some(open) = self.open.take() {
+                    self.close(state, open)?;
+                }
+                Ok(false)
+            }
+            BatchEnd::Failed(error) => Err(error),
+        }
+    }
+
+    /// Fold a good row of job `name`, starting at stream offset `start`,
+    /// that the fast path could not place.
+    fn push(
+        &mut self,
+        state: &mut ScanState,
+        name: &str,
+        line: &Line,
+        start: u64,
+    ) -> Result<(), TraceError> {
+        if !state.suspects.is_empty() && state.suspects.contains(name) {
+            self.open_is_last = false;
+            return Ok(());
+        }
+        self.open_is_last = true;
+        let encoded = encode_name(name);
+        match &mut self.open {
+            Some(Open::New { end, .. }) if self.fold.name == name => {
+                self.fold.push(&line.row);
+                *end = line.end;
+                return Ok(());
+            }
+            Some(Open::Straggler { idx, end, .. })
+                if state.names.is_encoded(*idx, &encoded, name) =>
+            {
+                *end = line.end;
+                return Ok(());
             }
             _ => {}
         }
         // The row opens something else: close what was open first.
-        if let Some(prev) = open.take() {
-            state.close_open(prev, fold)?;
+        if let Some(prev) = self.open.take() {
+            self.close(state, prev)?;
         }
-        let encoded = encode_name(parts.job_name);
-        let hash = match encoded {
-            Some(v) => splitmix64(v),
-            None => fnv1a(parts.job_name.as_bytes()),
-        };
-        let probed = state.index.probe(hash, |idx| {
-            state.names.is_encoded(idx, &encoded, parts.job_name)
-        });
-        open = Some(match probed {
+        let hash = name_hash(encoded, name);
+        let probed = self
+            .index
+            .probe(hash, |idx| state.names.is_encoded(idx, &encoded, name));
+        self.open = Some(match probed {
             // A closed job's name re-appearing: an out-of-order straggler
             // batch (the job cannot be dead here — dead jobs are suspects,
             // and suspect rows were dropped above).
             Ok(idx) => Open::Straggler {
                 idx,
-                start: offset,
-                end: offset + consumed,
+                start,
+                end: line.end,
             },
             Err(slot) => {
-                fold.begin(parts.job_name, encoded, hash, slot);
-                fold.push(&parts);
+                self.fold.begin(name, encoded, hash, slot);
+                self.fold.push(&line.row);
                 Open::New {
-                    start: offset,
-                    end: offset + consumed,
+                    start,
+                    end: line.end,
                 }
             }
         });
+        Ok(())
     }
-    if let Some(prev) = open.take() {
-        state.close_open(prev, fold)?;
+
+    /// Quarantine a bad row that starts at stream offset `start`, or fail
+    /// with its error under a strict policy or a spent budget.
+    fn quarantine(
+        &mut self,
+        state: &mut ScanState,
+        row: BadRow,
+        start: u64,
+    ) -> Result<(), TraceError> {
+        if !state.policy.is_quarantine() || state.quarantine.rows.len() >= state.policy.max_bad() {
+            return Err(row.error);
+        }
+        state.quarantine.rows.push(QuarantinedRow {
+            line: state.quarantine.lines_total,
+            byte_offset: start,
+            error: row.error,
+            excerpt: row.excerpt,
+            job_name: row.job_name.clone(),
+        });
+        if let Some(name) = row.job_name {
+            if state.suspects.insert(name.clone()) {
+                self.on_new_suspect(state, &name);
+            }
+        }
+        Ok(())
     }
-    Ok(())
+
+    /// React to a name becoming suspect mid-scan. Open state referencing
+    /// the name is discarded; a closed job is marked dead for
+    /// finalize-time retraction.
+    fn on_new_suspect(&mut self, state: &mut ScanState, name: &str) {
+        let encoded = encode_name(name);
+        match self.open {
+            // The open fold is simply dropped; the next `begin` resets it.
+            Some(Open::New { .. }) if self.fold.name == name => self.open = None,
+            Some(Open::Straggler { idx, .. }) if state.names.is_encoded(idx, &encoded, name) => {
+                state.kill(idx);
+                self.open = None;
+            }
+            _ => {
+                let hash = name_hash(encoded, name);
+                let names = &state.names;
+                if let Some(idx) = self
+                    .index
+                    .lookup(hash, |idx| names.is_encoded(idx, &encoded, name))
+                {
+                    state.kill(idx);
+                }
+            }
+        }
+    }
+
+    /// Seal whatever was accumulating. A new job gets its index, metadata
+    /// row, eligibility verdict, and statistics fold — all read off the
+    /// incremental [`OpenFold`]. A straggler batch just records its range.
+    fn close(&mut self, state: &mut ScanState, open: Open) -> Result<(), TraceError> {
+        match open {
+            Open::New { start, end } => {
+                let fold = &self.fold;
+                let len = u32::try_from(end - start).map_err(|_| {
+                    TraceError::Io(format!(
+                        "job '{}' spans more than 4 GiB of trace",
+                        fold.name
+                    ))
+                })?;
+                let eligible = fold.eligible(&state.criteria);
+                let idx = state.names.len() as u32;
+                state.names.push_encoded(fold.encoded, &fold.name);
+                state.byte_start.push(start);
+                state.byte_len.push(len);
+                state.size.push(fold.size);
+                state
+                    .flags
+                    .push(FOLDED | if eligible { ELIGIBLE } else { 0 });
+                state.acc.add_facts(&fold.facts());
+                if self.index.needs_grow() {
+                    let names = &state.names;
+                    self.index.grow(|i| names.hash(i));
+                    self.index.insert(fold.hash, idx);
+                } else {
+                    // No insert has happened since this job's open-time
+                    // probe, so the probed empty slot is still the right
+                    // home — skip the second probe chain.
+                    self.index.insert_at(fold.slot, fold.hash, idx);
+                }
+            }
+            Open::Straggler { idx, start, end } => {
+                let len = u32::try_from(end - start).map_err(|_| {
+                    TraceError::Io("straggler batch spans more than 4 GiB of trace".to_string())
+                })?;
+                state.extras.entry(idx).or_default().push((start, len));
+                state.flags[idx as usize] |= DIRTY;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// What the forward scan's two stages did.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ScanCounters {
+    /// Batches of lines the read stage handed the fold stage.
+    pub batches: u64,
+    /// Whether the stages ran on two threads; otherwise they alternated
+    /// on the calling thread and neither waited.
+    pub threaded: bool,
+    /// How long the read stage waited for a free batch: the fold was
+    /// behind.
+    pub read_wait: Duration,
+    /// How long the fold stage waited for a full batch: the read was
+    /// behind.
+    pub fold_wait: Duration,
+}
+
+/// The forward scan: the read stage fills batches of line descriptors and
+/// the fold stage folds them in file order. With `threads` of two or more
+/// and more trace than one buffer fill, a scoped reader thread runs ahead
+/// through [`PIPELINE_BATCHES`] recycled batches; otherwise the two
+/// stages alternate on the calling thread. The fold sees the same lines
+/// in the same order either way, so every statistic, quarantine row and
+/// first error is the same. A fold error drops the fold's ends of both
+/// channels, so the reader stops at its next hand-off, and it is joined
+/// (its panic resumed) before this returns.
+fn scan_rows<R: Read + Seek + Send>(
+    source: &mut R,
+    state: &mut ScanState,
+    buffer: usize,
+    batch_lines: usize,
+    threads: usize,
+) -> Result<(), TraceError> {
+    let len = source.seek(SeekFrom::End(0))?;
+    source.seek(SeekFrom::Start(0))?;
+    let mut read = ReadStage::new(&mut *source, buffer, &state.policy);
+    let mut fold = FoldStage::new();
+    if threads < 2 || len <= read.lines.capacity() as u64 {
+        let mut batch = Batch::new(batch_lines);
+        loop {
+            read.fill(&mut batch, batch_lines);
+            state.counters.batches += 1;
+            if !fold.fold_batch(state, &mut batch)? {
+                return Ok(());
+            }
+        }
+    }
+    state.counters.threaded = true;
+    let (full_tx, full_rx) = mpsc::channel();
+    let (free_tx, free_rx) = mpsc::channel();
+    for _ in 0..PIPELINE_BATCHES {
+        // The receiver is alive: it is dropped below.
+        let _ = free_tx.send(Batch::new(batch_lines));
+    }
+    std::thread::scope(|scope| {
+        let reader = std::thread::Builder::new()
+            .name("dagscope-scan-read".to_string())
+            .spawn_scoped(scope, move || {
+                let mut waited = Duration::ZERO;
+                loop {
+                    let at = Instant::now();
+                    let Ok(mut batch) = free_rx.recv() else {
+                        break;
+                    };
+                    waited += at.elapsed();
+                    let more = read.fill(&mut batch, batch_lines);
+                    if full_tx.send(batch).is_err() || !more {
+                        break;
+                    }
+                }
+                waited
+            })?;
+        let folded = loop {
+            let at = Instant::now();
+            // Only a reader panic closes the channel before the last
+            // batch; the join below resumes it.
+            let Ok(mut batch) = full_rx.recv() else {
+                break Ok(());
+            };
+            state.counters.fold_wait += at.elapsed();
+            state.counters.batches += 1;
+            match fold.fold_batch(state, &mut batch) {
+                Ok(true) => {
+                    let _ = free_tx.send(batch);
+                }
+                Ok(false) => break Ok(()),
+                Err(error) => break Err(error),
+            }
+        };
+        drop((full_rx, free_tx));
+        match reader.join() {
+            Ok(waited) => state.counters.read_wait = waited,
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+        folded
+    })
 }
 
 /// A fully scanned trace: per-job metadata columns, exact running
@@ -1062,8 +1483,11 @@ pub struct StreamedTrace<R> {
     state: ScanState,
 }
 
-impl<R: Read + Seek> StreamedTrace<R> {
-    /// Scan `source` end to end with the default buffer size.
+impl<R: Read + Seek + Send> StreamedTrace<R> {
+    /// Scan `source` end to end with the default buffer size. With
+    /// [`dagscope_par::parallelism`] of two or more and a source longer
+    /// than the buffer, the scan's read stage borrows `source` on a scoped
+    /// thread of its own (hence `R: Send`); the result is the same.
     pub fn scan(
         source: R,
         policy: &ReadPolicy,
@@ -1075,26 +1499,44 @@ impl<R: Read + Seek> StreamedTrace<R> {
     /// Scan with an explicit buffer capacity — exposed so the property
     /// tests can force every possible chunk split.
     pub fn scan_with_buffer(
-        mut source: R,
+        source: R,
         policy: &ReadPolicy,
         criteria: &SampleCriteria,
         buffer: usize,
     ) -> Result<StreamedTrace<R>, TraceError> {
-        let mut state = ScanState::new(policy, criteria);
-        let mut fold = OpenFold::new();
-        run_scan(&mut source, &mut state, &mut fold, buffer)?;
-        state.finalize(&mut source, &mut fold)?;
-        Ok(StreamedTrace { source, state })
+        let threads = dagscope_par::parallelism();
+        Self::scan_batched(source, policy, criteria, buffer, BATCH_LINES, threads)
     }
 
+    /// [`StreamedTrace::scan_with_buffer`] in batches of `batch_lines`
+    /// lines, on `threads` threads.
+    fn scan_batched(
+        mut source: R,
+        policy: &ReadPolicy,
+        criteria: &SampleCriteria,
+        buffer: usize,
+        batch_lines: usize,
+        threads: usize,
+    ) -> Result<StreamedTrace<R>, TraceError> {
+        let mut state = ScanState::new(policy, criteria);
+        scan_rows(&mut source, &mut state, buffer, batch_lines, threads)?;
+        state.finalize(&mut source)?;
+        Ok(StreamedTrace { source, state })
+    }
+}
+
+impl<R: Read + Seek> StreamedTrace<R> {
     /// Trace-level statistics over surviving jobs — bit-identical to
     /// [`TraceStats::compute`] on the batch-ingested [`JobSet`].
     pub fn stats(&self) -> TraceStats {
         self.state.acc.finish()
     }
-}
 
-impl<R: Read + Seek> StreamedTrace<R> {
+    /// What the forward scan's read and fold stages did.
+    pub fn scan_counters(&self) -> ScanCounters {
+        self.state.counters
+    }
+
     /// Quarantine accounting for the scan.
     pub fn quarantine(&self) -> &Quarantine {
         &self.state.quarantine
@@ -1176,7 +1618,6 @@ impl<R: Read + Seek> StreamedTrace<R> {
             + self.state.byte_len.capacity() * 4
             + self.state.size.capacity() * 4
             + self.state.flags.capacity()
-            + self.state.index.slots.capacity() * 4
             + self.state.eligible.capacity() * 4
     }
 
@@ -1443,6 +1884,217 @@ mod tests {
             &SampleCriteria::default(),
         )
         .unwrap()
+    }
+
+    /// A generated trace of `jobs` jobs as CSV lines.
+    fn generated_lines(jobs: usize, seed: u64) -> Vec<String> {
+        let trace = crate::gen::TraceGenerator::new(crate::gen::GeneratorConfig {
+            jobs,
+            seed,
+            emit_instances: false,
+            ..Default::default()
+        })
+        .generate();
+        let mut doc = Vec::new();
+        csv::write_tasks(&mut doc, &trace.tasks).unwrap();
+        String::from_utf8(doc)
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect()
+    }
+
+    /// What a scan leaves, for comparing two scans of one document.
+    type ScanView = (String, Quarantine, BTreeSet<String>, JobSet, Vec<String>);
+
+    fn view_of<R: Read + Seek>(t: &mut StreamedTrace<R>) -> ScanView {
+        let eligible = t
+            .replay_eligible(usize::MAX)
+            .flat_map(|table| table.unwrap().into_names())
+            .collect();
+        (
+            format!("{:?}", t.stats()),
+            t.quarantine().clone(),
+            t.suspects().clone(),
+            t.materialize_all().unwrap(),
+            eligible,
+        )
+    }
+
+    #[test]
+    fn two_stages_agree_at_every_batch_size_and_thread_count() {
+        // Blank lines, out-of-order stragglers and bad rows that name
+        // their job (under a budget that holds, one that runs out, and
+        // the strict policy), cut into batches of every small size and
+        // of the default size, with the stages alternating on one thread
+        // and overlapping on two.
+        let (mut lines, mut tail) = (Vec::new(), Vec::new());
+        for (i, line) in generated_lines(300, 9).into_iter().enumerate() {
+            if i % 23 == 5 {
+                tail.push(line);
+                continue;
+            }
+            if i % 31 == 7 {
+                let job = line.split(',').nth(2).unwrap();
+                lines.push(format!("M1,x,{job},1,Terminated,1,2,3,4"));
+            }
+            if i % 17 == 3 {
+                lines.push(String::new());
+            }
+            lines.push(line);
+        }
+        lines.append(&mut tail);
+        let doc = lines.join("\n");
+        for policy in [
+            ReadPolicy::Quarantine {
+                max_bad: usize::MAX,
+            },
+            ReadPolicy::Quarantine { max_bad: 20 },
+            ReadPolicy::Strict,
+        ] {
+            let scan = |buffer, batch_lines, threads| {
+                StreamedTrace::scan_batched(
+                    Cursor::new(doc.as_bytes()),
+                    &policy,
+                    &SampleCriteria::default(),
+                    buffer,
+                    batch_lines,
+                    threads,
+                )
+                .map(|mut t| (view_of(&mut t), t.scan_counters()))
+            };
+            let want = scan(1 << 20, BATCH_LINES, 1);
+            // The reference is the batch read with every suspect's rows
+            // dropped, or its error.
+            match (&want, csv::read_tasks_with_policy(doc.as_bytes(), &policy)) {
+                (Ok((view, _)), Ok((rows, q))) => {
+                    let suspects = q.suspect_jobs();
+                    let set = JobSet::from_tasks(
+                        rows.into_iter()
+                            .filter(|t| !suspects.contains_key(t.job_name.as_str())),
+                    );
+                    assert_eq!(view.0, format!("{:?}", TraceStats::compute(&set)));
+                    assert_eq!((&view.1, &view.3), (&q, &set), "{policy:?}");
+                }
+                (Err(got), Err(batch)) => assert_eq!(got, &batch, "{policy:?}"),
+                _ => panic!("{policy:?}: the scan and the batch read disagree on failing"),
+            }
+            for threads in [1, 2] {
+                for batch_lines in [1, 2, 3, 7, 64, BATCH_LINES] {
+                    for buffer in [64, 1 << 20] {
+                        let got = scan(buffer, batch_lines, threads);
+                        let at = (threads, batch_lines, buffer, &policy);
+                        match (&got, &want) {
+                            (Ok((got, counters)), Ok((want, _))) => {
+                                assert_eq!(got, want, "{at:?}");
+                                let lines = doc.lines().count();
+                                assert_eq!(counters.batches as usize, lines / batch_lines + 1);
+                                assert_eq!(counters.threaded, threads == 2 && buffer == 64);
+                            }
+                            (Err(got), Err(want)) => assert_eq!(got, want, "{at:?}"),
+                            _ => panic!("{at:?}: one scan failed, the other did not"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn strict_error_in_the_first_batch_joins_the_reader() {
+        // A bad row on line 2 of a trace many batches long: the fold fails
+        // on the first batch while the reader is batches ahead. The scan
+        // must return the row's error, not hang on the stopped fold.
+        let mut lines = generated_lines(8000, 3);
+        lines.insert(1, "not,a,row".to_string());
+        assert!(lines.len() > 5 * BATCH_LINES);
+        let doc = lines.join("\n").into_bytes();
+        let want = csv::read_tasks(&doc[..]).unwrap_err();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let got = StreamedTrace::scan_batched(
+                Cursor::new(doc),
+                &ReadPolicy::Strict,
+                &SampleCriteria::default(),
+                4096,
+                BATCH_LINES,
+                2,
+            );
+            tx.send(got.err()).unwrap();
+        });
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the scan hung");
+        assert_eq!(got, Some(want));
+    }
+
+    /// A source whose reads panic once `limit` bytes have been read.
+    struct PanicsAfter {
+        inner: Cursor<Vec<u8>>,
+        limit: u64,
+    }
+
+    impl Read for PanicsAfter {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            assert!(self.inner.position() < self.limit, "source gave out");
+            self.inner.read(buf)
+        }
+    }
+
+    impl Seek for PanicsAfter {
+        fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+            self.inner.seek(pos)
+        }
+    }
+
+    #[test]
+    fn a_reader_thread_panic_reaches_the_caller() {
+        let doc = generated_lines(2000, 4).join("\n").into_bytes();
+        let source = PanicsAfter {
+            limit: doc.len() as u64 / 2,
+            inner: Cursor::new(doc),
+        };
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let policy = ReadPolicy::Strict;
+            let criteria = SampleCriteria::default();
+            StreamedTrace::scan_batched(source, &policy, &criteria, 4096, 64, 2).is_ok()
+        }))
+        .expect_err("the reader's panic must reach the caller");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"source gave out"));
+    }
+
+    #[test]
+    fn eligible_order_is_byte_order_over_ids_of_every_width() {
+        // The generator's ids are all seven digits; renamed `j_1 …
+        // j_10000` in file order, numeric and byte order disagree at every
+        // width.
+        let mut names = HashMap::new();
+        let doc: String = generated_lines(10_000, 11)
+            .iter()
+            .map(|line| {
+                let mut fields: Vec<&str> = line.split(',').collect();
+                let next = names.len() + 1;
+                let id = *names.entry(fields[2].to_string()).or_insert(next);
+                let name = format!("j_{id}");
+                fields[2] = &name;
+                fields.join(",") + "\n"
+            })
+            .collect();
+        let mut t = scan_str(&doc);
+        assert_eq!(t.job_count(), 10_000);
+        let got: Vec<String> = t
+            .replay_eligible(usize::MAX)
+            .flat_map(|table| table.unwrap().into_names())
+            .collect();
+        let batch = JobSet::from_tasks(csv::read_tasks(doc.as_bytes()).unwrap());
+        let mut want: Vec<String> = SampleCriteria::default()
+            .filter(&batch)
+            .iter()
+            .map(|j| j.name.clone())
+            .collect();
+        want.sort_unstable_by(|a, b| a.as_bytes().cmp(b.as_bytes()));
+        assert!(want.len() > 1000);
+        assert_eq!(got, want);
     }
 
     #[test]

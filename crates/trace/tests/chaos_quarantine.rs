@@ -8,7 +8,9 @@
 //! proves both halves under `dagscope-faults` injection across arbitrary
 //! corrupt traces, scan-buffer sizes, and fault lines, and checks that
 //! the scan's finalize-time corrections (straggler merges and suspect
-//! retractions) leave it equal to the batch read.
+//! retractions) leave it equal to the batch read. Every streamed scan
+//! runs with its read and fold stages on one thread and on two, and the
+//! two runs must agree, injected faults included.
 //!
 //! Build with `--features failpoints`; the whole file vanishes without
 //! the feature.
@@ -25,6 +27,9 @@ use dagscope_trace::gen::{GeneratorConfig, TraceGenerator};
 use dagscope_trace::stats::TraceStats;
 use dagscope_trace::stream::StreamedTrace;
 use dagscope_trace::{csv, JobSet, ReadPolicy};
+
+mod common;
+use common::{at_one_and_two_threads, scan};
 
 /// The failpoint registry is process-global and `reset()` clears every
 /// site, so property cases must not interleave across test threads.
@@ -209,21 +214,28 @@ proptest! {
             "line {target} of {lines} absorbed an injected IO error"
         );
 
-        dagscope_faults::configure("trace.read.line_io", &format!("{target}>1*return")).unwrap();
-        let streamed = scan(&data, &policy, 1 << 20);
-        dagscope_faults::reset();
-        prop_assert!(
-            streamed.is_err(),
-            "line {target} of {lines} absorbed an injected IO error in the streamed scan"
-        );
+        // Armed afresh for each thread count: the one-thread scan
+        // alternates its stages; with a buffer smaller than the trace the
+        // two-thread scan runs its reader on a thread of its own, where
+        // the fault fires.
+        for cap in [1 << 20, 256] {
+            let [one, two] = at_one_and_two_threads(|| {
+                dagscope_faults::configure("trace.read.line_io", &format!("{target}>1*return"))
+                    .unwrap();
+                let streamed = StreamedTrace::scan_with_buffer(
+                    Cursor::new(&data[..]),
+                    &policy,
+                    &SampleCriteria::default(),
+                    cap,
+                );
+                dagscope_faults::reset();
+                streamed.err()
+            });
+            prop_assert!(
+                one.is_some(),
+                "line {target} of {lines} absorbed an injected IO error in the streamed scan"
+            );
+            prop_assert_eq!(one, two);
+        }
     }
-}
-
-/// The streamed scan of `data` with a `cap`-byte scan buffer.
-fn scan<'d>(
-    data: &'d [u8],
-    policy: &ReadPolicy,
-    cap: usize,
-) -> Result<StreamedTrace<Cursor<&'d [u8]>>, dagscope_trace::TraceError> {
-    StreamedTrace::scan_with_buffer(Cursor::new(data), policy, &SampleCriteria::default(), cap)
 }

@@ -4,14 +4,15 @@
 //! (c) divert exactly the bad rows — the good rows must equal a strict
 //! read of the document with the bad lines deleted, and every report
 //! entry must point (line and byte offset) at the real offending line.
-
-use std::io::Cursor;
+//! Every streamed scan runs with its read and fold stages on one thread
+//! and on two, and the two runs must agree.
 
 use proptest::prelude::*;
 
-use dagscope_trace::filter::SampleCriteria;
-use dagscope_trace::stream::StreamedTrace;
 use dagscope_trace::{csv, ReadPolicy};
+
+mod common;
+use common::scan;
 
 /// One random document line. `kinds` controls the mix:
 /// * `..=4` — valid task rows (several spellings) and blank lines;
@@ -156,15 +157,6 @@ proptest! {
         prop_assert_eq!(rows.len(), report.rows_good);
         prop_assert_eq!(report.rows_good + 1, report.rows_total);
     }
-}
-
-/// The streamed scan of `doc` with a `cap`-byte scan buffer.
-fn scan<'d>(
-    doc: &'d [u8],
-    policy: &ReadPolicy,
-    cap: usize,
-) -> Result<StreamedTrace<Cursor<&'d [u8]>>, dagscope_trace::TraceError> {
-    StreamedTrace::scan_with_buffer(Cursor::new(doc), policy, &SampleCriteria::default(), cap)
 }
 
 /// Budget overflow degrades to the strict contract: the error is the

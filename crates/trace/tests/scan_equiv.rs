@@ -4,7 +4,8 @@
 //! offsets and excerpts, same error variants at the same line — on
 //! arbitrary byte soup: embedded NULs, invalid UTF-8, `\r\n` endings,
 //! trailing delimiters, empty and overlong fields, numeric edge shapes,
-//! and buffer splits at every boundary.
+//! and buffer splits at every boundary, with the streamed scan's read and
+//! fold stages on one thread and on two.
 
 use std::collections::BTreeSet;
 use std::io::Cursor;
@@ -15,6 +16,9 @@ use dagscope_trace::filter::SampleCriteria;
 use dagscope_trace::stats::TraceStats;
 use dagscope_trace::stream::StreamedTrace;
 use dagscope_trace::{csv, JobSet, ReadPolicy};
+
+mod common;
+use common::at_one_and_two_threads;
 
 /// A field value aimed at the numeric fast paths and their bail-outs.
 fn num_field(kind: u8, a: u64, b: u64) -> String {
@@ -203,8 +207,13 @@ fn check_instances(doc: &[u8], policy: &ReadPolicy) {
 /// The streamed scan at every refill capacity agrees with the scalar
 /// oracle: the same first error, or the same quarantine report and suspect
 /// set, with replayed jobs and statistics equal to grouping the oracle's
-/// rows after dropping every row of a suspect job.
+/// rows after dropping every row of a suspect job — at both thread
+/// counts, so the two runs agree with each other.
 fn check_stream(doc: &[u8], policy: &ReadPolicy, cap: usize) {
+    at_one_and_two_threads(|| check_stream_at(doc, policy, cap));
+}
+
+fn check_stream_at(doc: &[u8], policy: &ReadPolicy, cap: usize) {
     let oracle = csv::read_tasks_scalar_with_policy(doc, policy);
     let streamed =
         StreamedTrace::scan_with_buffer(Cursor::new(doc), policy, &SampleCriteria::default(), cap);

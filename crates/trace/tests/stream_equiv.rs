@@ -5,7 +5,8 @@
 //! population that hold what the batch-filtered jobs do — for random
 //! documents mixing contiguous job blocks, out-of-order straggler rows,
 //! malformed rows (which implicate their job), blank lines, and every
-//! buffer capacity from 1 byte up.
+//! buffer capacity from 1 byte up, with the scan's read and fold stages
+//! on one thread and on two.
 
 use std::collections::BTreeSet;
 use std::io::Cursor;
@@ -16,6 +17,9 @@ use dagscope_trace::filter::{self, SampleCriteria};
 use dagscope_trace::stats::TraceStats;
 use dagscope_trace::stream::{RowAttrs, SampleJob, StreamedTrace};
 use dagscope_trace::{csv, Job, JobSet, ReadPolicy};
+
+mod common;
+use common::at_one_and_two_threads;
 
 /// One valid task row for `name`. Kind 5 has zeroed times/resources so the
 /// job fails the availability gate — the filter paths must agree on it.
@@ -138,8 +142,14 @@ fn rows_of_slot(job: SampleJob<'_>) -> JobRows {
     (job.name().to_string(), job.start_time(), rows)
 }
 
-/// The core equivalence check, shared by every case below.
+/// The core equivalence check, shared by every case below, at both
+/// thread counts: each run equals the batch path, so the two runs equal
+/// each other.
 fn check_equivalence(doc: &str, cap: usize, policy: &ReadPolicy) {
+    at_one_and_two_threads(|| check_equivalence_at(doc, cap, policy));
+}
+
+fn check_equivalence_at(doc: &str, cap: usize, policy: &ReadPolicy) {
     let criteria = SampleCriteria::default();
     let batch = csv::read_tasks_with_policy(doc.as_bytes(), policy);
     let stream = StreamedTrace::scan_with_buffer(
