@@ -5,12 +5,15 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use dagscope_cluster::{spectral_cluster, SpectralConfig};
+use dagscope_cluster::{spectral_cluster_collapsed, SpectralConfig};
 use dagscope_graph::{conflate, JobDag};
 use dagscope_par::ParScope;
 use dagscope_trace::filter::{stratified_sample, SampleCriteria};
 use dagscope_trace::gen::{build_shape, GeneratorConfig, ShapeKind, TraceGenerator};
-use dagscope_wl::{ged, kernel_matrix, normalize_kernel, WlVectorizer};
+use dagscope_wl::{
+    ged, kernel_matrix, normalize_kernel, normalize_unique_sparse, unique_gram_sparse, ShapeDedup,
+    SparseVec, WlVectorizer,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -52,7 +55,9 @@ fn ablate_wl_iterations(c: &mut Criterion) {
     }
 }
 
-/// Kernel + clustering with and without node conflation.
+/// Kernel + clustering with and without node conflation, through the
+/// pipeline's route: shape dedup, sparse unique-shape Gram, collapsed
+/// spectral clustering.
 fn ablate_conflation(c: &mut Criterion) {
     let raw = sample_dags(100, 7);
     let merged: Vec<JobDag> = raw.iter().map(conflate::conflate).collect();
@@ -62,8 +67,13 @@ fn ablate_conflation(c: &mut Criterion) {
             b.iter(|| {
                 let mut wl = WlVectorizer::new(3);
                 let feats = wl.transform_all(black_box(dags));
-                let sim = normalize_kernel(&kernel_matrix(&feats));
-                let res = spectral_cluster(&sim, &SpectralConfig::default()).unwrap();
+                let dedup = ShapeDedup::from_features(&feats);
+                let reps: Vec<&SparseVec> =
+                    dedup.representatives().iter().map(|&r| &feats[r]).collect();
+                let sim = normalize_unique_sparse(&unique_gram_sparse(&reps).0);
+                let res =
+                    spectral_cluster_collapsed(&sim, &dedup.weights(), &SpectralConfig::default())
+                        .unwrap();
                 black_box(res.assignments.len())
             })
         });

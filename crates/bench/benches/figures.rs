@@ -149,11 +149,17 @@ fn bench_fig7_kernel_matrix(c: &mut Criterion) {
 
 fn bench_fig8_fig9_clustering(c: &mut Criterion) {
     let r = report();
-    let affinity = r.similarity.to_sym();
+    // The pipeline's clustering: the unique-shape affinity, each shape
+    // weighted by its job count.
+    let mut weights = vec![0.0; r.similarity.unique.n()];
+    for &s in &r.similarity.shape_of {
+        weights[s] += 1.0;
+    }
     c.bench_function("fig8_fig9_spectral_clustering_100", |b| {
         b.iter(|| {
-            let res = dagscope_cluster::spectral_cluster(
-                black_box(&affinity),
+            let res = dagscope_cluster::spectral_cluster_collapsed(
+                black_box(&r.similarity.unique),
+                &weights,
                 &dagscope_cluster::SpectralConfig::default(),
             )
             .unwrap();

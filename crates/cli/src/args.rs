@@ -52,7 +52,6 @@ const FLAGS: &[&str] = &[
     "addr",
     "all",
     "base-kernel",
-    "cluster-engine",
     "cluster-machines",
     "compression",
     "csv",

@@ -8,8 +8,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dagscope_core::{
-    compare_baselines, export, figures, BaseKernel, ClusterEngine, IndexSnapshot, Pipeline,
-    PipelineConfig, Report,
+    compare_baselines, export, figures, BaseKernel, IndexSnapshot, Pipeline, PipelineConfig, Report,
 };
 use dagscope_graph::pattern::{self, Pattern, PatternCensus};
 use dagscope_graph::{JobDag, ShapeTable};
@@ -89,19 +88,11 @@ GLOBAL FLAGS
   --max-bad-rows N   with --trace: quarantine up to N malformed rows
                      instead of aborting on the first; implicated jobs
                      are dropped and a report goes to stderr
-  --cluster-engine dense|collapsed|auto
-                     spectral-clustering engine (default auto). `dense`
-                     is the paper's NJW over the expanded n×n matrix;
-                     `collapsed` clusters unique shapes with a sparse
-                     CSR affinity + Lanczos eigensolver in O(nnz)
-                     memory; `auto` stays dense up to 512 sampled jobs,
-                     collapsed beyond
   --timings          summary/report: append per-stage wall-clock table,
-                     engine provenance, gram-engine cost counters, and
-                     the Laplacian eigengap diagnostic (with --trace
-                     also the ingest throughput in MB/s, the scan's
-                     batch count and how long its read and fold stages
-                     waited on each other)
+                     gram-engine cost counters, and the Laplacian
+                     eigengap diagnostic (with --trace also the ingest
+                     throughput in MB/s, the scan's batch count and how
+                     long its read and fold stages waited on each other)
 ";
 
 /// CLI-level errors.
@@ -156,16 +147,6 @@ fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, CliError> {
             other => {
                 return Err(CliError::Run(format!(
                     "--base-kernel must be `wl` or `sp`, got {other:?}"
-                )))
-            }
-        },
-        cluster_engine: match flags.str_or("cluster-engine", "auto").as_str() {
-            "dense" => ClusterEngine::Dense,
-            "collapsed" => ClusterEngine::Collapsed,
-            "auto" => ClusterEngine::Auto,
-            other => {
-                return Err(CliError::Run(format!(
-                    "--cluster-engine must be `dense`, `collapsed`, or `auto`, got {other:?}"
                 )))
             }
         },
@@ -257,8 +238,8 @@ fn run_pipeline(flags: &Flags) -> Result<(Report, Option<Ingest>), CliError> {
     }
 }
 
-/// Render the report's primary text, appending stage timings (and, when
-/// the sparse Gram engine ran, its cost counters) on demand.
+/// Render the report's primary text, appending stage timings and the
+/// sparse Gram engine's cost counters on demand.
 fn with_timings(flags: &Flags, report: &Report, ingest: Option<&Ingest>, body: String) -> String {
     if flags.switch("timings") {
         let mut out = format!("{body}\n{}", report.timings.render());
@@ -275,7 +256,6 @@ fn with_timings(flags: &Flags, report: &Report, ingest: Option<&Ingest>, body: S
             )
             .unwrap();
         }
-        writeln!(out, "cluster engine: {}", report.engine).unwrap();
         // Process peak RSS (VmHWM) — the number the streaming engine's
         // memory-budget claim is pinned on; CI greps this line.
         if let Some(rss) = dagscope_par::peak_rss_bytes() {
@@ -1124,7 +1104,10 @@ mod tests {
             assert!(out.contains(stage), "missing {stage}");
         }
         assert!(out.contains("unique shapes"), "gram counters shown");
-        assert!(out.contains("cluster engine: dense"), "engine provenance");
+        assert!(
+            !out.contains("cluster engine"),
+            "one engine, no provenance line"
+        );
         assert!(
             out.contains("laplacian eigenvalues (asc): 0.0000"),
             "eigengap diagnostic: {out}"
@@ -1148,34 +1131,6 @@ mod tests {
         ] {
             assert_eq!(fixed4(v), want, "{v:e}");
         }
-    }
-
-    #[test]
-    fn cluster_engine_flag_selects_the_engine() {
-        // The two engines agree on the whole group table at sample scale;
-        // only the --timings provenance line differs.
-        let dense = run(&argv(
-            "summary --jobs 200 --sample 20 --seed 3 --cluster-engine dense",
-        ))
-        .unwrap();
-        let collapsed = run(&argv(
-            "summary --jobs 200 --sample 20 --seed 3 --cluster-engine collapsed",
-        ))
-        .unwrap();
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.contains("silhouette"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&dense), strip(&collapsed));
-        let timed = run(&argv(
-            "summary --jobs 200 --sample 20 --seed 3 --cluster-engine collapsed --timings",
-        ))
-        .unwrap();
-        assert!(timed.contains("cluster engine: collapsed"), "{timed}");
-        let err = run(&argv("summary --jobs 200 --cluster-engine turbo")).unwrap_err();
-        assert!(err.to_string().contains("cluster-engine"));
     }
 
     #[test]

@@ -59,10 +59,32 @@ fn unknown_flags_exit_two_naming_the_flag() {
             &["serve", "--batch-window-us", "100"][..],
             "--batch-window-us",
         ),
+        (
+            &["summary", "--cluster-engine", "dense"][..],
+            "--cluster-engine",
+        ),
     ] {
         let out = dagscope(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(stderr(&out).contains(flag), "{args:?}: {}", stderr(&out));
+    }
+}
+
+#[test]
+fn fewer_shapes_than_groups_exits_zero_with_fewer_groups() {
+    // This sample embeds to four distinct WL vectors; clustering assigns
+    // whole shapes, so the five asked-for groups become four.
+    let out = dagscope(&["summary", "--jobs", "400", "--sample", "20", "--seed", "1"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let groups: Vec<&str> = stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("== groups"))
+        .skip(2)
+        .collect();
+    assert_eq!(groups.len(), 4, "{stdout}");
+    for (line, label) in groups.iter().zip(["A", "B", "C", "D"]) {
+        assert!(line.starts_with(label), "{stdout}");
     }
 }
 
@@ -114,15 +136,7 @@ fn trace_job_that_is_not_a_dag_exits_two_naming_it() {
         std::fs::write(dir.join("batch_task.csv"), bad).expect("write trace");
         let dir = dir.to_str().expect("utf-8 temp dir");
         for args in [
-            &[
-                "summary",
-                "--trace",
-                dir,
-                "--sample",
-                "100000",
-                "--cluster-engine",
-                "collapsed",
-            ][..],
+            &["summary", "--trace", dir, "--sample", "100000"][..],
             &["census", "--trace", dir][..],
         ] {
             let out = dagscope(args);
@@ -174,8 +188,6 @@ fn first_non_dag_job_in_sample_order_is_named() {
         dir.to_str().expect("utf-8 temp dir"),
         "--sample",
         "100000",
-        "--cluster-engine",
-        "collapsed",
     ]);
     let err = stderr(&out);
     assert_eq!(out.status.code(), Some(2), "{err}");

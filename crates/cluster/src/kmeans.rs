@@ -76,6 +76,13 @@ fn seed_centroids(points: &Matrix, k: usize, rng: &mut StdRng) -> Vec<Vec<f64>> 
     centroids
 }
 
+/// Lloyd's assignment step: each row's nearest centroid.
+pub(crate) fn assign(points: &Matrix, centroids: &[Vec<f64>]) -> Vec<usize> {
+    (0..points.rows())
+        .map(|i| nearest(centroids, points.row(i)).0)
+        .collect()
+}
+
 fn nearest(centroids: &[Vec<f64>], p: &[f64]) -> (usize, f64) {
     let mut best = (0usize, f64::INFINITY);
     for (c, centroid) in centroids.iter().enumerate() {
@@ -96,10 +103,7 @@ fn lloyd(points: &Matrix, mut centroids: Vec<Vec<f64>>, max_iters: usize) -> KMe
 
     for iter in 0..max_iters {
         iterations = iter + 1;
-        // Assignment step (parallel over points).
-        let idx: Vec<usize> = (0..n).collect();
-        let new_assignments =
-            dagscope_par::par_map(&idx, |&i| nearest(&centroids, points.row(i)).0);
+        let new_assignments = assign(points, &centroids);
         let changed = new_assignments != assignments;
         assignments = new_assignments;
 

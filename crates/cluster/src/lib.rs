@@ -37,7 +37,5 @@ pub use compare::{adjusted_rand_index, purity, rand_index};
 pub use hierarchical::{agglomerative, HierarchicalResult};
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
 pub use model::{Classification, GroupModel};
-pub use spectral::{
-    choose_k_by_silhouette, spectral_cluster, ClusterCount, SpectralConfig, SpectralResult,
-};
+pub use spectral::{spectral_cluster, ClusterCount, SpectralConfig, SpectralResult};
 pub use weighted::{expand_assignments, kmeans_weighted, spectral_cluster_weighted};

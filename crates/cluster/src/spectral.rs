@@ -150,37 +150,6 @@ pub fn spectral_cluster(
     })
 }
 
-/// Choose the cluster count by maximizing the kernel-distance silhouette
-/// over `k ∈ 2..=max_k` — an alternative to the eigengap heuristic when
-/// the Laplacian spectrum has no clean gap. Returns `(k, silhouette)`.
-pub fn choose_k_by_silhouette(
-    affinity: &SymMatrix,
-    max_k: usize,
-    seed: u64,
-) -> Result<(usize, f64), String> {
-    let n = affinity.n();
-    if n < 3 {
-        return Err(format!("need at least 3 items, got {n}"));
-    }
-    let distances = crate::validation::kernel_distance_matrix(affinity);
-    let mut best = (2usize, f64::NEG_INFINITY);
-    for k in 2..=max_k.min(n - 1) {
-        let res = spectral_cluster(
-            affinity,
-            &SpectralConfig {
-                k: ClusterCount::Fixed(k),
-                seed,
-                n_init: 5,
-            },
-        )?;
-        let sil = crate::validation::silhouette_from_distances(&distances, &res.assignments, k);
-        if sil > best.1 {
-            best = (k, sil);
-        }
-    }
-    Ok(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,18 +280,6 @@ mod tests {
         .unwrap();
         assert_eq!(r.assignments[0], r.assignments[1]);
         assert_ne!(r.assignments[4], r.assignments[0]);
-    }
-
-    #[test]
-    fn silhouette_k_chooser_finds_block_count() {
-        for blocks in [2usize, 3] {
-            let sizes: Vec<usize> = (0..blocks).map(|b| 7 + b).collect();
-            let w = block_affinity(&sizes, 0.9, 0.02);
-            let (k, sil) = choose_k_by_silhouette(&w, 6, 1).unwrap();
-            assert_eq!(k, blocks);
-            assert!(sil > 0.5, "silhouette {sil}");
-        }
-        assert!(choose_k_by_silhouette(&SymMatrix::zeros(2), 4, 0).is_err());
     }
 
     #[test]

@@ -14,18 +14,17 @@
 //! [`spectral_cluster`](crate::spectral_cluster) on the expanded matrix
 //! (duplicate jobs always land in the same group), but it is **not**
 //! floating-point bit-identical to it: the eigensolve runs at a different
-//! dimension and the k-means RNG draws differently. The pipeline's
-//! default dedup path therefore expands the Gram before clustering
-//! (bit-identity preserved); this module is the scalable alternative for
-//! populations too large to expand, with partition equivalence pinned by
-//! tests on cleanly separated populations.
+//! dimension and the k-means RNG draws differently. Partition
+//! equivalence is pinned by tests on cleanly separated populations. The
+//! pipeline clusters through this module's sparse sibling,
+//! [`collapsed`](crate::collapsed), which shares its weighted k-means.
 
 use dagscope_linalg::vector::dist_sq;
 use dagscope_linalg::{eigh, Matrix, SymMatrix};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::kmeans::{KMeansConfig, KMeansResult};
+use crate::kmeans::{assign, KMeansConfig, KMeansResult};
 use crate::spectral::{ClusterCount, SpectralConfig, SpectralResult};
 
 /// k-means++ seeding with per-point weights: the first centroid is drawn
@@ -80,17 +79,6 @@ fn seed_centroids_weighted(
     centroids
 }
 
-fn nearest(centroids: &[Vec<f64>], p: &[f64]) -> (usize, f64) {
-    let mut best = (0usize, f64::INFINITY);
-    for (c, centroid) in centroids.iter().enumerate() {
-        let d = dist_sq(p, centroid);
-        if d < best.1 {
-            best = (c, d);
-        }
-    }
-    best
-}
-
 fn lloyd_weighted(
     points: &Matrix,
     weights: &[f64],
@@ -105,9 +93,7 @@ fn lloyd_weighted(
 
     for iter in 0..max_iters {
         iterations = iter + 1;
-        let idx: Vec<usize> = (0..n).collect();
-        let new_assignments =
-            dagscope_par::par_map(&idx, |&i| nearest(&centroids, points.row(i)).0);
+        let new_assignments = assign(points, &centroids);
         let changed = new_assignments != assignments;
         assignments = new_assignments;
 

@@ -12,41 +12,15 @@ pub enum BaseKernel {
     ShortestPath,
 }
 
-/// Which spectral-clustering engine the pipeline should use.
+/// The spectral-clustering engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterEngine {
-    /// Dense NJW over the expanded n×n similarity matrix — the paper's
-    /// procedure verbatim, bit-identical across runs. O(n²) memory.
-    Dense,
     /// Sparse collapsed path: CSR unique-shape affinity + Lanczos
     /// smallest-k eigenpairs, weighted by shape multiplicities. O(nnz)
-    /// affinity memory; partition-equivalent to dense (ARI 1.0), not
-    /// floating-point-identical. Requires `dedup_shapes`.
+    /// affinity memory; finds dense NJW's partition on well-separated
+    /// populations (ARI 1.0 on the paper-scale sample), not
+    /// floating-point-identical to it.
     Collapsed,
-    /// Dense at paper scale (preserving bit-identity with prior runs),
-    /// collapsed once the sample outgrows [`AUTO_DENSE_MAX`] jobs.
-    Auto,
-}
-
-/// Largest sample the `Auto` engine still clusters densely.
-pub const AUTO_DENSE_MAX: usize = 512;
-
-/// The engine a run actually used, after `Auto` resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Dense NJW ran.
-    Dense,
-    /// The collapsed sparse engine ran.
-    Collapsed,
-}
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            EngineKind::Dense => "dense",
-            EngineKind::Collapsed => "collapsed",
-        })
-    }
 }
 
 /// Configuration of the end-to-end characterization pipeline.
@@ -68,13 +42,7 @@ pub struct PipelineConfig {
     pub conflate: bool,
     /// Base kernel for the similarity stage.
     pub base_kernel: BaseKernel,
-    /// Collapse bitwise-identical WL feature vectors before the Gram
-    /// assembly (fingerprint dedup + inverted-index kernel). Results are
-    /// bit-identical to the brute-force path either way; `false` forces
-    /// the O(n²) pairwise scan (kept for oracle comparisons).
-    pub dedup_shapes: bool,
-    /// Spectral-clustering engine (dense NJW, sparse collapsed, or
-    /// size-based auto selection).
+    /// Spectral-clustering engine.
     pub cluster_engine: ClusterEngine,
 }
 
@@ -88,8 +56,7 @@ impl Default for PipelineConfig {
             clusters: ClusterCount::Fixed(5),
             conflate: true,
             base_kernel: BaseKernel::WlSubtree,
-            dedup_shapes: true,
-            cluster_engine: ClusterEngine::Auto,
+            cluster_engine: ClusterEngine::Collapsed,
         }
     }
 }
@@ -117,8 +84,7 @@ mod tests {
         assert_eq!(c.clusters, ClusterCount::Fixed(5));
         assert!(c.conflate);
         assert_eq!(c.base_kernel, BaseKernel::WlSubtree);
-        assert!(c.dedup_shapes, "the sparse Gram engine is the default");
-        assert_eq!(c.cluster_engine, ClusterEngine::Auto);
+        assert_eq!(c.cluster_engine, ClusterEngine::Collapsed);
         assert_eq!(c.generator().jobs, c.jobs);
         assert_eq!(c.generator().seed, c.seed);
     }

@@ -12,7 +12,6 @@ use dagscope_graph::metrics::{size_group_table, SizeGroupRow};
 use dagscope_graph::pattern::PatternCensus;
 use dagscope_graph::tasktype::{type_census, TypeCensusRow};
 use dagscope_graph::{render, JobDag};
-use dagscope_linalg::SymMatrix;
 
 use crate::{Report, Similarity};
 
@@ -186,53 +185,11 @@ pub struct SimilaritySummary {
 
 /// Compute the off-diagonal summary of a similarity matrix.
 ///
-/// Dense runs scan all pairs; collapsed runs aggregate per stored CSR
-/// entry weighted by shape multiplicities (`O(m + nnz)` — absent entries
-/// are exact zeros, counted in bulk), so the summary never expands n×n.
+/// Aggregates per stored CSR entry weighted by shape multiplicities
+/// (`O(m + nnz)` — absent entries are exact zeros, counted in bulk), so
+/// the summary never expands n×n.
 pub fn fig7_summary(similarity: &Similarity) -> SimilaritySummary {
-    match similarity {
-        Similarity::Dense(m) => fig7_summary_dense(m),
-        Similarity::Collapsed { unique, shape_of } => fig7_summary_collapsed(unique, shape_of),
-    }
-}
-
-fn fig7_summary_dense(similarity: &SymMatrix) -> SimilaritySummary {
-    let n = similarity.n();
-    let mut mean = 0.0;
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut identical = 0usize;
-    let mut count = 0usize;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let v = similarity.get(i, j);
-            mean += v;
-            min = min.min(v);
-            max = max.max(v);
-            if v > 1.0 - 1e-9 {
-                identical += 1;
-            }
-            count += 1;
-        }
-    }
-    if count > 0 {
-        mean /= count as f64;
-    } else {
-        min = 0.0;
-        max = 0.0;
-    }
-    SimilaritySummary {
-        mean,
-        min,
-        max,
-        identical_pairs: identical,
-    }
-}
-
-fn fig7_summary_collapsed(
-    unique: &dagscope_linalg::CsrSym,
-    shape_of: &[usize],
-) -> SimilaritySummary {
+    let Similarity { unique, shape_of } = similarity;
     let n = shape_of.len();
     let total_pairs = n * n.saturating_sub(1) / 2;
     if total_pairs == 0 {
@@ -472,6 +429,41 @@ pub fn render_pattern_census(census: &PatternCensus) -> String {
 mod tests {
     use super::*;
     use crate::{Pipeline, PipelineConfig};
+    use dagscope_linalg::{CsrSym, SymMatrix};
+
+    /// Dense oracle: every off-diagonal pair of the expanded matrix.
+    fn fig7_summary_dense(similarity: &SymMatrix) -> SimilaritySummary {
+        let n = similarity.n();
+        let mut mean = 0.0;
+        let mut min = f64::INFINITY;
+        let mut max = f64::NEG_INFINITY;
+        let mut identical = 0usize;
+        let mut count = 0usize;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let v = similarity.get(i, j);
+                mean += v;
+                min = min.min(v);
+                max = max.max(v);
+                if v > 1.0 - 1e-9 {
+                    identical += 1;
+                }
+                count += 1;
+            }
+        }
+        if count > 0 {
+            mean /= count as f64;
+        } else {
+            min = 0.0;
+            max = 0.0;
+        }
+        SimilaritySummary {
+            mean,
+            min,
+            max,
+            identical_pairs: identical,
+        }
+    }
 
     fn report() -> Report {
         Pipeline::new(PipelineConfig {
@@ -554,11 +546,11 @@ mod tests {
 
     #[test]
     fn fig7_summary_degenerate() {
-        let s = fig7_summary(&Similarity::Dense(dagscope_linalg::SymMatrix::zeros(1)));
+        let s = fig7_summary_dense(&SymMatrix::zeros(1));
         assert_eq!(s.mean, 0.0);
         assert_eq!(s.identical_pairs, 0);
-        let c = fig7_summary(&Similarity::Collapsed {
-            unique: dagscope_linalg::CsrSym::from_sym(&dagscope_linalg::SymMatrix::zeros(1)),
+        let c = fig7_summary(&Similarity {
+            unique: CsrSym::from_sym(&SymMatrix::zeros(1)),
             shape_of: vec![0],
         });
         assert_eq!(c.mean, 0.0);
@@ -567,20 +559,17 @@ mod tests {
 
     #[test]
     fn fig7_summary_collapsed_matches_dense_expansion() {
-        // Dense oracle: expand the collapsed view and summarize all pairs.
-        let mut unique = dagscope_linalg::SymMatrix::zeros(3);
+        let mut unique = SymMatrix::zeros(3);
         unique.set(0, 0, 1.0);
         unique.set(1, 1, 1.0);
         unique.set(0, 1, 0.25);
         // Shape 2 has a zero φ vector: absent row, zero diagonal.
-        let shape_of = vec![0, 0, 1, 2, 2, 1];
-        let collapsed = Similarity::Collapsed {
-            unique: dagscope_linalg::CsrSym::from_sym(&unique),
-            shape_of: shape_of.clone(),
+        let collapsed = Similarity {
+            unique: CsrSym::from_sym(&unique),
+            shape_of: vec![0, 0, 1, 2, 2, 1],
         };
-        let dense = Similarity::Dense((*collapsed.to_sym()).clone());
         let fast = fig7_summary(&collapsed);
-        let slow = fig7_summary(&dense);
+        let slow = fig7_summary_dense(&collapsed.to_sym());
         assert!((fast.mean - slow.mean).abs() < 1e-12);
         assert_eq!(fast.min, slow.min);
         assert_eq!(fast.max, slow.max);

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use dagscope_graph::metrics::JobFeatures;
 use dagscope_graph::pattern::{self, Pattern};
 use dagscope_graph::JobDag;
-use dagscope_linalg::{CsrSym, SymMatrix};
+use dagscope_linalg::CsrSym;
 use dagscope_trace::gen::ShapeKind;
 
 /// Statistics of one clustered group.
@@ -64,36 +64,12 @@ impl GroupAnalysis {
     }
 
     /// Build the analysis from cluster assignments, the sample's DAGs and
-    /// features, and the normalized similarity matrix (for medoids and the
-    /// silhouette).
-    pub fn build(
-        assignments: &[usize],
-        k: usize,
-        dags: &[JobDag],
-        features: &[JobFeatures],
-        similarity: &SymMatrix,
-    ) -> GroupAnalysis {
-        assert_eq!(assignments.len(), similarity.n());
-
-        let distances = dagscope_cluster::validation::kernel_distance_matrix(similarity);
-        let silhouette =
-            dagscope_cluster::validation::silhouette_from_distances(&distances, assignments, k);
-
-        // Medoid totals: member's summed similarity over its group.
-        let totals = |ms: &[usize]| -> Vec<f64> {
-            ms.iter()
-                .map(|&i| ms.iter().map(|&j| similarity.get(i, j)).sum())
-                .collect()
-        };
-        assemble(assignments, k, dags, features, &totals, silhouette)
-    }
-
-    /// Build the analysis for a collapsed run, never expanding the n×n
-    /// similarity: medoids come from weighted unique-shape row scans and
-    /// the silhouette from
+    /// features, and the collapsed similarity, never expanding it to n×n:
+    /// medoids come from weighted unique-shape row scans and the
+    /// silhouette from
     /// [`dagscope_cluster::validation::silhouette_collapsed`]. Equal to
-    /// [`GroupAnalysis::build`] on the expanded matrix up to
-    /// floating-point summation order.
+    /// the dense analysis of the expanded matrix up to floating-point
+    /// summation order.
     ///
     /// `unique` is the normalized unique-shape similarity, `shape_of`
     /// maps jobs to shapes, and `weights[a]` is shape `a`'s multiplicity.
@@ -256,7 +232,34 @@ fn assemble(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dagscope_linalg::SymMatrix;
     use dagscope_trace::{Job, Status, TaskRecord};
+
+    impl GroupAnalysis {
+        /// Dense oracle of [`GroupAnalysis::build_collapsed`]: medoids and
+        /// the silhouette from the expanded n×n similarity matrix.
+        pub(crate) fn build(
+            assignments: &[usize],
+            k: usize,
+            dags: &[JobDag],
+            features: &[JobFeatures],
+            similarity: &SymMatrix,
+        ) -> GroupAnalysis {
+            assert_eq!(assignments.len(), similarity.n());
+
+            let distances = dagscope_cluster::validation::kernel_distance_matrix(similarity);
+            let silhouette =
+                dagscope_cluster::validation::silhouette_from_distances(&distances, assignments, k);
+
+            // Medoid totals: member's summed similarity over its group.
+            let totals = |ms: &[usize]| -> Vec<f64> {
+                ms.iter()
+                    .map(|&i| ms.iter().map(|&j| similarity.get(i, j)).sum())
+                    .collect()
+            };
+            assemble(assignments, k, dags, features, &totals, silhouette)
+        }
+    }
 
     fn t(name: &str) -> TaskRecord {
         TaskRecord {
@@ -391,7 +394,7 @@ mod tests {
     #[should_panic(expected = "straddle clusters")]
     fn build_collapsed_rejects_shape_straddling_clusters() {
         let (dags, features, _) = setup();
-        let mut unique = dagscope_linalg::SymMatrix::zeros(3);
+        let mut unique = SymMatrix::zeros(3);
         for s in 0..3 {
             unique.set(s, s, 1.0);
         }

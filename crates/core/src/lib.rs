@@ -32,7 +32,7 @@ pub mod snapshot;
 mod timings;
 
 pub use baseline::{compare_baselines, conflation_stability, BaselineComparison};
-pub use config::{BaseKernel, ClusterEngine, EngineKind, PipelineConfig, AUTO_DENSE_MAX};
+pub use config::{BaseKernel, ClusterEngine, PipelineConfig};
 pub use groups::{GroupAnalysis, GroupStats};
 pub use pipeline::Pipeline;
 pub use report::Report;

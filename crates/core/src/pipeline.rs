@@ -1,7 +1,7 @@
 //! The end-to-end characterization pipeline.
 
 use dagscope_cluster::{
-    expand_assignments, spectral_cluster, spectral_cluster_collapsed, SpectralConfig,
+    expand_assignments, spectral_cluster_collapsed, ClusterCount, SpectralConfig,
 };
 use dagscope_graph::metrics::JobFeatures;
 use dagscope_graph::{BuildError, JobDag, ShapeTable, TaskRows};
@@ -12,14 +12,12 @@ use dagscope_trace::stream::StreamedTrace;
 use dagscope_trace::{Job, JobSet};
 
 use dagscope_wl::{
-    kernel_matrix, kernel_matrix_via_dedup, normalize_kernel, normalize_unique_sparse,
-    unique_gram_sparse, ShapeDedup, SpVectorizer, SparseVec, WlVectorizer,
+    normalize_unique_sparse, unique_gram_sparse, ShapeDedup, SpVectorizer, SparseVec, WlVectorizer,
 };
 use std::io::{Read, Seek};
 
 use std::time::Instant;
 
-use crate::config::{ClusterEngine, EngineKind, AUTO_DENSE_MAX};
 use crate::groups::GroupAnalysis;
 use crate::{PipelineConfig, Report, Similarity, StageTimings};
 
@@ -167,113 +165,59 @@ impl Pipeline {
             .collect();
         timings.embed = clock.elapsed();
 
-        // Resolve the clustering engine before the Gram stage: the
-        // collapsed engine consumes the unique-shape CSR affinity
-        // directly and must never see (or allocate) the dense matrix.
-        let engine = match self.cfg.cluster_engine {
-            ClusterEngine::Dense => EngineKind::Dense,
-            ClusterEngine::Collapsed => {
-                if !self.cfg.dedup_shapes {
-                    return Err(
-                        "the collapsed cluster engine requires `dedup_shapes`: the sparse \
-                         affinity is built from the shape-deduplicated Gram index"
-                            .to_string(),
-                    );
-                }
-                EngineKind::Collapsed
-            }
-            ClusterEngine::Auto => {
-                if self.cfg.dedup_shapes && raw_dags.len() > AUTO_DENSE_MAX {
-                    EngineKind::Collapsed
-                } else {
-                    EngineKind::Dense
-                }
-            }
-        };
-
-        // Gram assembly: the sparse engine collapses bitwise-identical φ
-        // vectors to unique shapes and scans the feature→shape inverted
-        // index — bit-identical to the brute-force pairwise path, which
-        // stays available as the oracle (`dedup_shapes: false`).
+        // Gram assembly: collapse bitwise-identical φ vectors to unique
+        // shapes and scan the feature→shape inverted index into a sparse
+        // unique-shape affinity; the dense n×n matrix is never built.
         let clock = Instant::now();
-        let dedup = self
-            .cfg
-            .dedup_shapes
-            .then(|| ShapeDedup::from_features(&wl_features));
+        let dedup = ShapeDedup::from_features(&wl_features);
         timings.dedup = clock.elapsed();
 
+        let clock = Instant::now();
+        let reps: Vec<&SparseVec> = dedup
+            .representatives()
+            .iter()
+            .map(|&i| &wl_features[i])
+            .collect();
+        let (gram, mut gram_stats) = unique_gram_sparse(&reps);
+        // The sparse assembler only sees unique shapes; restore the
+        // population-level counters.
+        gram_stats.jobs = wl_features.len();
+        gram_stats.unique_shapes = dedup.unique_count();
+        let unique = normalize_unique_sparse(&gram);
+        timings.kernel = clock.elapsed();
+
+        // Spectral grouping (Figs 8–9). Collapsed clustering assigns whole
+        // shapes, so a fixed group count is capped at the shape count.
+        let clock = Instant::now();
+        let k = match self.cfg.clusters {
+            ClusterCount::Fixed(k) => ClusterCount::Fixed(k.min(dedup.unique_count())),
+            eigengap => eigengap,
+        };
         let spectral_cfg = SpectralConfig {
-            k: self.cfg.clusters,
+            k,
             seed: self.cfg.seed,
             n_init: 10,
         };
-
-        let (similarity, gram_stats, spectral, groups) = match engine {
-            EngineKind::Dense => {
-                let clock = Instant::now();
-                let (gram, gram_stats) = match &dedup {
-                    Some(d) => {
-                        let (k, stats) = kernel_matrix_via_dedup(d, &wl_features);
-                        (k, Some(stats))
-                    }
-                    None => (kernel_matrix(&wl_features), None),
-                };
-                let similarity = normalize_kernel(&gram);
-                timings.kernel = clock.elapsed();
-
-                // Spectral grouping (Figs 8–9).
-                let clock = Instant::now();
-                let spectral = spectral_cluster(&similarity, &spectral_cfg)?;
-                // Group statistics describe the jobs as they ran (raw
-                // structure): the similarity stage may look at conflated
-                // DAGs, but Fig 9's sizes / critical paths / shape shares
-                // are properties of the original task graphs.
-                let groups = GroupAnalysis::build(
-                    &spectral.assignments,
-                    spectral.k,
-                    &raw_dags,
-                    &features_raw,
-                    &similarity,
-                );
-                timings.cluster = clock.elapsed();
-                (Similarity::Dense(similarity), gram_stats, spectral, groups)
-            }
-            EngineKind::Collapsed => {
-                let dedup = dedup.as_ref().expect("collapsed engine requires dedup");
-                let clock = Instant::now();
-                let reps: Vec<&SparseVec> = dedup
-                    .representatives()
-                    .iter()
-                    .map(|&i| &wl_features[i])
-                    .collect();
-                let (gram, mut stats) = unique_gram_sparse(&reps);
-                // The sparse assembler only sees unique shapes; restore
-                // the population-level counters the dense engine reports.
-                stats.jobs = wl_features.len();
-                stats.unique_shapes = dedup.unique_count();
-                let unique = normalize_unique_sparse(&gram);
-                timings.kernel = clock.elapsed();
-
-                let clock = Instant::now();
-                let weights = dedup.weights();
-                let mut spectral = spectral_cluster_collapsed(&unique, &weights, &spectral_cfg)?;
-                spectral.assignments = expand_assignments(dedup.shape_of(), &spectral.assignments);
-                let groups = GroupAnalysis::build_collapsed(
-                    &spectral.assignments,
-                    spectral.k,
-                    &raw_dags,
-                    &features_raw,
-                    &unique,
-                    dedup.shape_of(),
-                    &weights,
-                );
-                timings.cluster = clock.elapsed();
-                let similarity = Similarity::Collapsed {
-                    unique,
-                    shape_of: dedup.shape_of().to_vec(),
-                };
-                (similarity, Some(stats), spectral, groups)
-            }
+        let weights = dedup.weights();
+        let mut spectral = spectral_cluster_collapsed(&unique, &weights, &spectral_cfg)?;
+        spectral.assignments = expand_assignments(dedup.shape_of(), &spectral.assignments);
+        // Group statistics describe the jobs as they ran (raw structure):
+        // the similarity stage may look at conflated DAGs, but Fig 9's
+        // sizes / critical paths / shape shares are properties of the
+        // original task graphs.
+        let groups = GroupAnalysis::build_collapsed(
+            &spectral.assignments,
+            spectral.k,
+            &raw_dags,
+            &features_raw,
+            &unique,
+            dedup.shape_of(),
+            &weights,
+        );
+        timings.cluster = clock.elapsed();
+        let similarity = Similarity {
+            unique,
+            shape_of: dedup.shape_of().to_vec(),
         };
         timings.total = run_start.elapsed();
 
@@ -287,10 +231,9 @@ impl Pipeline {
             features_conflated,
             wl_features,
             similarity,
-            engine,
             laplacian_eigenvalues: spectral.eigenvalues,
             groups,
-            gram: gram_stats,
+            gram: Some(gram_stats),
             timings,
         })
     }
@@ -353,7 +296,9 @@ fn not_a_dag(name: &str, e: BuildError) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dagscope_cluster::spectral_cluster;
     use dagscope_cluster::validation::is_partition;
+    use dagscope_wl::{kernel_matrix, normalize_kernel};
 
     fn small_cfg() -> PipelineConfig {
         PipelineConfig {
@@ -442,41 +387,28 @@ mod tests {
         assert!(wl.groups.groups[0].fraction >= 0.2);
     }
 
-    #[test]
-    fn dedup_path_is_bit_identical_to_brute_force() {
-        // The acceptance bar of the sparse Gram engine: similarity matrix
-        // and downstream assignments must match the brute-force oracle
-        // bitwise, on the paper-scale 100-job sample.
-        let base = PipelineConfig {
+    fn paper_scale() -> PipelineConfig {
+        PipelineConfig {
             jobs: 2_000,
             sample: 100,
             seed: 42,
             ..PipelineConfig::default()
-        };
-        let dedup = Pipeline::new(base.clone()).run().unwrap();
-        let brute = Pipeline::new(PipelineConfig {
-            dedup_shapes: false,
-            ..base
-        })
-        .run()
-        .unwrap();
-        for (a, b) in dedup
-            .similarity
-            .as_dense()
-            .expect("paper scale runs dense")
-            .packed()
-            .iter()
-            .zip(brute.similarity.as_dense().unwrap().packed())
-        {
+        }
+    }
+
+    #[test]
+    fn dedup_path_is_bit_identical_to_brute_force() {
+        // The acceptance bar of the sparse Gram engine: the expanded
+        // similarity must match the brute-force all-pairs kernel bitwise,
+        // on the paper-scale 100-job sample.
+        let report = Pipeline::new(paper_scale()).run().unwrap();
+        let brute = normalize_kernel(&kernel_matrix(&report.wl_features));
+        let expanded = report.similarity.to_sym();
+        assert_eq!(expanded.n(), brute.n());
+        for (a, b) in expanded.packed().iter().zip(brute.packed()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        assert_eq!(dedup.groups.assignments, brute.groups.assignments);
-        assert_eq!(
-            dedup.laplacian_eigenvalues, brute.laplacian_eigenvalues,
-            "identical input must produce identical spectra"
-        );
-        let stats = dedup.gram.expect("dedup path records gram stats");
-        assert!(brute.gram.is_none());
+        let stats = report.gram.expect("the Gram engine records its counters");
         assert_eq!(stats.jobs, 100);
         assert!(
             stats.unique_shapes < stats.jobs,
@@ -665,123 +597,69 @@ mod tests {
     #[test]
     fn collapsed_engine_reproduces_the_dense_partition() {
         // The acceptance bar of the collapsed engine: on the paper-scale
-        // 100-job sample, collapsed + Lanczos must reproduce the dense
-        // 5-group partition exactly (ARI 1.0) and leave the Fig 8/9 group
-        // story (labels, populations, medoids) unchanged.
-        let base = PipelineConfig {
-            jobs: 2_000,
-            sample: 100,
-            seed: 42,
-            ..PipelineConfig::default()
-        };
-        let dense = Pipeline::new(base.clone()).run().unwrap();
-        assert_eq!(
-            dense.engine,
-            crate::EngineKind::Dense,
-            "auto stays dense at paper scale"
-        );
-        let collapsed = Pipeline::new(PipelineConfig {
-            cluster_engine: crate::ClusterEngine::Collapsed,
-            ..base
-        })
-        .run()
+        // 100-job sample, dense NJW over the expanded matrix (the oracle)
+        // must find the same 5-group partition (ARI 1.0) and print the same
+        // report, silhouette lines aside (they differ only in summation
+        // order).
+        let report = Pipeline::new(paper_scale()).run().unwrap();
+        let expanded = report.similarity.to_sym();
+        let dense = spectral_cluster(
+            &expanded,
+            &SpectralConfig {
+                k: report.config.clusters,
+                seed: report.config.seed,
+                n_init: 10,
+            },
+        )
         .unwrap();
-        assert_eq!(collapsed.engine, crate::EngineKind::Collapsed);
-        assert!(
-            collapsed.similarity.as_dense().is_none(),
-            "no dense allocation"
-        );
         assert_eq!(
-            dagscope_cluster::adjusted_rand_index(
-                &collapsed.groups.assignments,
-                &dense.groups.assignments
-            ),
+            dagscope_cluster::adjusted_rand_index(&report.groups.assignments, &dense.assignments),
             1.0
         );
-        for (c, d) in collapsed.groups.groups.iter().zip(&dense.groups.groups) {
-            assert_eq!(c.label, d.label);
-            assert_eq!(c.population, d.population);
-            assert_eq!(c.sizes, d.sizes);
-            assert_eq!(c.representative, d.representative);
-        }
+        let oracle = Report {
+            groups: GroupAnalysis::build(
+                &dense.assignments,
+                dense.k,
+                &report.raw_dags,
+                &report.features_raw,
+                &expanded,
+            ),
+            ..report.clone()
+        };
         assert!(
-            (collapsed.groups.silhouette - dense.groups.silhouette).abs() < 1e-9,
+            (report.groups.silhouette - oracle.groups.silhouette).abs() < 1e-9,
             "collapsed={} dense={}",
-            collapsed.groups.silhouette,
-            dense.groups.silhouette
+            report.groups.silhouette,
+            oracle.groups.silhouette
         );
-        // The expanded views agree entry-wise (the Gram engines are
-        // bitwise-compatible; only the storage differs).
-        let expanded = collapsed.similarity.to_sym();
-        let dd = dense.similarity.as_dense().unwrap();
-        for (a, b) in expanded.packed().iter().zip(dd.packed()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let strip = |s: String| {
+            s.lines()
+                .filter(|l| !l.contains("silhouette"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        assert_eq!(strip(report.summary()), strip(oracle.summary()));
         // Both spectra start at the Laplacian's zero eigenvalue.
-        assert!(collapsed.laplacian_eigenvalues[0].abs() < 1e-8);
+        assert!(report.laplacian_eigenvalues[0].abs() < 1e-8);
+        assert!(dense.eigenvalues[0].abs() < 1e-8);
     }
 
     #[test]
-    fn auto_engine_is_bit_identical_to_dense_at_paper_scale() {
-        let auto = Pipeline::new(small_cfg()).run().unwrap();
-        let dense = Pipeline::new(PipelineConfig {
-            cluster_engine: crate::ClusterEngine::Dense,
-            ..small_cfg()
-        })
-        .run()
-        .unwrap();
-        assert_eq!(auto.engine, crate::EngineKind::Dense);
-        assert_eq!(auto.groups.assignments, dense.groups.assignments);
-        assert_eq!(auto.laplacian_eigenvalues, dense.laplacian_eigenvalues);
-        for (a, b) in auto
-            .similarity
-            .as_dense()
-            .unwrap()
-            .packed()
-            .iter()
-            .zip(dense.similarity.as_dense().unwrap().packed())
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn auto_engine_goes_collapsed_above_the_dense_ceiling() {
+    fn fixed_group_count_is_capped_at_the_shape_count() {
+        // This sample embeds to four distinct WL vectors: collapsed
+        // clustering assigns whole shapes, so it makes four groups of the
+        // five asked for.
         let report = Pipeline::new(PipelineConfig {
-            jobs: 4_000,
-            sample: crate::AUTO_DENSE_MAX + 88,
-            seed: 5,
+            jobs: 400,
+            sample: 20,
+            seed: 1,
             ..PipelineConfig::default()
         })
         .run()
         .unwrap();
-        assert_eq!(report.engine, crate::EngineKind::Collapsed);
-        assert!(report.similarity.as_dense().is_none());
-        assert_eq!(report.similarity.n(), crate::AUTO_DENSE_MAX + 88);
-        assert_eq!(report.groups.group_count(), 5);
-        assert!(is_partition(&report.groups.assignments, 5));
-        let stats = report.gram.expect("collapsed path records gram stats");
-        assert_eq!(stats.jobs, crate::AUTO_DENSE_MAX + 88);
-        assert!(stats.unique_shapes < stats.jobs);
-    }
-
-    #[test]
-    fn collapsed_engine_requires_dedup() {
-        let err = Pipeline::new(PipelineConfig {
-            cluster_engine: crate::ClusterEngine::Collapsed,
-            dedup_shapes: false,
-            ..small_cfg()
-        })
-        .run()
-        .unwrap_err();
-        assert!(err.contains("dedup"), "err: {err}");
-        // Auto with dedup off silently stays dense instead of failing.
-        let report = Pipeline::new(PipelineConfig {
-            dedup_shapes: false,
-            ..small_cfg()
-        })
-        .run()
-        .unwrap();
-        assert_eq!(report.engine, crate::EngineKind::Dense);
+        assert_eq!(report.gram.unwrap().unique_shapes, 4);
+        assert_eq!(report.groups.group_count(), 4);
+        assert!(is_partition(&report.groups.assignments, 4));
+        assert_eq!(report.similarity.n(), 20);
     }
 }

@@ -11,7 +11,6 @@ use dagscope_sched::{GroupPredictor, JobHint, ProfileBuilder, SimJob};
 use dagscope_trace::stats::TraceStats;
 use dagscope_wl::{GramStats, KernelCache, SparseVec};
 
-use crate::config::EngineKind;
 use crate::{GroupAnalysis, PipelineConfig, Similarity, StageTimings};
 
 /// Everything one pipeline run produces. The [`crate::figures`] module
@@ -34,18 +33,14 @@ pub struct Report {
     pub features_conflated: Vec<JobFeatures>,
     /// WL φ vectors of the kernel-stage DAGs.
     pub wl_features: Vec<SparseVec>,
-    /// Normalized pairwise WL similarity (Fig 7) — dense at paper scale,
-    /// collapsed (unique-shape CSR) when the sparse engine ran.
+    /// Normalized pairwise WL similarity (Fig 7), as the unique-shape
+    /// CSR plus the job→shape map.
     pub similarity: Similarity,
-    /// The clustering engine this run actually used (after `Auto`
-    /// resolution) — provenance for the report and snapshot.
-    pub engine: EngineKind,
     /// Ascending eigenvalues of the normalized Laplacian (diagnostics).
     pub laplacian_eigenvalues: Vec<f64>,
     /// Spectral grouping and per-group statistics (Figs 8–9).
     pub groups: GroupAnalysis,
-    /// Cost counters of the sparse Gram engine (`None` when
-    /// `dedup_shapes` is off and the brute-force path ran).
+    /// Cost counters of the sparse Gram engine (always `Some`).
     pub gram: Option<GramStats>,
     /// Per-stage wall-clock times for this run.
     pub timings: StageTimings,

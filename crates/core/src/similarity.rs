@@ -1,81 +1,47 @@
-//! The pipeline's similarity matrix, in dense or collapsed form.
+//! The pipeline's similarity matrix, in collapsed form.
 //!
-//! At paper scale (a 100-job sample) the normalized WL similarity is a
-//! small dense [`SymMatrix`] and every consumer reads it directly. At
-//! full-trace scale the dense n×n expansion is exactly what the
-//! collapsed engine exists to avoid, so the report instead carries the
-//! **unique-shape** CSR similarity plus the job→shape map — `O(nnz)`
-//! memory — and consumers read entries through [`Similarity::get`],
-//! which resolves job indices to shapes on the fly.
-
-use std::borrow::Cow;
+//! The report carries the **unique-shape** CSR similarity plus the
+//! job→shape map — `O(nnz)` memory, never the dense n×n expansion — and
+//! consumers read entries through [`Similarity::get`], which resolves job
+//! indices to shapes on the fly.
 
 use dagscope_linalg::{CsrSym, SymMatrix};
 
-/// Normalized pairwise job similarity (Fig 7), dense or collapsed.
-///
-/// `PartialEq` is representational: two values compare equal only in
-/// the same form (a dense and a collapsed encoding of the same matrix
-/// are *not* `==`; compare expanded views via [`Similarity::to_sym`]).
+/// Normalized pairwise job similarity (Fig 7): entry `(i, j)` is
+/// `unique[shape_of[i]][shape_of[j]]`; absent entries are exact zeros.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Similarity {
-    /// The expanded n×n matrix (paper scale; bit-identical baseline).
-    Dense(SymMatrix),
-    /// Unique-shape CSR similarity plus the job→shape map. Entry
-    /// `(i, j)` is `unique[shape_of[i]][shape_of[j]]`; absent entries
-    /// are exact zeros.
-    Collapsed {
-        /// Normalized unique-shape similarity (diag ∈ {0, 1} exactly).
-        unique: CsrSym,
-        /// Shape id of every sampled job, in sample order.
-        shape_of: Vec<usize>,
-    },
+pub struct Similarity {
+    /// Normalized unique-shape similarity (diag ∈ {0, 1} exactly).
+    pub unique: CsrSym,
+    /// Shape id of every sampled job, in sample order.
+    pub shape_of: Vec<usize>,
 }
 
 impl Similarity {
     /// Number of jobs (matrix order of the expanded view).
     pub fn n(&self) -> usize {
-        match self {
-            Similarity::Dense(m) => m.n(),
-            Similarity::Collapsed { shape_of, .. } => shape_of.len(),
-        }
+        self.shape_of.len()
     }
 
     /// Similarity of jobs `i` and `j` in the expanded view.
     pub fn get(&self, i: usize, j: usize) -> f64 {
-        match self {
-            Similarity::Dense(m) => m.get(i, j),
-            Similarity::Collapsed { unique, shape_of } => unique.get(shape_of[i], shape_of[j]),
-        }
+        self.unique.get(self.shape_of[i], self.shape_of[j])
     }
 
-    /// The dense matrix, when this run produced one.
-    pub fn as_dense(&self) -> Option<&SymMatrix> {
-        match self {
-            Similarity::Dense(m) => Some(m),
-            Similarity::Collapsed { .. } => None,
-        }
-    }
-
-    /// A dense view, materializing the n×n expansion for collapsed runs.
+    /// The n×n expansion.
     ///
     /// Only call this on sample-scale populations (baselines, figure
     /// exports): at full-trace scale the expansion is the allocation the
     /// collapsed engine avoids.
-    pub fn to_sym(&self) -> Cow<'_, SymMatrix> {
-        match self {
-            Similarity::Dense(m) => Cow::Borrowed(m),
-            Similarity::Collapsed { unique, shape_of } => {
-                let n = shape_of.len();
-                let mut out = SymMatrix::zeros(n);
-                for i in 0..n {
-                    for j in i..n {
-                        out.set(i, j, unique.get(shape_of[i], shape_of[j]));
-                    }
-                }
-                Cow::Owned(out)
+    pub fn to_sym(&self) -> SymMatrix {
+        let n = self.n();
+        let mut out = SymMatrix::zeros(n);
+        for i in 0..n {
+            for j in i..n {
+                out.set(i, j, self.get(i, j));
             }
         }
+        out
     }
 }
 
@@ -89,7 +55,7 @@ mod tests {
         unique.set(0, 0, 1.0);
         unique.set(1, 1, 1.0);
         unique.set(0, 1, 0.5);
-        Similarity::Collapsed {
+        Similarity {
             unique: CsrSym::from_sym(&unique),
             shape_of: vec![0, 1, 0, 2],
         }
@@ -104,7 +70,6 @@ mod tests {
         assert_eq!(s.get(1, 2), 0.5);
         assert_eq!(s.get(0, 3), 0.0, "absent entries are exact zeros");
         assert_eq!(s.get(3, 3), 0.0, "zero-diagonal shape");
-        assert!(s.as_dense().is_none());
     }
 
     #[test]
@@ -117,18 +82,5 @@ mod tests {
                 assert_eq!(dense.get(i, j), s.get(i, j));
             }
         }
-    }
-
-    #[test]
-    fn dense_passthrough() {
-        let mut m = SymMatrix::zeros(2);
-        m.set(0, 0, 1.0);
-        m.set(0, 1, 0.25);
-        m.set(1, 1, 1.0);
-        let s = Similarity::Dense(m.clone());
-        assert_eq!(s.n(), 2);
-        assert_eq!(s.get(0, 1), 0.25);
-        assert!(s.as_dense().is_some());
-        assert!(matches!(s.to_sym(), Cow::Borrowed(_)));
     }
 }

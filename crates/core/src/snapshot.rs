@@ -199,8 +199,9 @@ pub struct SnapshotMeta {
     pub k: usize,
     /// Silhouette of the offline clustering (provenance only).
     pub silhouette: f64,
-    /// Clustering engine of the producing run (`"dense"` or
-    /// `"collapsed"`; provenance only).
+    /// Clustering engine of the producing run (provenance only): this
+    /// build writes `"collapsed"`; snapshots of older builds may read
+    /// `"dense"`.
     pub cluster_engine: String,
     /// Leading (smallest) normalized-Laplacian eigenvalues of the
     /// offline clustering, ascending — the eigengap diagnostic.
@@ -308,7 +309,7 @@ impl IndexSnapshot {
                 seed: report.config.seed,
                 k: report.groups.group_count(),
                 silhouette: report.groups.silhouette,
-                cluster_engine: report.engine.to_string(),
+                cluster_engine: "collapsed".to_string(),
                 eigenvalues: report
                     .laplacian_eigenvalues
                     .iter()
@@ -819,38 +820,38 @@ mod tests {
     fn meta_records_engine_and_spectrum() {
         let r = report();
         let snap = IndexSnapshot::from_report(&r).unwrap();
-        assert_eq!(snap.meta.cluster_engine, "dense");
+        assert_eq!(snap.meta.cluster_engine, "collapsed");
         let eig = &snap.meta.eigenvalues;
         assert!(!eig.is_empty() && eig.len() <= SPECTRUM_KEEP);
         assert!(eig[0].abs() < 1e-8, "Laplacian spectrum starts at 0");
         assert!(eig.windows(2).all(|w| w[0] <= w[1]), "ascending");
-        // A collapsed run records its engine too.
-        let rc = Pipeline::new(PipelineConfig {
-            jobs: 300,
-            sample: 25,
-            seed: 11,
-            cluster_engine: crate::ClusterEngine::Collapsed,
-            ..Default::default()
-        })
-        .run()
-        .unwrap();
-        let snap_c = IndexSnapshot::from_report(&rc).unwrap();
-        assert_eq!(snap_c.meta.cluster_engine, "collapsed");
         // Exact f64 round-trip through the text form is covered by the
-        // meta equality assertion in `round_trip_preserves_everything`;
-        // an unknown engine value is rejected by the loader.
+        // meta equality assertion in `round_trip_preserves_everything`.
+        // A snapshot an older build wrote with the dense engine still
+        // loads; an unknown engine value is rejected.
         let dir = tmp_dir("engine");
         snap.save(&dir).unwrap();
         let meta = std::fs::read_to_string(dir.join("meta.txt")).unwrap();
-        tamper_with_valid_crc(
-            &dir,
-            "meta.txt",
-            &meta.replace("cluster_engine=dense", "cluster_engine=bogus"),
-        );
-        assert!(matches!(
-            IndexSnapshot::load(&dir).unwrap_err(),
-            SnapshotError::Format(_)
-        ));
+        for (engine, loads) in [("dense", true), ("bogus", false)] {
+            tamper_with_valid_crc(
+                &dir,
+                "meta.txt",
+                &meta.replace(
+                    "cluster_engine=collapsed",
+                    &format!("cluster_engine={engine}"),
+                ),
+            );
+            match IndexSnapshot::load(&dir) {
+                Ok(back) => {
+                    assert!(loads, "{engine} loaded");
+                    assert_eq!(back.meta.cluster_engine, engine);
+                }
+                Err(e) => {
+                    assert!(!loads, "{engine}: {e}");
+                    assert!(matches!(e, SnapshotError::Format(_)));
+                }
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -20,8 +20,7 @@ pub struct StageTimings {
     pub features: Duration,
     /// WL (or shortest-path) embedding of the sample (parallel).
     pub embed: Duration,
-    /// WL-fingerprint deduplication of the embedded vectors (zero when
-    /// `dedup_shapes` is off).
+    /// WL-fingerprint deduplication of the embedded vectors.
     pub dedup: Duration,
     /// Kernel-matrix assembly + normalization (parallel).
     pub kernel: Duration,

@@ -8,8 +8,9 @@
 //! entries where the dense packed triangle would hold billions on the
 //! expanded population.
 //!
-//! The SpMV is sharded over row ranges via `dagscope-par`, so it honors
-//! the pipeline's `--threads` override. Each output component is
+//! The SpMV is sharded over row ranges via `dagscope-par` once the matrix
+//! stores enough entries to pay for the threads, so it honors the
+//! pipeline's `--threads` override. Each output component is
 //! accumulated by exactly one thread scanning its row in storage order,
 //! which keeps `y = A·x` bitwise deterministic for any thread count.
 
@@ -161,6 +162,10 @@ impl CsrSym {
     }
 }
 
+/// Fewest stored entries worth sharding an SpMV for: below this, one
+/// thread finishes the product before scoped worker threads would start.
+const PAR_MIN_NNZ: usize = 1 << 15;
+
 impl LinOp for CsrSym {
     fn dim(&self) -> usize {
         self.n
@@ -170,7 +175,7 @@ impl LinOp for CsrSym {
         debug_assert_eq!(x.len(), self.n);
         debug_assert_eq!(y.len(), self.n);
         let threads = dagscope_par::parallelism();
-        if threads <= 1 || self.n < 2 * threads {
+        if threads <= 1 || self.nnz() < PAR_MIN_NNZ || self.n < 2 * threads {
             let out = self.matvec_range(x, 0, self.n);
             y.copy_from_slice(&out);
             return;
@@ -244,6 +249,31 @@ mod tests {
         // Sequential shard kernel agrees with the full apply bitwise.
         let seq = c.matvec_range(&x, 0, 4);
         assert_eq!(seq, ys.to_vec());
+    }
+
+    #[test]
+    fn spmv_is_bitwise_equal_at_every_thread_count_on_both_sides_of_the_gate() {
+        // A banded matrix per side of the sharding gate: every thread count
+        // must reproduce the one-shard kernel bit for bit.
+        for (n, band) in [(300, 8), (1_200, 16)] {
+            let rows: Vec<Vec<(u32, f64)>> = (0..n)
+                .map(|a| {
+                    (a..n.min(a + band))
+                        .map(|b| (b as u32, 1.0 / (1 + a + 3 * b) as f64))
+                        .collect()
+                })
+                .collect();
+            let c = CsrSym::from_upper_rows(&rows);
+            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+            let seq = c.matvec_range(&x, 0, n);
+            for threads in [1, 2, 4] {
+                let _pin = dagscope_par::ParScope::new(threads);
+                let mut y = vec![0.0; n];
+                c.apply(&x, &mut y);
+                assert_eq!(y, seq, "n={n} threads={threads}");
+            }
+            assert_eq!(c.nnz() >= PAR_MIN_NNZ, n == 1_200, "nnz={}", c.nnz());
+        }
     }
 
     #[test]

@@ -19,9 +19,10 @@ fn chunk_len(len: usize, threads: usize) -> usize {
 
 /// Map `f` over `items` in parallel, preserving input order in the output.
 ///
-/// Falls back to a sequential map when the input is small or only one
-/// worker thread is configured, so callers never pay thread spawn cost on
-/// trivial inputs.
+/// Runs sequentially only when one worker thread is configured or the
+/// input has fewer than two items; otherwise every call spawns scoped
+/// worker threads, so callers with cheap per-item work gate small inputs
+/// themselves.
 ///
 /// ```
 /// let doubled = dagscope_par::par_map(&[1, 2, 3], |&x| x * 2);

@@ -180,12 +180,16 @@ impl ProfileTable {
         self.neutral_critical_path
     }
 
-    /// Multi-line rendering of the table for CLI output.
+    /// Multi-line rendering of the table for CLI output, one row per
+    /// cluster in label order (unlabeled `?` clusters last): cluster ids
+    /// are k-means' arbitrary numbering, labels are not.
     pub fn render(&self) -> String {
         let mut s = String::from(
             "group  members  p50 size  p50 width  p50 work(cpu·s)  p50 crit-path(s)\n",
         );
-        for p in &self.profiles {
+        let mut rows: Vec<&GroupProfile> = self.profiles.iter().collect();
+        rows.sort_by_key(|p| (p.label == '?', p.label, p.cluster));
+        for p in rows {
             s.push_str(&format!(
                 "{:>5}  {:>7}  {:>8.0}  {:>9.0}  {:>15.0}  {:>16.0}\n",
                 p.label, p.population, p.size.p50, p.width.p50, p.work.p50, p.critical_path.p50
@@ -335,6 +339,26 @@ mod tests {
         // Neutral prior = population-wide median work.
         assert_eq!(t.neutral_work(), 4_000.0);
         assert!(t.render().contains('A'));
+    }
+
+    #[test]
+    fn render_lists_groups_in_label_order_unlabeled_last() {
+        let mut b = ProfileBuilder::new(4);
+        for c in 0..4 {
+            b.observe(c, &sim_job("j", &[("M1", 1, 10)]));
+        }
+        // Cluster ids in k-means' order; labels in population order.
+        let t = b.finish(&['C', '?', 'A', 'B']);
+        let table = t.render();
+        let labels: Vec<&str> = table
+            .lines()
+            .skip(1)
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(labels, ["A", "B", "C", "?"]);
+        // The profiles themselves stay indexed by cluster id.
+        let ids: Vec<char> = t.profiles().iter().map(|p| p.label).collect();
+        assert_eq!(ids, ['C', '?', 'A', 'B']);
     }
 
     #[test]

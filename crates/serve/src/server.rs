@@ -1209,6 +1209,8 @@ fn parse_probe_job(request: &Request) -> Result<Job, Response> {
 
 /// `POST /v1/classify` — body:
 /// `{"job_name": "...", "tasks": ["<batch_task CSV row>", ...]}`.
+/// The answer's `group` is the size-ordered label; `cluster` is the group
+/// model's internal k-means id, arbitrary and not stable across builds.
 fn classify(request: &Request, index: &ServeIndex) -> Response {
     let job = match parse_probe_job(request) {
         Ok(job) => job,
@@ -1433,7 +1435,7 @@ mod tests {
         assert_eq!(body.get("groups").unwrap().as_arr().unwrap().len(), 5);
         assert_eq!(
             body.get("cluster_engine").unwrap().as_str(),
-            Some("dense"),
+            Some("collapsed"),
             "engine provenance flows from snapshot meta to the census"
         );
         let spectrum = body.get("laplacian_eigenvalues").unwrap().as_arr().unwrap();

@@ -5,11 +5,11 @@
 //! chains and 90.6% of the dominant group are ≤3-task jobs (§V-B, Fig 9),
 //! so the number of *distinct* WL feature vectors is orders of magnitude
 //! smaller than the job count. [`ShapeDedup`] collapses the population into
-//! (unique shape, multiplicity) pairs; [`unique_gram`] assembles the Gram
-//! matrix of the unique shapes from the feature→shape inverted index, so
-//! only co-occurring feature pairs ever contribute a multiply-add
-//! (Shervashidze et al., JMLR 2011, §5); [`expand_gram`] broadcasts the
-//! unique-shape Gram back to the full job population.
+//! (unique shape, multiplicity) pairs; [`unique_gram_sparse`] assembles the
+//! Gram matrix of the unique shapes from the feature→shape inverted index,
+//! so only co-occurring feature pairs ever contribute a multiply-add
+//! (Shervashidze et al., JMLR 2011, §5), and stores it as symmetric CSR;
+//! job `i`'s row is its shape's, `shape_of[i]`.
 //!
 //! # Bit-identity invariant
 //!
@@ -29,7 +29,7 @@
 
 use std::hash::Hasher;
 
-use dagscope_linalg::{CsrSym, SymMatrix};
+use dagscope_linalg::CsrSym;
 use dagscope_par::par_map;
 
 use crate::fx::{FxHashMap, FxHasher};
@@ -168,68 +168,15 @@ pub struct GramStats {
     pub candidate_pairs: u64,
 }
 
-/// Gram matrix of `shapes` assembled from the feature→shape inverted
-/// index, parallelized over rows with the `dagscope-par` chunk machinery.
-///
-/// Only shape pairs sharing at least one feature are ever visited; all
-/// other entries stay exactly `0.0`. Each computed entry is bitwise equal
-/// to `shapes[a].dot(shapes[b])` (see the module invariant).
-pub fn unique_gram(shapes: &[&SparseVec]) -> (SymMatrix, GramStats) {
-    let m = shapes.len();
-    let mut postings: FxHashMap<u32, Vec<(u32, f64)>> = FxHashMap::default();
-    for (s, f) in shapes.iter().enumerate() {
-        for (idx, v) in f.iter() {
-            postings.entry(idx).or_default().push((s as u32, v));
-        }
-    }
-    let rows: Vec<usize> = (0..m).collect();
-    let per_row = par_map(&rows, |&a| {
-        // Dense row segment `a..m`; untouched offsets keep the exact 0.0
-        // a merge join over disjoint supports would return.
-        let width = m - a;
-        let mut row = vec![0.0f64; width];
-        let mut touched = vec![false; width];
-        let mut pairs = 0u64;
-        for (idx, va) in shapes[a].iter() {
-            let Some(list) = postings.get(&idx) else {
-                continue;
-            };
-            let start = list.partition_point(|&(s, _)| (s as usize) < a);
-            for &(b, vb) in &list[start..] {
-                let off = b as usize - a;
-                if !touched[off] {
-                    touched[off] = true;
-                    pairs += 1;
-                }
-                row[off] += va * vb;
-            }
-        }
-        (row, pairs)
-    });
-    let mut packed = Vec::with_capacity(m * (m + 1) / 2);
-    let mut dots = 0u64;
-    for (row, pairs) in per_row {
-        packed.extend_from_slice(&row);
-        dots += pairs;
-    }
-    let stats = GramStats {
-        jobs: m,
-        unique_shapes: m,
-        dot_products: dots,
-        candidate_pairs: dots,
-    };
-    (SymMatrix::from_packed(m, packed), stats)
-}
-
 /// Gram matrix of `shapes` assembled **directly into symmetric CSR**
-/// from the feature→shape inverted index — the trace-scale sibling of
-/// [`unique_gram`] that never materializes the packed `m × m` triangle.
+/// from the feature→shape inverted index, parallelized over rows with
+/// the `dagscope-par` chunk machinery; the packed `m × m` triangle is
+/// never materialized.
 ///
 /// Peak affinity memory is `O(nnz)`: only shape pairs sharing a feature
-/// occupy storage; every other entry is structurally absent (exactly the
-/// `0.0` the dense path stores). Each stored value is produced by the
-/// same per-row accumulation sequence as [`unique_gram`], so it is
-/// **bitwise identical** to the corresponding dense entry (see the
+/// occupy storage; every other entry is structurally absent, the exact
+/// `0.0` a merge join over disjoint supports would return. Each stored
+/// value is **bitwise identical** to `shapes[a].dot(shapes[b])` (see the
 /// module invariant).
 pub fn unique_gram_sparse(shapes: &[&SparseVec]) -> (CsrSym, GramStats) {
     let m = shapes.len();
@@ -241,8 +188,8 @@ pub fn unique_gram_sparse(shapes: &[&SparseVec]) -> (CsrSym, GramStats) {
     }
     let rows: Vec<usize> = (0..m).collect();
     let per_row = par_map(&rows, |&a| {
-        // Same dense row-segment scratch and accumulation order as
-        // `unique_gram`, compacted to (column, value) pairs afterwards.
+        // Dense row segment `a..m` as scratch, compacted to (column,
+        // value) pairs afterwards.
         let width = m - a;
         let mut row = vec![0.0f64; width];
         let mut touched = vec![false; width];
@@ -316,44 +263,6 @@ pub fn normalize_unique_sparse(k: &CsrSym) -> CsrSym {
     CsrSym::from_upper_rows(&rows)
 }
 
-/// Broadcast a unique-shape Gram back to the full job population:
-/// `K[i][j] = U[shape(i)][shape(j)]`.
-pub fn expand_gram(dedup: &ShapeDedup, unique: &SymMatrix) -> SymMatrix {
-    let n = dedup.len();
-    let shape_of = dedup.shape_of();
-    let mut packed = Vec::with_capacity(n * (n + 1) / 2);
-    for i in 0..n {
-        let si = shape_of[i];
-        for &sj in &shape_of[i..] {
-            packed.push(unique.get(si, sj));
-        }
-    }
-    SymMatrix::from_packed(n, packed)
-}
-
-/// The full kernel matrix through a precomputed [`ShapeDedup`]: unique
-/// Gram via the inverted index, then expansion. Bitwise equal to
-/// [`kernel_matrix`](crate::kernel_matrix) on the same features.
-pub fn kernel_matrix_via_dedup(
-    dedup: &ShapeDedup,
-    features: &[SparseVec],
-) -> (SymMatrix, GramStats) {
-    let shapes: Vec<&SparseVec> = dedup
-        .representatives()
-        .iter()
-        .map(|&r| &features[r])
-        .collect();
-    let (unique, mut stats) = unique_gram(&shapes);
-    stats.jobs = features.len();
-    (expand_gram(dedup, &unique), stats)
-}
-
-/// Dedup + inverted-index kernel matrix in one call.
-pub fn kernel_matrix_dedup(features: &[SparseVec]) -> (SymMatrix, GramStats) {
-    let dedup = ShapeDedup::from_features(features);
-    kernel_matrix_via_dedup(&dedup, features)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,7 +309,7 @@ mod tests {
     fn unique_gram_matches_pairwise_dots_bitwise() {
         let feats = population();
         let refs: Vec<&SparseVec> = feats.iter().collect();
-        let (gram, stats) = unique_gram(&refs);
+        let (gram, stats) = unique_gram_sparse(&refs);
         for i in 0..feats.len() {
             for j in 0..feats.len() {
                 assert_eq!(
@@ -420,12 +329,19 @@ mod tests {
     fn dedup_kernel_is_bitwise_equal_to_brute_force() {
         let feats = population();
         let oracle = kernel_matrix(&feats);
-        let (dedup, stats) = kernel_matrix_dedup(&feats);
-        assert_eq!(dedup.n(), oracle.n());
-        for (a, b) in dedup.packed().iter().zip(oracle.packed()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let dedup = ShapeDedup::from_features(&feats);
+        let reps: Vec<&SparseVec> = dedup.representatives().iter().map(|&r| &feats[r]).collect();
+        let (gram, stats) = unique_gram_sparse(&reps);
+        let shape = dedup.shape_of();
+        for i in 0..feats.len() {
+            for j in 0..feats.len() {
+                assert_eq!(
+                    gram.get(shape[i], shape[j]).to_bits(),
+                    oracle.get(i, j).to_bits(),
+                    "entry ({i},{j})"
+                );
+            }
         }
-        assert_eq!(stats.jobs, 7);
         assert_eq!(stats.unique_shapes, 4);
         // 4 unique shapes → at most 10 pair dots instead of 28.
         assert!(stats.dot_products <= 10);
@@ -435,10 +351,10 @@ mod tests {
     fn sparse_gram_is_bitwise_equal_to_dense_engine() {
         let feats = population();
         let refs: Vec<&SparseVec> = feats.iter().collect();
-        let (dense, dense_stats) = unique_gram(&refs);
-        let (sparse, sparse_stats) = unique_gram_sparse(&refs);
+        let dense = kernel_matrix(&feats);
+        let (sparse, stats) = unique_gram_sparse(&refs);
         assert_eq!(sparse.n(), dense.n());
-        assert_eq!(dense_stats, sparse_stats);
+        assert_eq!(stats.unique_shapes, feats.len());
         for i in 0..feats.len() {
             for j in 0..feats.len() {
                 assert_eq!(
@@ -456,9 +372,8 @@ mod tests {
     fn sparse_normalization_matches_dense_bitwise() {
         let feats = population();
         let refs: Vec<&SparseVec> = feats.iter().collect();
-        let (dense, _) = unique_gram(&refs);
         let (sparse, _) = unique_gram_sparse(&refs);
-        let dn = crate::normalize_kernel(&dense);
+        let dn = crate::normalize_kernel(&kernel_matrix(&feats));
         let sn = normalize_unique_sparse(&sparse);
         for i in 0..feats.len() {
             for j in 0..feats.len() {
@@ -477,7 +392,7 @@ mod tests {
 
     #[test]
     fn empty_population() {
-        let (gram, stats) = kernel_matrix_dedup(&[]);
+        let (gram, stats) = unique_gram_sparse(&[]);
         assert_eq!(gram.n(), 0);
         assert_eq!(stats.unique_shapes, 0);
         let d = ShapeDedup::from_features(&[]);

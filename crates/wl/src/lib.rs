@@ -36,10 +36,7 @@ mod vectorizer;
 
 pub use cache::KernelCache;
 pub use fx::FxHashMap;
-pub use gram::{
-    expand_gram, fingerprint, kernel_matrix_dedup, kernel_matrix_via_dedup,
-    normalize_unique_sparse, unique_gram, unique_gram_sparse, GramStats, ShapeDedup,
-};
+pub use gram::{fingerprint, normalize_unique_sparse, unique_gram_sparse, GramStats, ShapeDedup};
 pub use kernel::{kernel_matrix, normalize_kernel, wl_kernel};
 pub use sp::{sp_kernel, SpVectorizer};
 pub use sparse::SparseVec;

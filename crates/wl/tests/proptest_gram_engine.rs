@@ -10,7 +10,7 @@ use rand::SeedableRng;
 
 use dagscope_graph::JobDag;
 use dagscope_trace::gen::{build_shape, ShapeKind};
-use dagscope_wl::{kernel_matrix, kernel_matrix_dedup, KernelCache, WlVectorizer};
+use dagscope_wl::{kernel_matrix, unique_gram_sparse, KernelCache, ShapeDedup, WlVectorizer};
 
 fn shape_strategy() -> impl Strategy<Value = ShapeKind> {
     prop::sample::select(ShapeKind::ALL.to_vec())
@@ -48,13 +48,19 @@ proptest! {
         let mut wl = WlVectorizer::new(h);
         let feats = wl.transform_all_sequential(&dags);
         let oracle = kernel_matrix(&feats);
-        let (engine, stats) = kernel_matrix_dedup(&feats);
-        prop_assert_eq!(engine.n(), oracle.n());
-        for (a, b) in engine.packed().iter().zip(oracle.packed()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+        let dedup = ShapeDedup::from_features(&feats);
+        let reps: Vec<_> = dedup.representatives().iter().map(|&r| &feats[r]).collect();
+        let (engine, stats) = unique_gram_sparse(&reps);
+        let shape = dedup.shape_of();
+        for i in 0..dags.len() {
+            for j in 0..dags.len() {
+                prop_assert_eq!(
+                    engine.get(shape[i], shape[j]).to_bits(),
+                    oracle.get(i, j).to_bits()
+                );
+            }
         }
-        prop_assert_eq!(stats.jobs, dags.len());
-        prop_assert!(stats.unique_shapes <= stats.jobs);
+        prop_assert!(stats.unique_shapes <= dags.len());
     }
 
     #[test]

@@ -116,7 +116,13 @@ fn main() {
         }
     }
 
-    println!("incoming jobs per matched group (raw cluster ids): {per_group:?}");
+    let per_label: Vec<String> = report
+        .groups
+        .groups
+        .iter()
+        .map(|g| format!("{} {}", g.label, per_group[g.cluster]))
+        .collect();
+    println!("incoming jobs per matched group: {}", per_label.join(", "));
     println!(
         "median relative error — CPU volume: {:.0} %, makespan lower bound: {:.0} %",
         100.0 * median(&mut cpu_err),
