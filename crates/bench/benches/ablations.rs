@@ -11,7 +11,7 @@ use dagscope_par::ParScope;
 use dagscope_trace::filter::{stratified_sample, SampleCriteria};
 use dagscope_trace::gen::{build_shape, GeneratorConfig, ShapeKind, TraceGenerator};
 use dagscope_wl::{
-    ged, kernel_matrix, normalize_kernel, normalize_unique_sparse, unique_gram_sparse, ShapeDedup,
+    ged, kernel_matrix, normalize_kernel, normalize_kernel_in_place, unique_gram, ShapeDedup,
     SparseVec, WlVectorizer,
 };
 use rand::rngs::StdRng;
@@ -56,7 +56,7 @@ fn ablate_wl_iterations(c: &mut Criterion) {
 }
 
 /// Kernel + clustering with and without node conflation, through the
-/// pipeline's route: shape dedup, sparse unique-shape Gram, collapsed
+/// pipeline's route: shape dedup, packed unique-shape Gram, collapsed
 /// spectral clustering.
 fn ablate_conflation(c: &mut Criterion) {
     let raw = sample_dags(100, 7);
@@ -70,8 +70,9 @@ fn ablate_conflation(c: &mut Criterion) {
                 let dedup = ShapeDedup::from_features(&feats);
                 let reps: Vec<&SparseVec> =
                     dedup.representatives().iter().map(|&r| &feats[r]).collect();
-                let sim = normalize_unique_sparse(&unique_gram_sparse(&reps).0);
-                let res =
+                let (mut sim, _) = unique_gram(&reps);
+                normalize_kernel_in_place(&mut sim);
+                let (res, _) =
                     spectral_cluster_collapsed(&sim, &dedup.weights(), &SpectralConfig::default())
                         .unwrap();
                 black_box(res.assignments.len())

@@ -1,17 +1,17 @@
 //! Spectral-clustering engine cost: dense NJW (full Laplacian + Jacobi
-//! eigendecomposition over every sampled job) vs the collapsed sparse
-//! engine (CSR unique-shape affinity + Lanczos smallest-k eigenpairs +
-//! weighted k-means), over synthetic traces at three population scales
-//! (100 / 10k / 100k jobs).
+//! eigendecomposition over every sampled job) vs the collapsed engine
+//! (packed unique-shape affinity + Lanczos smallest-k eigenpairs +
+//! weighted k-means, the pipeline's route), over synthetic traces at
+//! three population scales (100 / 10k / 100k jobs).
 //!
 //! After the Criterion pass the bench writes `BENCH_cluster.json` at the
 //! repository root. The dense engine is only timed at the smallest scale
 //! — its affinity alone is `jobs·(jobs+1)/2` doubles (8.4 GB at the
 //! 100k trace) and the Jacobi sweep is O(jobs³) — so at larger scales
-//! the JSON records the *exact memory counts* (packed dense entries vs
-//! stored CSR entries) flagged `"timed": false`. Those counts are the
-//! hardware-independent story: peak affinity memory drops from
-//! O(jobs²) to O(nnz) regardless of core count.
+//! the JSON records the *exact memory counts* (packed job-matrix entries
+//! vs packed unique-shape entries) flagged `"timed": false`. Those counts
+//! are the hardware-independent story: peak affinity memory drops from
+//! O(jobs²) to O(shapes²) regardless of core count.
 //!
 //! At 100 jobs the collapsed partition is asserted **ARI == 1.0**
 //! against the dense oracle — the bench doubles as the equivalence
@@ -27,12 +27,12 @@ use dagscope_cluster::{
     SpectralConfig,
 };
 use dagscope_graph::{conflate, JobDag};
-use dagscope_linalg::CsrSym;
+use dagscope_linalg::SymMatrix;
 use dagscope_trace::filter::SampleCriteria;
 use dagscope_trace::gen::{GeneratorConfig, TraceGenerator};
 use dagscope_wl::{
-    kernel_matrix, normalize_kernel, normalize_unique_sparse, unique_gram_sparse, ShapeDedup,
-    SparseVec, WlVectorizer,
+    kernel_matrix, normalize_kernel, normalize_kernel_in_place, unique_gram, ShapeDedup, SparseVec,
+    WlVectorizer,
 };
 
 /// Trace sizes swept; `CLUSTER_BENCH_MAX_JOBS` caps the sweep (CI smoke
@@ -79,16 +79,22 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     best
 }
 
-/// The collapsed engine end-to-end from raw features: dedup → sparse
-/// unique Gram → normalize → Lanczos spectral → expand. Returns the
-/// per-job assignments.
+/// The normalized packed unique-shape affinity, as the pipeline builds it.
+fn unique_affinity(reps: &[&SparseVec]) -> SymMatrix {
+    let (mut gram, _) = unique_gram(reps);
+    normalize_kernel_in_place(&mut gram);
+    gram
+}
+
+/// The collapsed engine from the unique affinity: Lanczos spectral →
+/// expand. Returns the per-job assignments.
 fn collapsed_assignments(
     dedup: &ShapeDedup,
-    affinity: &CsrSym,
+    affinity: &SymMatrix,
     cfg: &SpectralConfig,
 ) -> Vec<usize> {
     let weights = dedup.weights();
-    let spectral =
+    let (spectral, _) =
         spectral_cluster_collapsed(affinity, &weights, cfg).expect("collapsed spectral succeeds");
     expand_assignments(dedup.shape_of(), &spectral.assignments)
 }
@@ -98,8 +104,8 @@ struct SizeResult {
     unique_shapes: usize,
     dense_entries: u64,
     dense_secs: Option<f64>,
-    sparse_nnz: u64,
-    sparse_gram_secs: f64,
+    unique_entries: u64,
+    gram_secs: f64,
     collapsed_secs: f64,
     ari_vs_dense: Option<f64>,
 }
@@ -110,12 +116,8 @@ fn measure_size(jobs: usize, cfg: &SpectralConfig) -> SizeResult {
     let dedup = ShapeDedup::from_features(&feats);
     let m = dedup.unique_count();
     let reps: Vec<&SparseVec> = dedup.representatives().iter().map(|&r| &feats[r]).collect();
-    let sparse_gram_secs = best_of(3, || {
-        let (gram, _) = unique_gram_sparse(&reps);
-        normalize_unique_sparse(&gram)
-    });
-    let (gram, _) = unique_gram_sparse(&reps);
-    let affinity = normalize_unique_sparse(&gram);
+    let gram_secs = best_of(3, || unique_affinity(&reps));
+    let affinity = unique_affinity(&reps);
     let collapsed_secs = best_of(3, || collapsed_assignments(&dedup, &affinity, cfg));
     let collapsed = collapsed_assignments(&dedup, &affinity, cfg);
 
@@ -145,8 +147,8 @@ fn measure_size(jobs: usize, cfg: &SpectralConfig) -> SizeResult {
         unique_shapes: m,
         dense_entries,
         dense_secs,
-        sparse_nnz: affinity.nnz() as u64,
-        sparse_gram_secs,
+        unique_entries: affinity.packed().len() as u64,
+        gram_secs,
         collapsed_secs,
         ari_vs_dense,
     }
@@ -180,11 +182,11 @@ fn write_bench_json(results: &[SizeResult]) {
             r.jobs as f64 / r.unique_shapes as f64,
             r.dense_entries,
             dense_timing,
-            r.sparse_nnz,
-            r.sparse_gram_secs,
+            r.unique_entries,
+            r.gram_secs,
             r.collapsed_secs,
             ari,
-            r.sparse_nnz as f64 / r.dense_entries as f64,
+            r.unique_entries as f64 / r.dense_entries as f64,
         )
         .unwrap();
     }
@@ -193,8 +195,10 @@ fn write_bench_json(results: &[SizeResult]) {
          \"note\": \"best-of-3 wall clock; the collapsed partition is asserted ARI == 1.0 against \
          the dense oracle at 100 jobs. Dense entries with timed=false are exact packed-triangle \
          counts — running the O(jobs^2)-memory / O(jobs^3)-time dense engine at scale is \
-         infeasible (the 100k-trace affinity alone is 8.4 GB). cluster_secs covers Lanczos \
-         eigenpairs + weighted k-means over the deduplicated shapes; \
+         infeasible (the 100k-trace affinity alone is 8.4 GB). Collapsed affinity_entries count \
+         the packed unique-shape triangle, which WL affinities fill: shapes sharing a task kind \
+         have a positive dot. gram_secs covers unique_gram + in-place normalization, \
+         cluster_secs Lanczos eigenpairs + weighted k-means over the deduplicated shapes; \
          affinity_memory_fraction_of_dense is the hardware-independent saving and shrinks as \
          duplication grows with trace size\"\n}}\n"
     );
@@ -214,8 +218,7 @@ fn bench_cluster(c: &mut Criterion) {
     let feats = features_for(SIZES[0]);
     let dedup = ShapeDedup::from_features(&feats);
     let reps: Vec<&SparseVec> = dedup.representatives().iter().map(|&r| &feats[r]).collect();
-    let (gram, _) = unique_gram_sparse(&reps);
-    let affinity = normalize_unique_sparse(&gram);
+    let affinity = unique_affinity(&reps);
     let dense_affinity = normalize_kernel(&kernel_matrix(&feats));
     let mut group = c.benchmark_group("cluster_engines");
     group.sample_size(10);

@@ -1,8 +1,8 @@
-//! Sparse Gram engine cost: brute-force pairwise dots vs the inverted
-//! feature index vs fingerprint-dedup + inverted index (the pipeline's
-//! route: `ShapeDedup`, then `unique_gram_sparse` over the unique
-//! shapes), over synthetic traces at three population scales
-//! (100 / 10k / 100k jobs).
+//! Gram engine cost: brute-force pairwise dots vs the inverted feature
+//! index vs fingerprint-dedup + inverted index (the pipeline's route:
+//! `ShapeDedup`, then `unique_gram` filling the packed unique-shape
+//! triangle), over synthetic traces at three population scales (100 /
+//! 10k / 100k jobs).
 //!
 //! After the Criterion pass the bench writes `BENCH_kernel.json` at the
 //! repository root. Wall-clock speedups on a 1-CPU host understate the
@@ -25,12 +25,10 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dagscope_graph::{conflate, JobDag};
-use dagscope_linalg::CsrSym;
+use dagscope_linalg::SymMatrix;
 use dagscope_trace::filter::SampleCriteria;
 use dagscope_trace::gen::{GeneratorConfig, TraceGenerator};
-use dagscope_wl::{
-    kernel_matrix, unique_gram_sparse, GramStats, ShapeDedup, SparseVec, WlVectorizer,
-};
+use dagscope_wl::{kernel_matrix, unique_gram, GramStats, ShapeDedup, SparseVec, WlVectorizer};
 
 /// Trace sizes swept; `KERNEL_BENCH_MAX_JOBS` caps the sweep (CI smoke
 /// sets 100).
@@ -81,7 +79,7 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
 /// own block to `m(m+1)/2`). Co-occurrence is read off the unique Gram —
 /// WL counts are nonnegative, so shapes share a feature iff their dot is
 /// nonzero.
-fn inverted_dots_without_dedup(dedup: &ShapeDedup, unique: &CsrSym) -> u64 {
+fn inverted_dots_without_dedup(dedup: &ShapeDedup, unique: &SymMatrix) -> u64 {
     let m = dedup.unique_count();
     let mult = dedup.multiplicities();
     let mut dots = 0u64;
@@ -116,8 +114,8 @@ fn measure_size(jobs: usize) -> SizeResult {
     let dedup = ShapeDedup::from_features(&feats);
     let m = dedup.unique_count();
     let reps: Vec<&SparseVec> = dedup.representatives().iter().map(|&r| &feats[r]).collect();
-    let dedup_secs = best_of(3, || unique_gram_sparse(&reps));
-    let (unique, dedup_stats) = unique_gram_sparse(&reps);
+    let dedup_secs = best_of(3, || unique_gram(&reps));
+    let (unique, dedup_stats) = unique_gram(&reps);
 
     let brute_dots = (n * (n + 1) / 2) as u64;
     let (brute_secs, inverted_dots, inverted_secs) = if n <= ORACLE_TIMED_MAX {
@@ -139,9 +137,9 @@ fn measure_size(jobs: usize) -> SizeResult {
             "dedup+inverted Gram must match the brute-force oracle byte-for-byte"
         );
         let all: Vec<&SparseVec> = feats.iter().collect();
-        let (_, inv_stats) = unique_gram_sparse(&all);
+        let (_, inv_stats) = unique_gram(&all);
         let brute_secs = best_of(3, || kernel_matrix(&feats));
-        let inverted_secs = best_of(3, || unique_gram_sparse(&all));
+        let inverted_secs = best_of(3, || unique_gram(&all));
         (
             Some(brute_secs),
             inv_stats.dot_products,
@@ -229,10 +227,10 @@ fn bench_kernel(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("inverted", feats.len()), |b| {
         let all: Vec<&SparseVec> = feats.iter().collect();
-        b.iter(|| unique_gram_sparse(black_box(&all)))
+        b.iter(|| unique_gram(black_box(&all)))
     });
     group.bench_function(BenchmarkId::new("dedup_inverted", feats.len()), |b| {
-        b.iter(|| unique_gram_sparse(black_box(&reps)))
+        b.iter(|| unique_gram(black_box(&reps)))
     });
     group.finish();
 

@@ -89,8 +89,10 @@ GLOBAL FLAGS
                      instead of aborting on the first; implicated jobs
                      are dropped and a report goes to stderr
   --timings          summary/report: append per-stage wall-clock table,
-                     gram-engine cost counters, and the Laplacian
-                     eigengap diagnostic (with --trace also the ingest
+                     gram-engine cost counters, the Laplacian eigengap
+                     diagnostic, and the Lanczos solve's operator
+                     applications and max residual with the affinity's
+                     order and bytes (with --trace also the ingest
                      throughput in MB/s, the scan's batch count and how
                      long its read and fold stages waited on each other)
 ";
@@ -239,7 +241,7 @@ fn run_pipeline(flags: &Flags) -> Result<(Report, Option<Ingest>), CliError> {
 }
 
 /// Render the report's primary text, appending stage timings and the
-/// sparse Gram engine's cost counters on demand.
+/// Gram engine's and Lanczos solve's cost counters on demand.
 fn with_timings(flags: &Flags, report: &Report, ingest: Option<&Ingest>, body: String) -> String {
     if flags.switch("timings") {
         let mut out = format!("{body}\n{}", report.timings.render());
@@ -271,6 +273,23 @@ fn with_timings(flags: &Flags, report: &Report, ingest: Option<&Ingest>, body: S
             shown.join(", "),
             if eig.len() > 8 { ", …" } else { "" },
             report.groups.group_count()
+        )
+        .unwrap();
+        // The solve behind that spectrum, and the affinity it applied.
+        let unique = &report.similarity.unique;
+        let bytes = (8 * unique.packed().len()) as f64;
+        let size = if bytes >= 1e5 {
+            format!("{:.1} MB", bytes / 1e6)
+        } else {
+            format!("{:.1} kB", bytes / 1e3)
+        };
+        writeln!(
+            out,
+            "lanczos: {} operator applications, max residual {:.1e}; \
+             affinity {m}×{m} packed, {size}",
+            report.lanczos.applications,
+            report.lanczos.max_residual,
+            m = unique.n()
         )
         .unwrap();
         out
@@ -1113,6 +1132,16 @@ mod tests {
             "eigengap diagnostic: {out}"
         );
         assert!(out.contains("groups chosen: 5"));
+        let lanczos = out
+            .lines()
+            .find(|l| l.starts_with("lanczos: "))
+            .expect("Lanczos counters shown");
+        assert!(
+            lanczos.contains(" operator applications, max residual ")
+                && lanczos.contains(" packed, ")
+                && lanczos.ends_with(" kB"),
+            "{lanczos}"
+        );
         // Without the switch the table is absent.
         let plain = run(&argv("summary --jobs 200 --sample 20 --seed 3")).unwrap();
         assert!(!plain.contains("stage timings"));

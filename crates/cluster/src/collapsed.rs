@@ -1,14 +1,15 @@
-//! Sparse collapsed spectral clustering: the trace-scale engine.
+//! Collapsed spectral clustering: the trace-scale engine.
 //!
-//! [`spectral_cluster_collapsed`] is the sparse, matrix-free sibling of
+//! [`spectral_cluster_collapsed`] is the matrix-free sibling of
 //! [`spectral_cluster_weighted`](crate::spectral_cluster_weighted): the
-//! affinity arrives as a symmetric CSR over unique shapes
-//! (`dagscope_wl::unique_gram_sparse`), the collapsed normalized
-//! Laplacian is applied as an operator (`y = x − s∘(W(s∘x))` with
-//! `s_a = √w_a / √d_a`) and the smallest-k eigenpairs come from the
-//! Lanczos iteration — so clustering a 100k-job trace allocates `O(nnz)`
-//! for the affinity and `O(m·k)` for the embedding, never an `n × n` or
-//! dense `m × m` matrix.
+//! affinity arrives as the packed unique-shape similarity
+//! (`dagscope_wl::unique_gram`, normalized in place), the collapsed
+//! normalized Laplacian is applied as an operator (`y = x − s∘(W(s∘x))`
+//! with `s_a = √w_a / √d_a`) through one pass over the packed triangle,
+//! and the smallest-k eigenpairs come from the Lanczos iteration — so
+//! clustering a 100k-job trace allocates `m(m+1)/2` affinity entries for
+//! its `m` unique shapes and `O(m·k)` for the embedding, never an `n × n`
+//! matrix or a dense Laplacian.
 //!
 //! The multiplicity math is exactly `weighted.rs`'s: expanded degrees
 //! `d_a = Σ_b w_b·W[a][b]`, collapsed normalized adjacency
@@ -18,7 +19,7 @@
 //! expanded dense path (ARI == 1.0 on separated populations, pinned by
 //! proptests) but not floating-point bit-identical to it.
 
-use dagscope_linalg::{lanczos_smallest, CsrSym, LanczosOptions, LinOp};
+use dagscope_linalg::{lanczos_smallest, LanczosOptions, LinOp, SymMatrix};
 
 use crate::kmeans::KMeansConfig;
 use crate::spectral::{ClusterCount, SpectralConfig, SpectralResult};
@@ -28,7 +29,7 @@ use crate::weighted::kmeans_weighted;
 /// (`S = diag(s)`, `s_a = √w_a/√d_a`; zero-degree rows keep `s_a = 0`,
 /// reproducing the dense convention `L[a][a] = 1` for isolated shapes).
 struct CollapsedLaplacian<'a> {
-    affinity: &'a CsrSym,
+    affinity: &'a SymMatrix,
     scale: &'a [f64],
 }
 
@@ -69,17 +70,26 @@ fn eigengap_k(eigenvalues: &[f64], max_k: usize) -> usize {
 /// diagnostic surfaced in reports (`--timings`, `/v1/census`).
 const SPECTRUM_EXTRA: usize = 8;
 
-/// Spectral clustering of a deduplicated population from its **sparse**
+/// Work counters of the Lanczos solve inside [`spectral_cluster_collapsed`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct LanczosCounters {
+    /// Laplacian applications, one per Krylov basis vector.
+    pub applications: usize,
+    /// Largest residual bound `|β·z_last|` among the accepted eigenpairs.
+    pub max_residual: f64,
+}
+
+/// Spectral clustering of a deduplicated population from its packed
 /// unique-shape affinity. `weights[a]` is the multiplicity of shape `a`.
 /// Returns per-shape assignments (expand with
-/// [`expand_assignments`](crate::expand_assignments)); `eigenvalues`
-/// holds the computed ascending prefix of the collapsed Laplacian
-/// spectrum, not the full spectrum.
+/// [`expand_assignments`](crate::expand_assignments)), whose
+/// `eigenvalues` hold the computed ascending prefix of the collapsed
+/// Laplacian spectrum, not the full spectrum, and the solve's counters.
 pub fn spectral_cluster_collapsed(
-    affinity: &CsrSym,
+    affinity: &SymMatrix,
     weights: &[f64],
     cfg: &SpectralConfig,
-) -> Result<SpectralResult, String> {
+) -> Result<(SpectralResult, LanczosCounters), String> {
     let m = affinity.n();
     if m == 0 {
         return Err("empty affinity matrix".to_string());
@@ -91,27 +101,22 @@ pub fn spectral_cluster_collapsed(
         return Err("weights must be positive".to_string());
     }
     for a in 0..m {
-        let (cols, vals) = affinity.row(a);
-        for (&b, &v) in cols.iter().zip(vals) {
+        for (off, &v) in affinity.upper_row(a).iter().enumerate() {
             if v < -1e-12 {
-                return Err(format!("negative affinity at ({a},{b}): {v}"));
+                return Err(format!("negative affinity at ({a},{}): {v}", a + off));
             }
         }
     }
 
-    // Expanded degree of every job with shape a: d_a = Σ_b w_b·W[a][b]
-    // — a sparse row scan, absent entries contribute nothing.
-    let mut scale = vec![0.0f64; m];
-    for (a, s) in scale.iter_mut().enumerate() {
-        let (cols, vals) = affinity.row(a);
-        let mut d = 0.0;
-        for (&b, &v) in cols.iter().zip(vals) {
-            d += weights[b as usize] * v;
-        }
-        if d > 0.0 {
-            *s = weights[a].sqrt() / d.sqrt();
-        }
-    }
+    // Expanded degree of every job with shape a: d_a = Σ_b w_b·W[a][b],
+    // which is the product W·w summed in ascending b.
+    let mut degree = vec![0.0f64; m];
+    affinity.apply(weights, &mut degree);
+    let scale: Vec<f64> = degree
+        .iter()
+        .zip(weights)
+        .map(|(&d, &w)| if d > 0.0 { w.sqrt() / d.sqrt() } else { 0.0 })
+        .collect();
     let op = CollapsedLaplacian {
         affinity,
         scale: &scale,
@@ -157,12 +162,19 @@ pub fn spectral_cluster_collapsed(
         },
     );
 
-    Ok(SpectralResult {
-        assignments: km.assignments,
-        k,
-        eigenvalues: eig.eigenvalues,
-        embedding: emb,
-    })
+    let counters = LanczosCounters {
+        applications: eig.iterations,
+        max_residual: eig.max_residual,
+    };
+    Ok((
+        SpectralResult {
+            assignments: km.assignments,
+            k,
+            eigenvalues: eig.eigenvalues,
+            embedding: emb,
+        },
+        counters,
+    ))
 }
 
 #[cfg(test)]
@@ -171,7 +183,6 @@ mod tests {
     use crate::compare::adjusted_rand_index;
     use crate::spectral::spectral_cluster;
     use crate::weighted::{expand_assignments, spectral_cluster_weighted};
-    use dagscope_linalg::SymMatrix;
 
     fn two_block_unique() -> SymMatrix {
         let mut u = SymMatrix::zeros(4);
@@ -212,13 +223,15 @@ mod tests {
         };
         let full = spectral_cluster(&expanded, &cfg).unwrap();
         let weights: Vec<f64> = mult.iter().map(|&m| m as f64).collect();
-        let sparse = CsrSym::from_sym(&unique);
-        let reduced = spectral_cluster_collapsed(&sparse, &weights, &cfg).unwrap();
+        let (reduced, counters) = spectral_cluster_collapsed(&unique, &weights, &cfg).unwrap();
+        // k + SPECTRUM_EXTRA eigenpairs cap at m = 4: the basis spans R^4.
+        assert_eq!(counters.applications, 4);
+        assert!(counters.max_residual.is_finite());
         let expanded_reduced = expand_assignments(&shape_of, &reduced.assignments);
         assert_eq!(
             adjusted_rand_index(&full.assignments, &expanded_reduced),
             1.0,
-            "collapsed sparse path must produce the same partition"
+            "collapsed path must produce the same partition"
         );
     }
 
@@ -232,8 +245,7 @@ mod tests {
             n_init: 10,
         };
         let dense = spectral_cluster_weighted(&unique, &weights, &cfg).unwrap();
-        let sparse = CsrSym::from_sym(&unique);
-        let collapsed = spectral_cluster_collapsed(&sparse, &weights, &cfg).unwrap();
+        let (collapsed, _) = spectral_cluster_collapsed(&unique, &weights, &cfg).unwrap();
         assert_eq!(
             adjusted_rand_index(&dense.assignments, &collapsed.assignments),
             1.0
@@ -254,8 +266,7 @@ mod tests {
             n_init: 10,
         };
         let dense = spectral_cluster_weighted(&unique, &weights, &cfg).unwrap();
-        let sparse = CsrSym::from_sym(&unique);
-        let collapsed = spectral_cluster_collapsed(&sparse, &weights, &cfg).unwrap();
+        let (collapsed, _) = spectral_cluster_collapsed(&unique, &weights, &cfg).unwrap();
         assert_eq!(dense.k, collapsed.k);
         assert_eq!(
             adjusted_rand_index(&dense.assignments, &collapsed.assignments),
@@ -265,25 +276,27 @@ mod tests {
 
     #[test]
     fn rejects_bad_inputs() {
-        let sparse = CsrSym::from_sym(&two_block_unique());
+        let unique = two_block_unique();
         let cfg = SpectralConfig {
             k: ClusterCount::Fixed(2),
             ..Default::default()
         };
-        assert!(spectral_cluster_collapsed(&CsrSym::from_upper_rows(&[]), &[], &cfg).is_err());
-        assert!(spectral_cluster_collapsed(&sparse, &[1.0; 3], &cfg).is_err());
-        assert!(spectral_cluster_collapsed(&sparse, &[1.0, 0.0, 1.0, 1.0], &cfg).is_err());
+        assert!(spectral_cluster_collapsed(&SymMatrix::zeros(0), &[], &cfg).is_err());
+        assert!(spectral_cluster_collapsed(&unique, &[1.0; 3], &cfg).is_err());
+        assert!(spectral_cluster_collapsed(&unique, &[1.0, 0.0, 1.0, 1.0], &cfg).is_err());
         let bad_k = SpectralConfig {
             k: ClusterCount::Fixed(9),
             ..Default::default()
         };
-        assert!(spectral_cluster_collapsed(&sparse, &[1.0; 4], &bad_k).is_err());
+        assert!(spectral_cluster_collapsed(&unique, &[1.0; 4], &bad_k).is_err());
         let mut neg = SymMatrix::zeros(2);
         neg.set(0, 0, 1.0);
         neg.set(1, 1, 1.0);
         neg.set(0, 1, -0.5);
-        let neg = CsrSym::from_sym(&neg);
-        assert!(spectral_cluster_collapsed(&neg, &[1.0; 2], &cfg).is_err());
+        assert_eq!(
+            spectral_cluster_collapsed(&neg, &[1.0; 2], &cfg).unwrap_err(),
+            "negative affinity at (0,1): -0.5"
+        );
     }
 
     #[test]
@@ -294,14 +307,13 @@ mod tests {
         u.set(0, 0, 1.0);
         u.set(1, 1, 1.0);
         u.set(0, 1, 0.8);
-        let sparse = CsrSym::from_sym(&u);
         let cfg = SpectralConfig {
             k: ClusterCount::Fixed(2),
             seed: 3,
             n_init: 5,
         };
         let weights = [2.0, 1.0, 4.0];
-        let r = spectral_cluster_collapsed(&sparse, &weights, &cfg).unwrap();
+        let (r, _) = spectral_cluster_collapsed(&u, &weights, &cfg).unwrap();
         assert_eq!(r.assignments.len(), 3);
         assert_eq!(r.k, 2);
         // Agrees with the dense weighted engine on the same degenerate input.

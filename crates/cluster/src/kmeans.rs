@@ -94,6 +94,25 @@ fn nearest(centroids: &[Vec<f64>], p: &[f64]) -> (usize, f64) {
     best
 }
 
+/// The point an empty-cluster repair adopts: the last one at the largest
+/// distance from its centroid, as `Iterator::max_by` over `partial_cmp`
+/// picks it (`−0.0` ties `0.0`). Finite points never give a NaN distance
+/// to a finite centroid, but a repair can leave a centroid NaN: taking
+/// the last member of a cluster the loop has already passed makes that
+/// cluster's mean 0/0. With fewer distinct points than clusters
+/// (`[[2], [0], [2], [3]]` at k = 4) a later repair then measures a
+/// point it moved into that cluster against the NaN; a NaN distance
+/// ranks below every number, so that point stays.
+pub(crate) fn farthest(distances: impl Iterator<Item = (usize, f64)>) -> usize {
+    distances
+        .max_by(|a, b| {
+            a.1.partial_cmp(&b.1)
+                .unwrap_or_else(|| b.1.is_nan().cmp(&a.1.is_nan()))
+        })
+        .map(|(i, _)| i)
+        .expect("k-means runs on at least k >= 1 points")
+}
+
 fn lloyd(points: &Matrix, mut centroids: Vec<Vec<f64>>, max_iters: usize) -> KMeansResult {
     let n = points.rows();
     let d = points.cols();
@@ -119,10 +138,9 @@ fn lloyd(points: &Matrix, mut centroids: Vec<Vec<f64>>, max_iters: usize) -> KMe
         // Empty-cluster repair: adopt the point farthest from its centroid.
         for c in 0..k {
             if counts[c] == 0 {
-                let (far, _) = (0..n)
-                    .map(|i| (i, dist_sq(points.row(i), &centroids[assignments[i]])))
-                    .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-                    .unwrap();
+                let far = farthest(
+                    (0..n).map(|i| (i, dist_sq(points.row(i), &centroids[assignments[i]]))),
+                );
                 let old = assignments[far];
                 counts[old] -= 1;
                 for (s, x) in sums[old].iter_mut().zip(points.row(far)) {
@@ -330,5 +348,34 @@ mod tests {
             },
         );
         assert!(ten.inertia <= one.inertia + 1e-9);
+    }
+
+    #[test]
+    fn fewer_distinct_points_than_clusters_do_not_panic() {
+        // Three distinct points, four clusters: a repair empties a cluster
+        // the loop already passed, its mean goes 0/0, and a repair in a
+        // later iteration measures a point against that NaN centroid.
+        let pts = Matrix::from_rows(&[vec![2.0], vec![0.0], vec![2.0], vec![3.0]]);
+        let cfg = KMeansConfig {
+            k: 4,
+            seed: 11104492756352983652,
+            n_init: 1,
+            max_iters: 50,
+        };
+        let r = kmeans(&pts, &cfg);
+        assert!(r.assignments.iter().all(|&c| c < 4));
+        assert!(r.inertia.is_finite());
+    }
+
+    #[test]
+    fn farthest_keeps_max_by_ties_and_ranks_nan_lowest() {
+        // The last of equal maxima wins, −0.0 ties 0.0, NaN never wins.
+        assert_eq!(farthest([(0, 1.0), (1, 3.0), (2, 3.0)].into_iter()), 2);
+        assert_eq!(farthest([(0, 0.0), (1, -0.0)].into_iter()), 1);
+        assert_eq!(
+            farthest([(0, f64::NAN), (1, 0.5), (2, f64::NAN)].into_iter()),
+            1
+        );
+        assert_eq!(farthest([(0, 2.0), (1, f64::NAN)].into_iter()), 0);
     }
 }

@@ -16,9 +16,10 @@
 //! * [`weighted`] — multiplicity-weighted spectral/k-means over
 //!   deduplicated shape populations (the scalable path for traces whose
 //!   distinct-shape count is far below the job count),
-//! * [`collapsed`] — the sparse, matrix-free version of the weighted
-//!   path: CSR affinity + Lanczos smallest-k eigenpairs, so the full
-//!   trace clusters in `O(nnz)` affinity memory.
+//! * [`collapsed`] — the matrix-free version of the weighted path:
+//!   packed unique-shape affinity + Lanczos smallest-k eigenpairs, so the
+//!   full trace clusters in `m(m+1)/2` affinity entries for its `m`
+//!   unique shapes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +33,7 @@ pub mod spectral;
 pub mod validation;
 pub mod weighted;
 
-pub use collapsed::spectral_cluster_collapsed;
+pub use collapsed::{spectral_cluster_collapsed, LanczosCounters};
 pub use compare::{adjusted_rand_index, purity, rand_index};
 pub use hierarchical::{agglomerative, HierarchicalResult};
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};

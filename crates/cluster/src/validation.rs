@@ -1,7 +1,7 @@
 //! Internal cluster-validation indices and partition helpers.
 
 use dagscope_linalg::vector::dist;
-use dagscope_linalg::{CsrSym, Matrix, SymMatrix};
+use dagscope_linalg::{Matrix, SymMatrix};
 
 /// True when `assignments` uses every label `0..k` at least once and no
 /// label `>= k`.
@@ -93,16 +93,16 @@ pub fn silhouette_from_distances(distances: &SymMatrix, assignments: &[usize], k
 /// `d(a, t) = √(diag_a + diag_t − 2·S(a, t))`. Because the unique
 /// matrix is a *normalized* kernel, every diagonal is exactly `0.0` or
 /// `1.0`, so the distance from shape `a` to any shape it shares **no**
-/// stored entry with is analytically `√(diag_a + diag_t)` — one of two
-/// constants per row. Per-cluster totals therefore start from those
-/// defaults (weight sums split by diagonal value) and are corrected
-/// once per stored CSR entry: `O(m·k + nnz)` time, `O(m + k)` space.
+/// feature with (`S = 0`) is analytically `√(diag_a + diag_t)` — one of
+/// two constants per row. Per-cluster totals therefore start from those
+/// defaults (weight sums split by diagonal value) and are corrected once
+/// per nonzero entry of the row: `O(m·k + m²)` time, `O(m + k)` space.
 ///
 /// `shape_assignments` maps unique shapes (not jobs) to clusters;
 /// `weights[a]` is shape `a`'s job multiplicity. Equal to the dense
 /// silhouette up to floating-point summation order.
 pub fn silhouette_collapsed(
-    unique: &CsrSym,
+    unique: &SymMatrix,
     weights: &[f64],
     shape_assignments: &[usize],
     k: usize,
@@ -135,14 +135,12 @@ pub fn silhouette_collapsed(
             continue; // every job of this shape is a singleton cluster
         }
         let da = diag[a];
-        // Distance to a shape with no stored similarity: S = 0 exactly.
+        // Distance to a shape sharing no feature: S = 0 exactly.
         let d1 = (da + 1.0).sqrt();
         let d0 = da.sqrt();
         let mut sums: Vec<f64> = (0..k).map(|c| d1 * w1[c] + d0 * w0[c]).collect();
         // Correct the default for every shape actually sharing features.
-        let (cols, vals) = unique.row(a);
-        for (&t, &v) in cols.iter().zip(vals) {
-            let t = t as usize;
+        for (t, v) in unique.row_nonzeros(a) {
             let dt = diag[t];
             let default = (da + dt).sqrt();
             let actual = (da + dt - 2.0 * v).max(0.0).sqrt();
@@ -318,8 +316,7 @@ mod tests {
         // Shape 4 has an all-zero row (normalized diag 0).
         let weights = [2.0, 1.0, 3.0, 2.0, 2.0];
         let assignments = [0, 0, 1, 1, 1];
-        let sparse = CsrSym::from_sym(&unique);
-        let fast = silhouette_collapsed(&sparse, &weights, &assignments, 2);
+        let fast = silhouette_collapsed(&unique, &weights, &assignments, 2);
         let slow = dense_silhouette_oracle(&unique, &weights, &assignments, 2);
         assert!((fast - slow).abs() < 1e-12, "fast={fast} slow={slow}");
         assert!(fast > 0.0, "separated blocks must score positive: {fast}");
@@ -332,15 +329,14 @@ mod tests {
             unique.set(s, s, 1.0);
         }
         unique.set(0, 1, 0.9);
-        let sparse = CsrSym::from_sym(&unique);
         // k < 2 and n <= k are degenerate.
-        assert_eq!(silhouette_collapsed(&sparse, &[1.0; 3], &[0, 0, 0], 1), 0.0);
-        assert_eq!(silhouette_collapsed(&sparse, &[1.0; 3], &[0, 1, 2], 3), 0.0);
+        assert_eq!(silhouette_collapsed(&unique, &[1.0; 3], &[0, 0, 0], 1), 0.0);
+        assert_eq!(silhouette_collapsed(&unique, &[1.0; 3], &[0, 1, 2], 3), 0.0);
         // A singleton cluster contributes zero, exactly like the dense
         // convention.
         let weights = [2.0, 2.0, 1.0];
         let assignments = [0, 0, 1];
-        let fast = silhouette_collapsed(&sparse, &weights, &assignments, 2);
+        let fast = silhouette_collapsed(&unique, &weights, &assignments, 2);
         let slow = dense_silhouette_oracle(&unique, &weights, &assignments, 2);
         assert!((fast - slow).abs() < 1e-12, "fast={fast} slow={slow}");
     }

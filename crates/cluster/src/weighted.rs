@@ -24,7 +24,7 @@ use dagscope_linalg::{eigh, Matrix, SymMatrix};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::kmeans::{assign, KMeansConfig, KMeansResult};
+use crate::kmeans::{assign, farthest, KMeansConfig, KMeansResult};
 use crate::spectral::{ClusterCount, SpectralConfig, SpectralResult};
 
 /// k-means++ seeding with per-point weights: the first centroid is drawn
@@ -110,15 +110,12 @@ fn lloyd_weighted(
         // distance from its centroid.
         for c in 0..k {
             if mass[c] == 0.0 {
-                let (far, _) = (0..n)
-                    .map(|i| {
-                        (
-                            i,
-                            weights[i] * dist_sq(points.row(i), &centroids[assignments[i]]),
-                        )
-                    })
-                    .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-                    .unwrap();
+                let far = farthest((0..n).map(|i| {
+                    (
+                        i,
+                        weights[i] * dist_sq(points.row(i), &centroids[assignments[i]]),
+                    )
+                }));
                 let old = assignments[far];
                 mass[old] -= weights[far];
                 for (s, x) in sums[old].iter_mut().zip(points.row(far)) {
@@ -418,6 +415,23 @@ mod tests {
             ..Default::default()
         };
         assert!(spectral_cluster_weighted(&u, &[1.0; 4], &bad_k).is_err());
+    }
+
+    #[test]
+    fn fewer_distinct_points_than_clusters_do_not_panic() {
+        // Three distinct points, four clusters: a repair empties a cluster
+        // the loop already passed, its mean goes 0/0, and a repair in a
+        // later iteration measures a point against that NaN centroid.
+        let pts = Matrix::from_rows(&[vec![2.0], vec![0.0], vec![2.0], vec![3.0]]);
+        let cfg = KMeansConfig {
+            k: 4,
+            seed: 11104492756352983652,
+            n_init: 1,
+            max_iters: 50,
+        };
+        let r = kmeans_weighted(&pts, &[2.0, 2.0, 1.0, 2.0], &cfg);
+        assert!(r.assignments.iter().all(|&c| c < 4));
+        assert!(r.inertia.is_finite());
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Property tests pinning the sparse collapsed spectral engine to the
-//! expanded dense `spectral_cluster` oracle by ARI == 1.0 on generated
-//! multi-shape populations — the same contract `weighted.rs` carries,
-//! now for the CSR + Lanczos path. Fully separated blocks make the
+//! Property tests pinning the collapsed spectral engine to the expanded
+//! dense `spectral_cluster` oracle by ARI == 1.0 on generated multi-shape
+//! populations — the same contract `weighted.rs` carries, now for the
+//! packed-affinity + Lanczos path. Fully separated blocks make the
 //! recovery provable (both engines must find the blocks), so the
 //! comparison cannot flake; zero cross-affinities also force eigenvalue
 //! multiplicities, exercising the Lanczos breakdown-restart logic.
@@ -12,7 +12,7 @@ use dagscope_cluster::{
     adjusted_rand_index, expand_assignments, spectral_cluster, spectral_cluster_collapsed,
     ClusterCount, SpectralConfig,
 };
-use dagscope_linalg::{CsrSym, SymMatrix};
+use dagscope_linalg::SymMatrix;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -41,11 +41,13 @@ proptest! {
         let k = sizes.len();
         let cfg = SpectralConfig { k: ClusterCount::Fixed(k), seed, n_init: 10 };
 
-        let sparse = CsrSym::from_sym(&unique);
-        // Affinity memory really is O(nnz): zeros are structurally absent.
+        // The row walks the silhouette and medoids use visit exactly the
+        // within-block entries: cross-block zeros are skipped.
         let within: usize = sizes.iter().map(|&s| s * s).sum();
-        prop_assert_eq!(sparse.nnz(), within);
-        let collapsed = spectral_cluster_collapsed(&sparse, &weights, &cfg).unwrap();
+        let visited: usize = (0..m).map(|a| unique.row_nonzeros(a).count()).sum();
+        prop_assert_eq!(visited, within);
+        let (collapsed, counters) = spectral_cluster_collapsed(&unique, &weights, &cfg).unwrap();
+        prop_assert!(counters.applications >= k && counters.applications <= m);
 
         // Expand shapes into jobs (multiplicity copies each).
         let shape_of: Vec<usize> = (0..m)
@@ -74,8 +76,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // Weak cross-block affinity: still cleanly separated, but the
-        // affinity is fully dense (no structural zeros) and every
-        // eigenvalue is simple — the no-breakdown code path.
+        // affinity is fully dense (no zeros, like the pipeline's WL
+        // affinity) and every eigenvalue is simple — the no-breakdown code
+        // path.
         let m: usize = sizes.iter().sum();
         let block_of: Vec<usize> = sizes
             .iter()
@@ -96,8 +99,7 @@ proptest! {
         let weights: Vec<f64> = (0..m).map(|s| 1.0 + (s % 3) as f64).collect();
         let k = sizes.len();
         let cfg = SpectralConfig { k: ClusterCount::Fixed(k), seed, n_init: 10 };
-        let sparse = CsrSym::from_sym(&unique);
-        let collapsed = spectral_cluster_collapsed(&sparse, &weights, &cfg).unwrap();
+        let (collapsed, _) = spectral_cluster_collapsed(&unique, &weights, &cfg).unwrap();
         let shape_of: Vec<usize> = (0..m)
             .flat_map(|s| std::iter::repeat_n(s, weights[s] as usize))
             .collect();

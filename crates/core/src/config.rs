@@ -15,11 +15,11 @@ pub enum BaseKernel {
 /// The spectral-clustering engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterEngine {
-    /// Sparse collapsed path: CSR unique-shape affinity + Lanczos
-    /// smallest-k eigenpairs, weighted by shape multiplicities. O(nnz)
-    /// affinity memory; finds dense NJW's partition on well-separated
-    /// populations (ARI 1.0 on the paper-scale sample), not
-    /// floating-point-identical to it.
+    /// Collapsed path: packed unique-shape affinity + Lanczos smallest-k
+    /// eigenpairs, weighted by shape multiplicities. `m(m+1)/2` affinity
+    /// entries for `m` unique shapes; finds dense NJW's partition on
+    /// well-separated populations (ARI 1.0 on the paper-scale sample),
+    /// not floating-point-identical to it.
     Collapsed,
 }
 

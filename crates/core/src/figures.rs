@@ -185,9 +185,9 @@ pub struct SimilaritySummary {
 
 /// Compute the off-diagonal summary of a similarity matrix.
 ///
-/// Aggregates per stored CSR entry weighted by shape multiplicities
-/// (`O(m + nnz)` — absent entries are exact zeros, counted in bulk), so
-/// the summary never expands n×n.
+/// Aggregates per nonzero unique-shape entry weighted by shape
+/// multiplicities (`O(m²)` for `m` shapes — zero entries are counted in
+/// bulk), so the summary never expands n×n.
 pub fn fig7_summary(similarity: &Similarity) -> SimilaritySummary {
     let Similarity { unique, shape_of } = similarity;
     let n = shape_of.len();
@@ -210,14 +210,13 @@ pub fn fig7_summary(similarity: &Similarity) -> SimilaritySummary {
     let mut max = f64::NEG_INFINITY;
     let mut identical = 0usize;
     let mut covered = 0usize;
-    // One visit per stored upper-triangle entry. A diagonal entry stands
+    // One visit per nonzero upper-triangle entry. A diagonal entry stands
     // for the within-shape pairs (all at the shape's self-similarity); an
     // off-diagonal (a, b) entry stands for w_a·w_b cross pairs.
     for a in 0..unique.n() {
-        let (cols, vals) = unique.row(a);
-        for (&b, &v) in cols.iter().zip(vals) {
-            let b = b as usize;
-            if b < a {
+        for (off, &v) in unique.upper_row(a).iter().enumerate() {
+            let b = a + off;
+            if v == 0.0 {
                 continue;
             }
             let pairs = if b == a {
@@ -237,8 +236,8 @@ pub fn fig7_summary(similarity: &Similarity) -> SimilaritySummary {
             covered += pairs;
         }
     }
-    // Every pair without a stored entry is an exact zero (disjoint WL
-    // feature sets — or a zero φ vector, whose diagonal is also absent).
+    // Every pair not visited is an exact zero (disjoint WL feature sets —
+    // or a zero φ vector, whose diagonal is zero too).
     if covered < total_pairs {
         min = min.min(0.0);
         max = max.max(0.0);
@@ -429,7 +428,7 @@ pub fn render_pattern_census(census: &PatternCensus) -> String {
 mod tests {
     use super::*;
     use crate::{Pipeline, PipelineConfig};
-    use dagscope_linalg::{CsrSym, SymMatrix};
+    use dagscope_linalg::SymMatrix;
 
     /// Dense oracle: every off-diagonal pair of the expanded matrix.
     fn fig7_summary_dense(similarity: &SymMatrix) -> SimilaritySummary {
@@ -550,7 +549,7 @@ mod tests {
         assert_eq!(s.mean, 0.0);
         assert_eq!(s.identical_pairs, 0);
         let c = fig7_summary(&Similarity {
-            unique: CsrSym::from_sym(&SymMatrix::zeros(1)),
+            unique: SymMatrix::zeros(1),
             shape_of: vec![0],
         });
         assert_eq!(c.mean, 0.0);
@@ -563,9 +562,9 @@ mod tests {
         unique.set(0, 0, 1.0);
         unique.set(1, 1, 1.0);
         unique.set(0, 1, 0.25);
-        // Shape 2 has a zero φ vector: absent row, zero diagonal.
+        // Shape 2 has a zero φ vector: zero row, zero diagonal.
         let collapsed = Similarity {
-            unique: CsrSym::from_sym(&unique),
+            unique,
             shape_of: vec![0, 0, 1, 2, 2, 1],
         };
         let fast = fig7_summary(&collapsed);

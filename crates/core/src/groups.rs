@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use dagscope_graph::metrics::JobFeatures;
 use dagscope_graph::pattern::{self, Pattern};
 use dagscope_graph::JobDag;
-use dagscope_linalg::CsrSym;
+use dagscope_linalg::SymMatrix;
 use dagscope_trace::gen::ShapeKind;
 
 /// Statistics of one clustered group.
@@ -80,7 +80,7 @@ impl GroupAnalysis {
         k: usize,
         dags: &[JobDag],
         features: &[JobFeatures],
-        unique: &CsrSym,
+        unique: &SymMatrix,
         shape_of: &[usize],
         weights: &[f64],
     ) -> GroupAnalysis {
@@ -111,24 +111,27 @@ impl GroupAnalysis {
 
         // Medoid totals per group: every member of shape `a` has the same
         // summed similarity U(a) = Σ_t count_g(t)·S(a, t), computed by one
-        // sparse row scan per distinct member shape.
+        // walk over the nonzero entries of row `a` per distinct member
+        // shape; `count[t]` is 0.0 for a shape with no member in the group.
+        let m = unique.n();
         let totals = |ms: &[usize]| -> Vec<f64> {
-            let mut count_g: std::collections::HashMap<usize, f64> =
-                std::collections::HashMap::new();
+            let mut count = vec![0.0f64; m];
             for &i in ms {
-                *count_g.entry(shape_of[i]).or_insert(0.0) += 1.0;
+                count[shape_of[i]] += 1.0;
             }
-            let mut u_of: std::collections::HashMap<usize, f64> = std::collections::HashMap::new();
-            for &a in count_g.keys() {
-                let (cols, vals) = unique.row(a);
-                let u = cols
-                    .iter()
-                    .zip(vals)
-                    .filter_map(|(&t, &v)| count_g.get(&(t as usize)).map(|c| c * v))
-                    .sum();
-                u_of.insert(a, u);
-            }
-            ms.iter().map(|&i| u_of[&shape_of[i]]).collect()
+            let u: Vec<f64> = (0..m)
+                .map(|a| {
+                    if count[a] == 0.0 {
+                        return 0.0;
+                    }
+                    unique
+                        .row_nonzeros(a)
+                        .filter(|&(t, _)| count[t] > 0.0)
+                        .map(|(t, v)| count[t] * v)
+                        .sum()
+                })
+                .collect();
+            ms.iter().map(|&i| u[shape_of[i]]).collect()
         };
         assemble(assignments, k, dags, features, &totals, silhouette)
     }
@@ -187,11 +190,14 @@ fn assemble(
         let short = sizes.iter().filter(|&&s| s <= 3).count();
 
         // Medoid: member with the largest total similarity to the rest.
+        // A total sums member counts times normalized similarities, each
+        // a finite dot over √ of positive self-dots of WL count vectors,
+        // so no input makes one NaN.
         let totals = member_totals(ms);
         let representative = ms
             .iter()
             .zip(&totals)
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .max_by(|a, b| a.1.partial_cmp(b.1).expect("medoid totals are finite"))
             .map(|(&i, _)| dags[i].name.clone())
             .unwrap_or_default();
 
@@ -232,7 +238,6 @@ fn assemble(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dagscope_linalg::SymMatrix;
     use dagscope_trace::{Job, Status, TaskRecord};
 
     impl GroupAnalysis {
@@ -360,8 +365,8 @@ mod tests {
             .iter()
             .map(|&i| &wl_feats[i])
             .collect();
-        let (gram, _) = dagscope_wl::unique_gram_sparse(&reps);
-        let unique = dagscope_wl::normalize_unique_sparse(&gram);
+        let (mut unique, _) = dagscope_wl::unique_gram(&reps);
+        dagscope_wl::normalize_kernel_in_place(&mut unique);
         let weights = dedup.weights();
 
         let assignments = [0, 0, 0, 1];
@@ -398,7 +403,6 @@ mod tests {
         for s in 0..3 {
             unique.set(s, s, 1.0);
         }
-        let unique = CsrSym::from_sym(&unique);
         // Jobs 0 and 1 share shape 0 but sit in different clusters.
         GroupAnalysis::build_collapsed(
             &[0, 1, 0, 1],

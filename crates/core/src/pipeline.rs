@@ -12,7 +12,7 @@ use dagscope_trace::stream::StreamedTrace;
 use dagscope_trace::{Job, JobSet};
 
 use dagscope_wl::{
-    normalize_unique_sparse, unique_gram_sparse, ShapeDedup, SpVectorizer, SparseVec, WlVectorizer,
+    normalize_kernel_in_place, unique_gram, ShapeDedup, SpVectorizer, SparseVec, WlVectorizer,
 };
 use std::io::{Read, Seek};
 
@@ -166,8 +166,8 @@ impl Pipeline {
         timings.embed = clock.elapsed();
 
         // Gram assembly: collapse bitwise-identical φ vectors to unique
-        // shapes and scan the feature→shape inverted index into a sparse
-        // unique-shape affinity; the dense n×n matrix is never built.
+        // shapes and scan the feature→shape inverted index into the packed
+        // unique-shape affinity; the n×n job matrix is never built.
         let clock = Instant::now();
         let dedup = ShapeDedup::from_features(&wl_features);
         timings.dedup = clock.elapsed();
@@ -178,12 +178,12 @@ impl Pipeline {
             .iter()
             .map(|&i| &wl_features[i])
             .collect();
-        let (gram, mut gram_stats) = unique_gram_sparse(&reps);
-        // The sparse assembler only sees unique shapes; restore the
+        let (mut unique, mut gram_stats) = unique_gram(&reps);
+        // The assembler only sees unique shapes; restore the
         // population-level counters.
         gram_stats.jobs = wl_features.len();
         gram_stats.unique_shapes = dedup.unique_count();
-        let unique = normalize_unique_sparse(&gram);
+        normalize_kernel_in_place(&mut unique);
         timings.kernel = clock.elapsed();
 
         // Spectral grouping (Figs 8–9). Collapsed clustering assigns whole
@@ -199,7 +199,7 @@ impl Pipeline {
             n_init: 10,
         };
         let weights = dedup.weights();
-        let mut spectral = spectral_cluster_collapsed(&unique, &weights, &spectral_cfg)?;
+        let (mut spectral, lanczos) = spectral_cluster_collapsed(&unique, &weights, &spectral_cfg)?;
         spectral.assignments = expand_assignments(dedup.shape_of(), &spectral.assignments);
         // Group statistics describe the jobs as they ran (raw structure):
         // the similarity stage may look at conflated DAGs, but Fig 9's
@@ -232,6 +232,7 @@ impl Pipeline {
             wl_features,
             similarity,
             laplacian_eigenvalues: spectral.eigenvalues,
+            lanczos,
             groups,
             gram: Some(gram_stats),
             timings,
@@ -398,7 +399,7 @@ mod tests {
 
     #[test]
     fn dedup_path_is_bit_identical_to_brute_force() {
-        // The acceptance bar of the sparse Gram engine: the expanded
+        // The acceptance bar of the Gram engine: the expanded
         // similarity must match the brute-force all-pairs kernel bitwise,
         // on the paper-scale 100-job sample.
         let report = Pipeline::new(paper_scale()).run().unwrap();

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dagscope_cluster::GroupModel;
+use dagscope_cluster::{GroupModel, LanczosCounters};
 use dagscope_graph::conflate::conflate;
 use dagscope_graph::metrics::JobFeatures;
 use dagscope_graph::{DagShape, JobDag};
@@ -33,14 +33,16 @@ pub struct Report {
     pub features_conflated: Vec<JobFeatures>,
     /// WL φ vectors of the kernel-stage DAGs.
     pub wl_features: Vec<SparseVec>,
-    /// Normalized pairwise WL similarity (Fig 7), as the unique-shape
-    /// CSR plus the job→shape map.
+    /// Normalized pairwise WL similarity (Fig 7), as the packed
+    /// unique-shape triangle plus the job→shape map.
     pub similarity: Similarity,
     /// Ascending eigenvalues of the normalized Laplacian (diagnostics).
     pub laplacian_eigenvalues: Vec<f64>,
+    /// What the Lanczos solve behind those eigenvalues did.
+    pub lanczos: LanczosCounters,
     /// Spectral grouping and per-group statistics (Figs 8–9).
     pub groups: GroupAnalysis,
-    /// Cost counters of the sparse Gram engine (always `Some`).
+    /// Cost counters of the Gram engine (always `Some`).
     pub gram: Option<GramStats>,
     /// Per-stage wall-clock times for this run.
     pub timings: StageTimings,

@@ -1,18 +1,19 @@
 //! The pipeline's similarity matrix, in collapsed form.
 //!
-//! The report carries the **unique-shape** CSR similarity plus the
-//! job→shape map — `O(nnz)` memory, never the dense n×n expansion — and
-//! consumers read entries through [`Similarity::get`], which resolves job
-//! indices to shapes on the fly.
+//! The report carries the **unique-shape** similarity as a packed
+//! triangle plus the job→shape map — `m(m+1)/2` entries for `m` shapes,
+//! never the n×n job expansion — and consumers read entries through
+//! [`Similarity::get`], which resolves job indices to shapes on the fly.
 
-use dagscope_linalg::{CsrSym, SymMatrix};
+use dagscope_linalg::SymMatrix;
 
 /// Normalized pairwise job similarity (Fig 7): entry `(i, j)` is
-/// `unique[shape_of[i]][shape_of[j]]`; absent entries are exact zeros.
+/// `unique[shape_of[i]][shape_of[j]]`; shapes sharing no WL feature
+/// score an exact zero.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Similarity {
     /// Normalized unique-shape similarity (diag ∈ {0, 1} exactly).
-    pub unique: CsrSym,
+    pub unique: SymMatrix,
     /// Shape id of every sampled job, in sample order.
     pub shape_of: Vec<usize>,
 }
@@ -56,7 +57,7 @@ mod tests {
         unique.set(1, 1, 1.0);
         unique.set(0, 1, 0.5);
         Similarity {
-            unique: CsrSym::from_sym(&unique),
+            unique,
             shape_of: vec![0, 1, 0, 2],
         }
     }
@@ -68,7 +69,7 @@ mod tests {
         assert_eq!(s.get(0, 1), 0.5);
         assert_eq!(s.get(0, 2), 1.0, "same shape is fully similar");
         assert_eq!(s.get(1, 2), 0.5);
-        assert_eq!(s.get(0, 3), 0.0, "absent entries are exact zeros");
+        assert_eq!(s.get(0, 3), 0.0, "unrelated shapes are exact zeros");
         assert_eq!(s.get(3, 3), 0.0, "zero-diagonal shape");
     }
 

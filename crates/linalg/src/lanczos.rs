@@ -180,7 +180,13 @@ pub fn lanczos_smallest(
         if m >= k && (exhausted || (!breakdown && warmed && stride_ok)) {
             let (vals, z) = ritz_pairs(&alpha, &beta)?;
             let mut order: Vec<usize> = (0..m).collect();
-            order.sort_by(|&x, &y| vals[x].partial_cmp(&vals[y]).unwrap());
+            // `ritz_pairs` returns an error on a NaN Ritz value, so no
+            // input reaches this comparison with one.
+            order.sort_by(|&x, &y| {
+                vals[x]
+                    .partial_cmp(&vals[y])
+                    .expect("ritz_pairs rejects NaN")
+            });
             let worst = order[..k]
                 .iter()
                 .map(|&i| (b * z[(m - 1, i)]).abs())

@@ -7,8 +7,10 @@
 //! * [`Matrix`] — a row-major dense `f64` matrix with the handful of
 //!   operations the pipeline needs (products, transpose, norms),
 //! * [`SymMatrix`] — a packed symmetric matrix (upper triangle only),
-//! * [`CsrSym`] — a symmetric sparse matrix (CSR, both triangles stored)
-//!   whose SpMV is row-sharded over `dagscope-par`,
+//!   also the pipeline's unique-shape affinity: WL's iteration-0 labels
+//!   are task kinds, so any two shapes sharing a kind have a positive
+//!   dot and the affinity is dense (575 shapes of a 100k-job trace store
+//!   all 165,600 upper-triangle pairs),
 //! * [`eigh`] — Householder tridiagonalization + implicit-shift QL
 //!   eigendecomposition (the dense workhorse, `O(n³)` with a small
 //!   constant),
@@ -16,18 +18,17 @@
 //!   cross-check (tests validate the two against each other),
 //! * [`LinOp`] + [`lanczos_smallest`] — a matrix-free operator trait and
 //!   a fully reorthogonalized Lanczos iteration for the smallest-k
-//!   eigenpairs, the scale path that clusters the full trace without a
-//!   dense matrix,
+//!   eigenpairs, the scale path that clusters the full trace over its
+//!   unique shapes, never an n × n job matrix,
 //! * [`vector`] — small dense-vector helpers shared by k-means.
 //!
 //! No external BLAS/LAPACK: the matrices in this problem are small enough
 //! that clarity and auditability beat peak FLOPs; the trace-scale path is
-//! sparse and iterative rather than tuned-dense.
+//! collapsed to unique shapes and iterative rather than tuned-dense.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod csr;
 mod eigen;
 mod error;
 mod jacobi;
@@ -38,7 +39,6 @@ mod sym;
 mod tridiag;
 pub mod vector;
 
-pub use csr::CsrSym;
 pub use eigen::{eigh, EigenDecomposition};
 pub use error::LinalgError;
 pub use jacobi::eigh_jacobi;

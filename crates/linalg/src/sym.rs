@@ -78,6 +78,28 @@ impl SymMatrix {
         &self.data
     }
 
+    /// Row `i` of the packed triangle: entries `(i, i)` … `(i, n − 1)`.
+    #[inline]
+    pub fn upper_row(&self, i: usize) -> &[f64] {
+        let start = packed_index(self.n, i, i);
+        &self.data[start..start + self.n - i]
+    }
+
+    /// The nonzero entries `(j, A[i][j])` of full row `i`, columns
+    /// ascending: column `i` of the packed triangle down to the diagonal,
+    /// then packed row `i`. Exact zeros (either sign) are skipped.
+    pub fn row_nonzeros(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        (0..i)
+            .map(move |j| (j, self.get(j, i)))
+            .chain(
+                self.upper_row(i)
+                    .iter()
+                    .enumerate()
+                    .map(move |(off, &v)| (i + off, v)),
+            )
+            .filter(|&(_, v)| v != 0.0)
+    }
+
     /// Expand to a dense [`Matrix`].
     pub fn to_dense(&self) -> Matrix {
         let mut m = Matrix::zeros(self.n, self.n);
@@ -156,6 +178,21 @@ mod tests {
         s.set(1, 2, 5.0);
         s.set(2, 2, 6.0);
         assert_eq!(s.row_sums(), vec![6.0, 11.0, 14.0]);
+    }
+
+    #[test]
+    fn rows_walk_both_triangles_and_skip_zeros() {
+        let mut s = SymMatrix::zeros(3);
+        s.set(0, 0, 1.0);
+        s.set(0, 2, -0.5);
+        s.set(1, 1, -0.0);
+        s.set(1, 2, 2.0);
+        assert_eq!(s.upper_row(0), &[1.0, 0.0, -0.5]);
+        assert_eq!(s.upper_row(2), &[0.0]);
+        let row = |i| s.row_nonzeros(i).collect::<Vec<_>>();
+        assert_eq!(row(0), vec![(0, 1.0), (2, -0.5)]);
+        assert_eq!(row(1), vec![(2, 2.0)]);
+        assert_eq!(row(2), vec![(0, -0.5), (1, 2.0)]);
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Property tests pinning the Lanczos solver to the dense `eigh` oracle
 //! on random symmetric matrices: eigenvalue agreement within tolerance,
 //! and subspace agreement (projection leak) whenever the spectral gap at
-//! the cut makes the smallest-k subspace well conditioned.
+//! the cut makes the smallest-k subspace well conditioned. The packed
+//! `SymMatrix::apply` is pinned bit for bit to the row-order product that
+//! skips zero entries (the sparse product it replaced), alone and inside
+//! Lanczos.
 
 use proptest::prelude::*;
 
 use dagscope_linalg::vector::{axpy, dot, norm2};
-use dagscope_linalg::{eigh, lanczos_smallest, CsrSym, LanczosOptions, SymMatrix};
+use dagscope_linalg::{eigh, lanczos_smallest, LanczosOptions, LinOp, SymMatrix};
 
 fn random_sym(n: usize, entries: &[f64]) -> SymMatrix {
     let mut s = SymMatrix::zeros(n);
@@ -17,6 +20,39 @@ fn random_sym(n: usize, entries: &[f64]) -> SymMatrix {
         }
     }
     s
+}
+
+/// The sparse (CSR) row product: over the nonzero entries only, `y[i]`
+/// sums `A[i][j]·x[j]` for `j` ascending from `0.0`.
+struct RowOrder<'a>(&'a SymMatrix);
+
+impl LinOp for RowOrder<'_> {
+    fn dim(&self) -> usize {
+        self.0.n()
+    }
+
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        for (i, yi) in y.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (j, xj) in x.iter().enumerate() {
+                let v = self.0.get(i, j);
+                if v != 0.0 {
+                    acc += v * xj;
+                }
+            }
+            *yi = acc;
+        }
+    }
+}
+
+/// Map a selector onto a value: 0 → `0.0`, 1 → `-0.0`, else `v`, so a
+/// generated matrix or vector holds a share of exact zeros of both signs.
+fn with_zeros((sel, v): (u32, f64)) -> f64 {
+    match sel {
+        0 => 0.0,
+        1 => -0.0,
+        _ => v,
+    }
 }
 
 proptest! {
@@ -60,31 +96,51 @@ proptest! {
         }
     }
 
+    /// Lanczos through the packed apply reproduces Lanczos through the
+    /// CSR row product bit for bit.
     #[test]
     fn lanczos_on_csr_matches_dense_operator(n in 2usize..16, k in 1usize..4,
-                                             entries in prop::collection::vec(-4.0f64..4.0, 1..30)) {
+                                             entries in prop::collection::vec(
+                                                 (0u32..4, -4.0f64..4.0), 1..30)) {
         let k = k.min(n);
+        let entries: Vec<f64> = entries.into_iter().map(with_zeros).collect();
         let s = random_sym(n, &entries);
-        let sparse = CsrSym::from_sym(&s);
         let a = lanczos_smallest(&s, k, &LanczosOptions::default()).unwrap();
-        let b = lanczos_smallest(&sparse, k, &LanczosOptions::default()).unwrap();
+        let b = lanczos_smallest(&RowOrder(&s), k, &LanczosOptions::default()).unwrap();
+        prop_assert_eq!(a.iterations, b.iterations);
         for (x, y) in a.eigenvalues.iter().zip(&b.eigenvalues) {
-            prop_assert!((x - y).abs() < 1e-7, "{x} vs {y}");
+            prop_assert_eq!(x.to_bits(), y.to_bits(), "{} vs {}", x, y);
+        }
+        for r in 0..n {
+            for c in 0..k {
+                let (x, y) = (a.eigenvectors[(r, c)], b.eigenvectors[(r, c)]);
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "vector ({}, {})", r, c);
+            }
         }
     }
 
+    /// The packed one-pass apply equals the CSR row product bit for bit,
+    /// with exact zeros of both signs in the matrix and in `x`.
     #[test]
-    fn csr_spmv_matches_dense(n in 1usize..20,
-                              entries in prop::collection::vec(-9.0f64..9.0, 1..50)) {
-        use dagscope_linalg::LinOp;
+    fn csr_spmv_matches_dense(n in 0usize..24,
+                              entries in prop::collection::vec(
+                                  (0u32..5, -9.0f64..9.0), 1..60),
+                              xs in prop::collection::vec(
+                                  (0u32..6, -3.0f64..3.0), 1..24)) {
+        let entries: Vec<f64> = entries.into_iter().map(with_zeros).collect();
+        let xs: Vec<f64> = xs.into_iter().map(with_zeros).collect();
         let s = random_sym(n, &entries);
-        let sparse = CsrSym::from_sym(&s);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut yd = vec![0.0; n];
-        let mut ys = vec![0.0; n];
-        s.apply(&x, &mut yd);
-        sparse.apply(&x, &mut ys);
-        for (a, b) in yd.iter().zip(&ys) {
+        let x: Vec<f64> = (0..n).map(|i| xs[i % xs.len()]).collect();
+        let mut packed = vec![f64::NAN; n];
+        let mut rows = vec![f64::NAN; n];
+        s.apply(&x, &mut packed);
+        RowOrder(&s).apply(&x, &mut rows);
+        for (i, (a, b)) in packed.iter().zip(&rows).enumerate() {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "y[{}]: {} vs {}", i, a, b);
+        }
+        // The dense row product agrees too (it may differ in a zero's sign).
+        let dense = s.to_dense().matvec(&x);
+        for (a, b) in packed.iter().zip(&dense) {
             prop_assert!((a - b).abs() < 1e-10 * (1.0 + a.abs()), "{a} vs {b}");
         }
     }

@@ -9,7 +9,9 @@
 //! * [`par_map`] — order-preserving parallel map over a slice,
 //! * [`par_reduce`] — parallel fold + associative merge,
 //! * [`pairs::par_upper_triangle`] — parallel in-place fill of a packed
-//!   symmetric pairwise table (the kernel-matrix shape),
+//!   symmetric pairwise table (the kernel-matrix shape), over
+//!   [`pairs::par_packed_rows`], which hands each worker whole packed rows
+//!   (the unique-shape Gram's postings scan writes through it),
 //! * [`WorkerPool`] — a long-lived fixed-size pool consuming queued
 //!   closures (the request-dispatch shape of `dagscope-serve`).
 //!

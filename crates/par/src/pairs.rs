@@ -34,12 +34,6 @@ pub fn packed_len(n: usize) -> usize {
 /// `f(i, j)` is invoked exactly once for every `0 <= i <= j < n`; the result
 /// lands at [`packed_index`]`(n, i, j)`.
 ///
-/// The packed buffer is allocated up front and split into per-row slices;
-/// worker threads self-schedule rows (row `i` costs `n - i` evaluations) and
-/// write each row directly into its slice, so assembly needs no result
-/// sorting and no per-row `Vec` allocations. Each row's mutex is locked by
-/// exactly one worker, so the locks are always uncontended.
-///
 /// ```
 /// // 3×3 multiplication table, upper triangle packed row-major.
 /// let t = dagscope_par::pairs::par_upper_triangle(3, |i, j| (i + 1) * (j + 1));
@@ -50,8 +44,7 @@ where
     U: Send + Default,
     F: Fn(usize, usize) -> U + Sync,
 {
-    let threads = parallelism();
-    if threads == 1 || n < 2 {
+    if parallelism() == 1 || n < 2 {
         let mut out = Vec::with_capacity(packed_len(n));
         for i in 0..n {
             for j in i..n {
@@ -60,38 +53,79 @@ where
         }
         return out;
     }
-
     let mut out: Vec<U> = (0..packed_len(n)).map(|_| U::default()).collect();
-    {
-        // Split the packed buffer into one mutable slice per row. Each row
-        // index is claimed by exactly one worker via the atomic ticket, so
-        // every mutex is locked once and without contention.
-        let mut rows: Vec<Mutex<&mut [U]>> = Vec::with_capacity(n);
-        let mut rest: &mut [U] = &mut out;
-        for i in 0..n {
-            let (row, tail) = std::mem::take(&mut rest).split_at_mut(n - i);
-            rows.push(Mutex::new(row));
-            rest = tail;
+    par_packed_rows(n, &mut out, |i, row| {
+        for (off, slot) in row.iter_mut().enumerate() {
+            *slot = f(i, i + off);
         }
-
-        let next_row = AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..threads.min(n) {
-                scope.spawn(|_| loop {
-                    let i = next_row.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let mut row = rows[i].lock();
-                    for (off, slot) in row.iter_mut().enumerate() {
-                        *slot = f(i, i + off);
-                    }
-                });
-            }
-        })
-        .expect("dagscope-par worker thread panicked");
-    }
+    });
     out
+}
+
+/// Run `f(i, row)` once for every row `i` of the packed upper triangle
+/// `packed` of an `n × n` table, in parallel; `row` is the slice holding
+/// `(i, i)` … `(i, n − 1)`. Returns the rows' results in row order.
+///
+/// The buffer is split into per-row slices and worker threads
+/// self-schedule rows (row `i` holds `n - i` entries, so dynamic
+/// scheduling matters) and write each row in place: no per-row `Vec`, no
+/// copy. Each row's mutex is locked by exactly one worker, so the locks
+/// are always uncontended. Panics if `packed` is not `n(n+1)/2` long.
+///
+/// ```
+/// let mut t = vec![0usize; 6];
+/// let lens = dagscope_par::pairs::par_packed_rows(3, &mut t, |i, row| {
+///     row.fill(i + 1);
+///     row.len()
+/// });
+/// assert_eq!((t, lens), (vec![1, 1, 1, 2, 2, 3], vec![3, 2, 1]));
+/// ```
+pub fn par_packed_rows<T, R, F>(n: usize, packed: &mut [T], f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut [T]) -> R + Sync,
+{
+    assert_eq!(packed.len(), packed_len(n), "packed length mismatch");
+    let mut rows: Vec<&mut [T]> = Vec::with_capacity(n);
+    let mut rest = packed;
+    for i in 0..n {
+        let (row, tail) = std::mem::take(&mut rest).split_at_mut(n - i);
+        rows.push(row);
+        rest = tail;
+    }
+    let threads = parallelism();
+    if threads == 1 || n < 2 {
+        return rows
+            .into_iter()
+            .enumerate()
+            .map(|(i, row)| f(i, row))
+            .collect();
+    }
+
+    let slots: Vec<Mutex<(&mut [T], Option<R>)>> = rows
+        .into_iter()
+        .map(|row| Mutex::new((row, None)))
+        .collect();
+    let next_row = AtomicUsize::new(0);
+    crossbeam::thread::scope(|scope| {
+        for _ in 0..threads.min(n) {
+            scope.spawn(|_| loop {
+                let i = next_row.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let mut slot = slots[i].lock();
+                let out = f(i, &mut *slot.0);
+                slot.1 = Some(out);
+            });
+        }
+    })
+    .expect("dagscope-par worker thread panicked");
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().1.expect("every row is claimed once"))
+        .collect()
 }
 
 /// Expand a packed upper triangle into a full row-major `n × n` symmetric
@@ -158,6 +192,30 @@ mod tests {
                 assert_eq!(full[i * n + j], full[j * n + i]);
             }
         }
+    }
+
+    #[test]
+    fn packed_rows_fill_in_place() {
+        for n in [0usize, 1, 41] {
+            let mut packed = vec![0usize; packed_len(n)];
+            let lens = par_packed_rows(n, &mut packed, |i, row| {
+                for (off, slot) in row.iter_mut().enumerate() {
+                    *slot = i * 1000 + i + off;
+                }
+                row.len()
+            });
+            let expect: Vec<usize> = (0..n)
+                .flat_map(|i| (i..n).map(move |j| i * 1000 + j))
+                .collect();
+            assert_eq!(packed, expect, "n={n}");
+            assert_eq!(lens, (1..=n).rev().collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "packed length mismatch")]
+    fn packed_rows_reject_wrong_length() {
+        let _ = par_packed_rows(3, &mut [0u8; 5], |_, _| ());
     }
 
     #[test]

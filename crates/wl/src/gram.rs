@@ -1,15 +1,19 @@
-//! Sparse Gram engine: WL-fingerprint deduplication and the
-//! inverted-index kernel matrix.
+//! Gram engine: WL-fingerprint deduplication and the inverted-index
+//! kernel matrix.
 //!
 //! The paper's own census motivates this module: 58% of jobs are straight
 //! chains and 90.6% of the dominant group are ≤3-task jobs (§V-B, Fig 9),
 //! so the number of *distinct* WL feature vectors is orders of magnitude
 //! smaller than the job count. [`ShapeDedup`] collapses the population into
-//! (unique shape, multiplicity) pairs; [`unique_gram_sparse`] assembles the
-//! Gram matrix of the unique shapes from the feature→shape inverted index,
-//! so only co-occurring feature pairs ever contribute a multiply-add
-//! (Shervashidze et al., JMLR 2011, §5), and stores it as symmetric CSR;
-//! job `i`'s row is its shape's, `shape_of[i]`.
+//! (unique shape, multiplicity) pairs; [`unique_gram`] assembles the Gram
+//! matrix of the unique shapes from the feature→shape inverted index, so
+//! only co-occurring feature pairs ever contribute a multiply-add
+//! (Shervashidze et al., JMLR 2011, §5), straight into a packed
+//! [`SymMatrix`]; job `i`'s row is its shape's, `shape_of[i]`. The matrix
+//! itself is dense: WL's iteration-0 label is the task kind, so any two
+//! shapes sharing a kind have a positive dot (the 575 shapes of a
+//! 100k-job seed-42 trace touch all 165,600 upper-triangle pairs), and
+//! the packed triangle's 8 B per pair is the smallest store for it.
 //!
 //! # Bit-identity invariant
 //!
@@ -29,8 +33,8 @@
 
 use std::hash::Hasher;
 
-use dagscope_linalg::CsrSym;
-use dagscope_par::par_map;
+use dagscope_linalg::SymMatrix;
+use dagscope_par::pairs::{packed_len, par_packed_rows};
 
 use crate::fx::{FxHashMap, FxHasher};
 use crate::SparseVec;
@@ -168,17 +172,12 @@ pub struct GramStats {
     pub candidate_pairs: u64,
 }
 
-/// Gram matrix of `shapes` assembled **directly into symmetric CSR**
-/// from the feature→shape inverted index, parallelized over rows with
-/// the `dagscope-par` chunk machinery; the packed `m × m` triangle is
-/// never materialized.
-///
-/// Peak affinity memory is `O(nnz)`: only shape pairs sharing a feature
-/// occupy storage; every other entry is structurally absent, the exact
-/// `0.0` a merge join over disjoint supports would return. Each stored
-/// value is **bitwise identical** to `shapes[a].dot(shapes[b])` (see the
-/// module invariant).
-pub fn unique_gram_sparse(shapes: &[&SparseVec]) -> (CsrSym, GramStats) {
+/// Gram matrix of `shapes`, each packed row filled in place by a
+/// postings scan over the feature→shape inverted index, rows in
+/// parallel. Each entry is **bitwise identical** to
+/// `shapes[a].dot(shapes[b])` (see the module invariant); a pair that
+/// shares no feature keeps the exact `0.0` a merge join would return.
+pub fn unique_gram(shapes: &[&SparseVec]) -> (SymMatrix, GramStats) {
     let m = shapes.len();
     let mut postings: FxHashMap<u32, Vec<(u32, f64)>> = FxHashMap::default();
     for (s, f) in shapes.iter().enumerate() {
@@ -186,13 +185,10 @@ pub fn unique_gram_sparse(shapes: &[&SparseVec]) -> (CsrSym, GramStats) {
             postings.entry(idx).or_default().push((s as u32, v));
         }
     }
-    let rows: Vec<usize> = (0..m).collect();
-    let per_row = par_map(&rows, |&a| {
-        // Dense row segment `a..m` as scratch, compacted to (column,
-        // value) pairs afterwards.
-        let width = m - a;
-        let mut row = vec![0.0f64; width];
-        let mut touched = vec![false; width];
+    let mut packed = vec![0.0f64; packed_len(m)];
+    let pairs_per_row = par_packed_rows(m, &mut packed, |a, row| {
+        // `row[off]` is entry (a, a + off).
+        let mut touched = vec![false; row.len()];
         let mut pairs = 0u64;
         for (idx, va) in shapes[a].iter() {
             let Some(list) = postings.get(&idx) else {
@@ -208,59 +204,16 @@ pub fn unique_gram_sparse(shapes: &[&SparseVec]) -> (CsrSym, GramStats) {
                 row[off] += va * vb;
             }
         }
-        let entries: Vec<(u32, f64)> = touched
-            .iter()
-            .zip(&row)
-            .enumerate()
-            .filter_map(|(off, (&t, &v))| t.then_some(((a + off) as u32, v)))
-            .collect();
-        (entries, pairs)
+        pairs
     });
-    let mut upper_rows = Vec::with_capacity(m);
-    let mut dots = 0u64;
-    for (entries, pairs) in per_row {
-        upper_rows.push(entries);
-        dots += pairs;
-    }
+    let dots = pairs_per_row.iter().sum();
     let stats = GramStats {
         jobs: m,
         unique_shapes: m,
         dot_products: dots,
         candidate_pairs: dots,
     };
-    (CsrSym::from_upper_rows(&upper_rows), stats)
-}
-
-/// Cosine-normalize a sparse unique-shape Gram, replicating the exact
-/// per-entry arithmetic of [`normalize_kernel`](crate::normalize_kernel):
-/// `K̂[a][b] = K[a][b] / √(K[a][a]·K[b][b])`, diagonals forced to exactly
-/// `1.0` when the raw self-similarity is positive (so normalized
-/// diagonals are exactly `1.0` or `0.0` — the collapsed silhouette's
-/// analytic defaults depend on that). Structurally absent entries stay
-/// absent: a zero dot normalizes to zero either way.
-pub fn normalize_unique_sparse(k: &CsrSym) -> CsrSym {
-    let m = k.n();
-    let diag = k.diagonal();
-    let rows: Vec<Vec<(u32, f64)>> = (0..m)
-        .map(|i| {
-            let (cols, vals) = k.row(i);
-            cols.iter()
-                .zip(vals)
-                .filter(|&(&j, _)| j as usize >= i)
-                .map(|(&j, &v)| {
-                    let d = (diag[i] * diag[j as usize]).sqrt();
-                    let nv = if d > 0.0 { v / d } else { 0.0 };
-                    let out = if i == j as usize && diag[i] > 0.0 {
-                        1.0
-                    } else {
-                        nv
-                    };
-                    (j, out)
-                })
-                .collect()
-        })
-        .collect();
-    CsrSym::from_upper_rows(&rows)
+    (SymMatrix::from_packed(m, packed), stats)
 }
 
 #[cfg(test)]
@@ -309,7 +262,7 @@ mod tests {
     fn unique_gram_matches_pairwise_dots_bitwise() {
         let feats = population();
         let refs: Vec<&SparseVec> = feats.iter().collect();
-        let (gram, stats) = unique_gram_sparse(&refs);
+        let (gram, stats) = unique_gram(&refs);
         for i in 0..feats.len() {
             for j in 0..feats.len() {
                 assert_eq!(
@@ -331,7 +284,7 @@ mod tests {
         let oracle = kernel_matrix(&feats);
         let dedup = ShapeDedup::from_features(&feats);
         let reps: Vec<&SparseVec> = dedup.representatives().iter().map(|&r| &feats[r]).collect();
-        let (gram, stats) = unique_gram_sparse(&reps);
+        let (gram, stats) = unique_gram(&reps);
         let shape = dedup.shape_of();
         for i in 0..feats.len() {
             for j in 0..feats.len() {
@@ -349,32 +302,55 @@ mod tests {
 
     #[test]
     fn sparse_gram_is_bitwise_equal_to_dense_engine() {
+        // The packed assembler over a population with duplicates, a
+        // disjoint support (index 9 only) and an empty vector: every entry
+        // equals `kernel_matrix`'s bit for bit, the stored triangle is the
+        // dense one, and the counters count exactly the pairs that share a
+        // feature, which for non-negative φ are the nonzero dots.
         let feats = population();
         let refs: Vec<&SparseVec> = feats.iter().collect();
         let dense = kernel_matrix(&feats);
-        let (sparse, stats) = unique_gram_sparse(&refs);
-        assert_eq!(sparse.n(), dense.n());
+        let (packed, stats) = unique_gram(&refs);
+        assert_eq!(packed.n(), dense.n());
+        assert_eq!(stats.jobs, feats.len());
         assert_eq!(stats.unique_shapes, feats.len());
         for i in 0..feats.len() {
             for j in 0..feats.len() {
                 assert_eq!(
-                    sparse.get(i, j).to_bits(),
+                    packed.get(i, j).to_bits(),
                     dense.get(i, j).to_bits(),
                     "entry ({i},{j})"
                 );
             }
         }
-        // Sparsity: only co-occurring pairs are stored.
-        assert!(sparse.nnz() < feats.len() * feats.len());
+        assert_eq!(
+            packed
+                .packed()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
+            dense
+                .packed()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        );
+        let sharing = dense.packed().iter().filter(|&&v| v != 0.0).count() as u64;
+        assert_eq!(stats.dot_products, sharing);
+        assert_eq!(stats.candidate_pairs, sharing);
+        // Sparsity of the work: only co-occurring pairs are visited.
+        assert!(stats.dot_products < (feats.len() * (feats.len() + 1) / 2) as u64);
+        // The empty vector (row 6) shares nothing, not even with itself.
+        assert!(packed.row_nonzeros(6).next().is_none());
     }
 
     #[test]
     fn sparse_normalization_matches_dense_bitwise() {
         let feats = population();
         let refs: Vec<&SparseVec> = feats.iter().collect();
-        let (sparse, _) = unique_gram_sparse(&refs);
+        let (mut sn, _) = unique_gram(&refs);
         let dn = crate::normalize_kernel(&kernel_matrix(&feats));
-        let sn = normalize_unique_sparse(&sparse);
+        crate::normalize_kernel_in_place(&mut sn);
         for i in 0..feats.len() {
             for j in 0..feats.len() {
                 assert_eq!(
@@ -392,7 +368,7 @@ mod tests {
 
     #[test]
     fn empty_population() {
-        let (gram, stats) = unique_gram_sparse(&[]);
+        let (gram, stats) = unique_gram(&[]);
         assert_eq!(gram.n(), 0);
         assert_eq!(stats.unique_shapes, 0);
         let d = ShapeDedup::from_features(&[]);

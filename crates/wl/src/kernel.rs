@@ -20,17 +20,25 @@ pub fn kernel_matrix(features: &[SparseVec]) -> SymMatrix {
 /// non-negative feature maps (identical topologies score 1, per Fig 7's
 /// color scale). Rows/columns with zero self-similarity normalize to 0.
 pub fn normalize_kernel(k: &SymMatrix) -> SymMatrix {
+    let mut out = k.clone();
+    normalize_kernel_in_place(&mut out);
+    out
+}
+
+/// [`normalize_kernel`] in place, entry for entry the same arithmetic:
+/// the pipeline rescales its unique-shape Gram this way, so normalized
+/// diagonals are exactly `1.0` (non-empty φ) or `0.0` (empty φ), which
+/// the collapsed silhouette's analytic defaults rely on.
+pub fn normalize_kernel_in_place(k: &mut SymMatrix) {
     let n = k.n();
     let diag = k.diagonal();
-    let mut out = SymMatrix::zeros(n);
     for i in 0..n {
         for j in i..n {
             let d = (diag[i] * diag[j]).sqrt();
             let v = if d > 0.0 { k.get(i, j) / d } else { 0.0 };
-            out.set(i, j, if i == j && diag[i] > 0.0 { 1.0 } else { v });
+            k.set(i, j, if i == j && diag[i] > 0.0 { 1.0 } else { v });
         }
     }
-    out
 }
 
 /// Convenience single-pair WL subtree kernel with `h` iterations, cosine

@@ -36,8 +36,8 @@ mod vectorizer;
 
 pub use cache::KernelCache;
 pub use fx::FxHashMap;
-pub use gram::{fingerprint, normalize_unique_sparse, unique_gram_sparse, GramStats, ShapeDedup};
-pub use kernel::{kernel_matrix, normalize_kernel, wl_kernel};
+pub use gram::{fingerprint, unique_gram, GramStats, ShapeDedup};
+pub use kernel::{kernel_matrix, normalize_kernel, normalize_kernel_in_place, wl_kernel};
 pub use sp::{sp_kernel, SpVectorizer};
 pub use sparse::SparseVec;
 pub use topk::{QueryStats, TopkIndex};

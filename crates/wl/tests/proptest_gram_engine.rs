@@ -1,8 +1,9 @@
-//! Property tests pinning the sparse Gram engine to its brute-force
-//! oracles: the fingerprint-dedup + inverted-index kernel and the pruned
-//! top-k searcher must be **bit-identical** to the pairwise paths on
-//! arbitrary DAG populations. Populations get duplicates injected, since
-//! collapsing repeats is the whole point of the dedup layer.
+//! Property tests pinning the Gram engine to its brute-force oracles: the
+//! fingerprint-dedup + inverted-index kernel (packed, at one thread and at
+//! the default) and the pruned top-k searcher must be **bit-identical** to
+//! the pairwise paths on arbitrary DAG populations. Populations get
+//! duplicates injected, since collapsing repeats is the whole point of the
+//! dedup layer.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -10,7 +11,10 @@ use rand::SeedableRng;
 
 use dagscope_graph::JobDag;
 use dagscope_trace::gen::{build_shape, ShapeKind};
-use dagscope_wl::{kernel_matrix, unique_gram_sparse, KernelCache, ShapeDedup, WlVectorizer};
+use dagscope_wl::{
+    kernel_matrix, normalize_kernel, normalize_kernel_in_place, unique_gram, KernelCache,
+    ShapeDedup, WlVectorizer,
+};
 
 fn shape_strategy() -> impl Strategy<Value = ShapeKind> {
     prop::sample::select(ShapeKind::ALL.to_vec())
@@ -50,7 +54,7 @@ proptest! {
         let oracle = kernel_matrix(&feats);
         let dedup = ShapeDedup::from_features(&feats);
         let reps: Vec<_> = dedup.representatives().iter().map(|&r| &feats[r]).collect();
-        let (engine, stats) = unique_gram_sparse(&reps);
+        let (engine, stats) = unique_gram(&reps);
         let shape = dedup.shape_of();
         for i in 0..dags.len() {
             for j in 0..dags.len() {
@@ -61,6 +65,33 @@ proptest! {
             }
         }
         prop_assert!(stats.unique_shapes <= dags.len());
+        // The counters count the unique pairs that share a feature: for
+        // non-negative φ, exactly the nonzero dots.
+        let sharing = engine.packed().iter().filter(|&&v| v != 0.0).count() as u64;
+        prop_assert_eq!(stats.dot_products, sharing);
+        prop_assert_eq!(stats.candidate_pairs, sharing);
+        // One thread fills the same rows with the same bits.
+        let (one, one_stats) = {
+            let _pin = dagscope_par::ParScope::new(1);
+            unique_gram(&reps)
+        };
+        prop_assert_eq!(one_stats, stats);
+        let bits = |m: &dagscope_linalg::SymMatrix| -> Vec<u64> {
+            m.packed().iter().map(|v| v.to_bits()).collect()
+        };
+        prop_assert_eq!(bits(&one), bits(&engine));
+        // In-place normalization is the dense normalizer, bit for bit.
+        let mut normalized = engine;
+        normalize_kernel_in_place(&mut normalized);
+        let dense = normalize_kernel(&oracle);
+        for i in 0..dags.len() {
+            for j in 0..dags.len() {
+                prop_assert_eq!(
+                    normalized.get(shape[i], shape[j]).to_bits(),
+                    dense.get(i, j).to_bits()
+                );
+            }
+        }
     }
 
     #[test]
