@@ -93,8 +93,10 @@ GLOBAL FLAGS
                      diagnostic, and the Lanczos solve's operator
                      applications and max residual with the affinity's
                      order and bytes (with --trace also the ingest
-                     throughput in MB/s, the scan's batch count and how
-                     long its read and fold stages waited on each other)
+                     throughput in MB/s, the scan's batch count, how
+                     many batches each of its threads parsed, how long
+                     they waited on each other, and how often and how
+                     long its name index grew)
 ";
 
 /// CLI-level errors.
@@ -178,7 +180,7 @@ impl Ingest {
     fn render(&self) -> String {
         let mb = self.trace.raw_bytes() as f64 / 1e6;
         let rate = if self.secs > 0.0 { mb / self.secs } else { 0.0 };
-        // Which scan stage bounds the ingest: the one the other waited on.
+        // Which scan thread bounds the ingest: the one the other waited on.
         let c = self.trace.scan_counters();
         let batches = match c.batches {
             1 => "1 batch".to_string(),
@@ -186,7 +188,10 @@ impl Ingest {
         };
         let stages = if c.threaded {
             format!(
-                "read waited {:.3} s, fold waited {:.3} s",
+                "parsed {} by the reader and {} by the fold, read waited {:.3} s, \
+                 fold waited {:.3} s",
+                c.reader_parsed,
+                c.fold_parsed,
                 c.read_wait.as_secs_f64(),
                 c.fold_wait.as_secs_f64()
             )
@@ -194,8 +199,11 @@ impl Ingest {
             "one stage".to_string()
         };
         format!(
-            "ingest: {mb:.1} MB in {:.3} s — {rate:.1} MB/s; {batches}, {stages}",
-            self.secs
+            "ingest: {mb:.1} MB in {:.3} s — {rate:.1} MB/s; {batches}, {stages}; \
+             name index grew {} times in {:.3} s",
+            self.secs,
+            c.index_grows,
+            c.index_grow_time.as_secs_f64()
         )
     }
 }

@@ -96,13 +96,10 @@ fn nearest(centroids: &[Vec<f64>], p: &[f64]) -> (usize, f64) {
 
 /// The point an empty-cluster repair adopts: the last one at the largest
 /// distance from its centroid, as `Iterator::max_by` over `partial_cmp`
-/// picks it (`−0.0` ties `0.0`). Finite points never give a NaN distance
-/// to a finite centroid, but a repair can leave a centroid NaN: taking
-/// the last member of a cluster the loop has already passed makes that
-/// cluster's mean 0/0. With fewer distinct points than clusters
-/// (`[[2], [0], [2], [3]]` at k = 4) a later repair then measures a
-/// point it moved into that cluster against the NaN; a NaN distance
-/// ranks below every number, so that point stays.
+/// picks it (`−0.0` ties `0.0`). A repair only offers points of clusters
+/// that keep a member, so with at least k points every cluster ends each
+/// step with a member and a finite mean, and finite points never give a
+/// NaN distance; a NaN would rank below every number.
 pub(crate) fn farthest(distances: impl Iterator<Item = (usize, f64)>) -> usize {
     distances
         .max_by(|a, b| {
@@ -135,11 +132,15 @@ fn lloyd(points: &Matrix, mut centroids: Vec<Vec<f64>>, max_iters: usize) -> KMe
                 *s += x;
             }
         }
-        // Empty-cluster repair: adopt the point farthest from its centroid.
+        // Empty-cluster repair: adopt the point farthest from its centroid
+        // among clusters that keep a member. With n >= k points and a
+        // cluster empty, some other cluster has two.
         for c in 0..k {
             if counts[c] == 0 {
                 let far = farthest(
-                    (0..n).map(|i| (i, dist_sq(points.row(i), &centroids[assignments[i]]))),
+                    (0..n)
+                        .filter(|&i| counts[assignments[i]] > 1)
+                        .map(|i| (i, dist_sq(points.row(i), &centroids[assignments[i]]))),
                 );
                 let old = assignments[far];
                 counts[old] -= 1;
@@ -214,8 +215,9 @@ pub fn kmeans(points: &Matrix, cfg: &KMeansConfig) -> KMeansResult {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn blobs(per: usize, centers: &[(f64, f64)], spread: f64, seed: u64) -> Matrix {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -350,21 +352,61 @@ mod tests {
         assert!(ten.inertia <= one.inertia + 1e-9);
     }
 
+    /// Small point sets with many duplicates: `n` points of one or two
+    /// integer coordinates in `0..5`, with `k <= n` clusters.
+    pub(crate) fn small_points() -> impl Strategy<Value = (Matrix, usize)> {
+        (
+            1usize..3,
+            prop::collection::vec((0u8..5, 0u8..5), 1..15),
+            1usize..5,
+        )
+            .prop_map(|(dim, coords, k)| {
+                let rows: Vec<Vec<f64>> = coords
+                    .iter()
+                    .map(|&(x, y)| [f64::from(x), f64::from(y)][..dim].to_vec())
+                    .collect();
+                let k = k.min(rows.len());
+                (Matrix::from_rows(&rows), k)
+            })
+    }
+
+    /// Every one of the `k` labels is used and every centroid is finite.
+    pub(crate) fn every_cluster_kept(r: &KMeansResult, k: usize) -> bool {
+        (0..k).all(|c| r.assignments.contains(&c))
+            && r.centroids.as_slice().iter().all(|x| x.is_finite())
+            && r.inertia.is_finite()
+    }
+
     #[test]
-    fn fewer_distinct_points_than_clusters_do_not_panic() {
-        // Three distinct points, four clusters: a repair empties a cluster
-        // the loop already passed, its mean goes 0/0, and a repair in a
-        // later iteration measures a point against that NaN centroid.
-        let pts = Matrix::from_rows(&[vec![2.0], vec![0.0], vec![2.0], vec![3.0]]);
+    fn the_repair_keeps_every_cluster_on_fewer_distinct_points() {
+        // Three distinct points, four clusters: a repair that took the
+        // last member of a cluster the loop had passed left it empty, its
+        // mean 0/0.
+        let pts = Matrix::from_rows(&[vec![2.0], vec![2.0], vec![1.0], vec![3.0]]);
         let cfg = KMeansConfig {
             k: 4,
-            seed: 11104492756352983652,
+            seed: 0,
             n_init: 1,
             max_iters: 50,
         };
-        let r = kmeans(&pts, &cfg);
-        assert!(r.assignments.iter().all(|&c| c < 4));
-        assert!(r.inertia.is_finite());
+        assert!(every_cluster_kept(&kmeans(&pts, &cfg), 4));
+    }
+
+    proptest! {
+        // The repair that could take a cluster's last member ended with
+        // an empty cluster on ~0.3% of such inputs; this many cases meet
+        // one.
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #[test]
+        fn fewer_distinct_points_than_clusters_do_not_panic(
+            (pts, k) in small_points(),
+            seed in any::<u64>(),
+            n_init in 1usize..3,
+        ) {
+            let cfg = KMeansConfig { k, seed, n_init, max_iters: 50 };
+            let r = kmeans(&pts, &cfg);
+            prop_assert!(every_cluster_kept(&r, k), "{r:?}");
+        }
     }
 
     #[test]

@@ -104,70 +104,141 @@ pub fn stratified_sample_indices(sizes: &[usize], n: usize, seed: u64) -> Vec<us
     stratified_sample_indices_from(sizes.iter().copied(), n, seed)
 }
 
+/// Size → group, by open addressing over the distinct sizes seen: its
+/// memory follows how many sizes there are, not how large they are (a
+/// hostile trace can hold a job of billions of tasks), and a lookup is one
+/// multiply and, at the load it keeps, about one probe.
+struct SizeGroups {
+    /// `(size, group)` per slot; [`SizeGroups::EMPTY`] marks a free one.
+    slots: Vec<(usize, u32)>,
+    /// Each group's size, groups numbered in order of first appearance.
+    sizes: Vec<usize>,
+}
+
+impl SizeGroups {
+    const EMPTY: u32 = u32::MAX;
+
+    fn new() -> SizeGroups {
+        SizeGroups {
+            slots: vec![(0, Self::EMPTY); 16],
+            sizes: Vec::new(),
+        }
+    }
+
+    /// The slot holding `size`, or the free slot where it belongs.
+    fn slot(&self, size: usize) -> usize {
+        let mask = self.slots.len() - 1;
+        let h = (size as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut pos = (h ^ h >> 32) as usize & mask;
+        loop {
+            let (s, group) = self.slots[pos];
+            if group == Self::EMPTY || s == size {
+                return pos;
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// The group of `size`, opening one at its first appearance.
+    fn insert(&mut self, size: usize) -> usize {
+        let mut pos = self.slot(size);
+        if self.slots[pos].1 == Self::EMPTY {
+            if (self.sizes.len() + 1) * 2 > self.slots.len() {
+                let grown = vec![(0, Self::EMPTY); self.slots.len() * 2];
+                let old = std::mem::replace(&mut self.slots, grown);
+                for entry in old.into_iter().filter(|e| e.1 != Self::EMPTY) {
+                    let at = self.slot(entry.0);
+                    self.slots[at] = entry;
+                }
+                pos = self.slot(size);
+            }
+            self.slots[pos] = (size, self.sizes.len() as u32);
+            self.sizes.push(size);
+        }
+        self.slots[pos].1 as usize
+    }
+
+    /// The group of a size already inserted.
+    fn get(&self, size: usize) -> usize {
+        let group = self.slots[self.slot(size)].1;
+        debug_assert_ne!(group, Self::EMPTY, "size seen in pass 1");
+        group as usize
+    }
+}
+
 /// Iterator form of [`stratified_sample_indices`]: two passes over the
-/// size column, one `u32` scratch vector of population length, nothing
-/// else. At full-trace scale the population is millions of jobs, so the
-/// obvious map-of-index-vectors grouping (plus a separate leftover pool)
-/// would triple the sampler's footprint right at the scan's peak-RSS
-/// moment; this layout keeps the groups as contiguous runs of a single
-/// vector and compacts the pool in place. The shuffle sequence consumes
-/// the exact RNG stream of the reference sampler (draws depend only on
-/// group lengths), so the picks stay bit-identical.
+/// size column, one `u32` scratch vector of population length, and a
+/// table of the distinct sizes. At full-trace scale the population is
+/// millions of jobs, so the obvious map-of-index-vectors grouping (plus a
+/// separate leftover pool) would triple the sampler's footprint right at
+/// the scan's peak-RSS moment; this layout keeps the groups as contiguous
+/// runs of a single vector, in ascending size order, and compacts the pool
+/// in place. The shuffle sequence consumes the exact RNG stream of the
+/// reference sampler (draws depend only on group lengths), so the picks
+/// stay bit-identical.
 pub fn stratified_sample_indices_from<I>(sizes: I, n: usize, seed: u64) -> Vec<usize>
 where
     I: Iterator<Item = usize> + Clone,
 {
-    use std::collections::BTreeMap;
-    // Pass 1: group cardinalities, ascending by size.
-    let mut counts: BTreeMap<usize, u32> = BTreeMap::new();
+    // Pass 1: group cardinalities, groups in order of first appearance.
+    let mut groups = SizeGroups::new();
+    let mut counts: Vec<u32> = Vec::new();
     let mut total = 0usize;
     for s in sizes.clone() {
-        *counts.entry(s).or_default() += 1;
+        let g = groups.insert(s);
+        if g == counts.len() {
+            counts.push(0);
+        }
+        counts[g] += 1;
         total += 1;
+    }
+    // The groups by ascending size, and where each one's run starts.
+    let mut order: Vec<usize> = (0..counts.len()).collect();
+    order.sort_unstable_by_key(|&g| groups.sizes[g]);
+    let mut cursors = vec![0u32; counts.len()];
+    let mut start = 0u32;
+    for &g in &order {
+        cursors[g] = start;
+        start += counts[g];
     }
     // Pass 2: scatter indices into contiguous per-group runs, members in
     // ascending index order — the same layout the per-group vectors had.
-    let mut cursors: BTreeMap<usize, u32> = BTreeMap::new();
-    let mut start = 0u32;
-    for (&s, &c) in &counts {
-        cursors.insert(s, start);
-        start += c;
-    }
     let mut buckets = vec![0u32; total];
     for (i, s) in sizes.enumerate() {
-        let cursor = cursors.get_mut(&s).expect("size seen in pass 1");
+        let cursor = &mut cursors[groups.get(s)];
         buckets[*cursor as usize] = i as u32;
         *cursor += 1;
     }
+    let counts: Vec<usize> = order.iter().map(|&g| counts[g] as usize).collect();
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut offset = 0usize;
-    for &c in counts.values() {
-        buckets[offset..offset + c as usize].shuffle(&mut rng);
-        offset += c as usize;
+    for &c in &counts {
+        buckets[offset..offset + c].shuffle(&mut rng);
+        offset += c;
     }
 
     let mut picked = Vec::with_capacity(n.min(total));
     // Coverage pass: one representative per size group.
     let mut offset = 0usize;
-    for &c in counts.values() {
+    for &c in &counts {
         if picked.len() == n {
             break;
         }
         picked.push(buckets[offset] as usize);
-        offset += c as usize;
+        offset += c;
     }
     // Proportional fill: the leftovers of every group, pooled and shuffled,
     // reproduce the population's size distribution. The pool is the bucket
     // vector minus each group's head, compacted in place.
     let mut write = 0usize;
     let mut offset = 0usize;
-    for &c in counts.values() {
-        for j in 1..c as usize {
+    for &c in &counts {
+        for j in 1..c {
             buckets[write] = buckets[offset + j];
             write += 1;
         }
-        offset += c as usize;
+        offset += c;
     }
     buckets.truncate(write);
     buckets.shuffle(&mut rng);
@@ -184,6 +255,103 @@ where
 mod tests {
     use super::*;
     use crate::schema::{Status, TaskRecord};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The sampler as it was written over two ordered maps, one lookup
+    /// each per job and pass: the oracle for the size table.
+    fn ordered_map_sample<I>(sizes: I, n: usize, seed: u64) -> Vec<usize>
+    where
+        I: Iterator<Item = usize> + Clone,
+    {
+        let mut counts: BTreeMap<usize, u32> = BTreeMap::new();
+        let mut total = 0usize;
+        for s in sizes.clone() {
+            *counts.entry(s).or_default() += 1;
+            total += 1;
+        }
+        let mut cursors: BTreeMap<usize, u32> = BTreeMap::new();
+        let mut start = 0u32;
+        for (&s, &c) in &counts {
+            cursors.insert(s, start);
+            start += c;
+        }
+        let mut buckets = vec![0u32; total];
+        for (i, s) in sizes.enumerate() {
+            let cursor = cursors.get_mut(&s).expect("size seen in pass 1");
+            buckets[*cursor as usize] = i as u32;
+            *cursor += 1;
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut offset = 0usize;
+        for &c in counts.values() {
+            buckets[offset..offset + c as usize].shuffle(&mut rng);
+            offset += c as usize;
+        }
+        let mut picked = Vec::with_capacity(n.min(total));
+        let mut offset = 0usize;
+        for &c in counts.values() {
+            if picked.len() == n {
+                break;
+            }
+            picked.push(buckets[offset] as usize);
+            offset += c as usize;
+        }
+        let mut write = 0usize;
+        let mut offset = 0usize;
+        for &c in counts.values() {
+            for j in 1..c as usize {
+                buckets[write] = buckets[offset + j];
+                write += 1;
+            }
+            offset += c as usize;
+        }
+        buckets.truncate(write);
+        buckets.shuffle(&mut rng);
+        for &i in &buckets {
+            if picked.len() == n {
+                break;
+            }
+            picked.push(i as usize);
+        }
+        picked
+    }
+
+    proptest! {
+        #[test]
+        fn size_table_picks_what_the_ordered_maps_pick(
+            sizes in prop::collection::vec(
+                (0u8..11, 1usize..40, any::<usize>()).prop_map(|(kind, small, any)| match kind {
+                    0..=7 => small,
+                    8 => usize::MAX,
+                    9 => 3_000_000_000,
+                    _ => any,
+                }),
+                0..400,
+            ),
+            n in 0usize..160,
+            seed in any::<u64>(),
+        ) {
+            let want = ordered_map_sample(sizes.iter().copied(), n, seed);
+            prop_assert_eq!(stratified_sample_indices(&sizes, n, seed), want);
+        }
+    }
+
+    #[test]
+    fn size_table_grows_past_many_distinct_sizes() {
+        // 3,000 distinct sizes, most far apart, each seen one to three
+        // times in a scrambled order: the table rebuilds many times.
+        let sizes: Vec<usize> = (0..6000u64)
+            .map(|i| {
+                let v = (i % 3000).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20;
+                v as usize + i as usize % 2
+            })
+            .collect();
+        for n in [0, 1, 100, 2999, 3000, 4500, 7000] {
+            let want = ordered_map_sample(sizes.iter().copied(), n, 7);
+            assert_eq!(stratified_sample_indices(&sizes, n, 7), want, "n {n}");
+        }
+    }
 
     fn task(job: &str, name: &str, status: Status, start: i64, end: i64) -> TaskRecord {
         TaskRecord {

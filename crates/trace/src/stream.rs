@@ -22,19 +22,23 @@
 //! tests' bridge to the batch reader, is the one place a replay builds
 //! [`Job`]s.
 //!
-//! The forward scan runs in two stages over one batch type, both walking
-//! the lines in file order. The **read stage** splits lines, parses and
+//! The forward scan runs in three steps over one batch type. The **split**
+//! cuts the source into lines in file order, numbering them and recording
+//! where each ends. The **parse** reads one batch's lines: it parses and
 //! classifies each row, takes its task name's DAG verdict and notes when
-//! its job name changes, and writes one 56-byte descriptor per line into a
-//! batch (blank lines, bad rows and I/O errors ride along in order). The
-//! **fold stage** groups the described rows into jobs: the suspect, open,
-//! straggler, probe and close logic. With two threads or more and a trace
-//! longer than one read-buffer fill, a scoped reader thread runs the read
-//! stage ahead of the fold through a few recycled batches; otherwise the
-//! two stages alternate on the calling thread. The fold sees the same
-//! lines in the same order either way, so every statistic, quarantine
-//! row, line number, byte offset, first error and `max_bad` stop is the
-//! same ([`ScanCounters`] records which way a scan ran).
+//! its job name changes within the batch, writing one 56-byte descriptor
+//! per line (blank lines, bad rows and I/O errors ride along in order).
+//! The **fold** groups the described rows into jobs, in file order: the
+//! suspect, open, straggler, probe and close logic. With two threads or
+//! more and a trace longer than one read-buffer fill, a scoped reader
+//! thread splits ahead of the fold through a few recycled batches, each
+//! holding its lines' bytes until it is parsed, and parses when it has
+//! nothing to split; the fold thread parses the oldest unparsed batch
+//! whenever its next one is not parsed yet. Otherwise the three alternate
+//! on the calling thread. The fold sees the same lines in the same order
+//! either way, so every statistic, quarantine row, line number, byte
+//! offset, first error and `max_bad` stop is the same ([`ScanCounters`]
+//! records which way a scan ran).
 //!
 //! Two disruptions are handled without breaking bit-identity with a batch
 //! read:
@@ -53,10 +57,10 @@
 //! Retractions are exact because the accumulator's resource totals use
 //! [`crate::fsum::ExactSum`]; everything else is integer counting.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::{Read, Seek, SeekFrom};
 use std::ops::Range;
-use std::sync::mpsc;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::csv::{self, TaskParts};
@@ -727,7 +731,7 @@ fn replay_rows(
 }
 
 /// Everything the scan accumulates — split from the source so the borrow
-/// of the source (held by the read stage during the scan, or by the
+/// of the source (held by the split step during the scan, or by the
 /// replay reader during materialization) never aliases the metadata.
 struct ScanState {
     policy: ReadPolicy,
@@ -939,16 +943,16 @@ impl ScanState {
     }
 }
 
-/// Lines per batch the read stage hands the fold stage: at 56 bytes a
-/// line descriptor, ~230 KB, so a hand-off is rare next to the batch's
-/// work.
+/// Lines per batch: at 56 bytes a line descriptor, ~230 KB, so a
+/// hand-off is rare next to the batch's work.
 const BATCH_LINES: usize = 4096;
 
 /// Batches in flight when the stages run on two threads: ~32k lines, so
-/// either stage can run ~5 ms ahead of the other. On a shared 2-vCPU
-/// host, where a vCPU is now and then taken away for milliseconds, eight
-/// left the 1M-job scan ~7% faster than three (median of eight pairs),
-/// at 1.8 MB more peak RSS.
+/// the split can run ~5 ms ahead of the fold. On a shared 2-vCPU host,
+/// where a vCPU is now and then taken away for milliseconds, eight left
+/// the 1M-job scan ~7% faster than three (median of eight pairs), at 1.8
+/// MB more peak RSS; a batch split but not yet parsed also holds its
+/// lines' bytes, ~230 KB more at the generator's line lengths.
 const PIPELINE_BATCHES: usize = 8;
 
 /// [`Line::job`] of a blank line.
@@ -957,8 +961,9 @@ const BLANK: u32 = u32::MAX;
 /// [`BadRow`].
 const BAD: u32 = u32::MAX - 1;
 
-/// One line of the trace as the read stage leaves it for the fold stage:
-/// 56 bytes, nothing borrowed from the read buffer.
+/// One line of the trace as the fold reads it: 56 bytes, nothing
+/// borrowed from the read buffer. The split step writes where it ends,
+/// the parse step the rest.
 #[derive(Debug, Clone, Copy)]
 struct Line {
     /// Stream offset just past the line's terminator; the line starts
@@ -967,14 +972,16 @@ struct Line {
     /// A good row's job name, as an index into [`Batch::jobs`], or
     /// [`BLANK`] / [`BAD`].
     job: u32,
-    /// A good row whose job name is the previous good row's.
+    /// A good row whose job name is the batch's previous good row's. The
+    /// first good row of a batch is never one: the fold's slow path
+    /// decides what it continues.
     same_job: bool,
     row: RowFacts,
 }
 
 const _: () = assert!(std::mem::size_of::<Line>() == 56);
 
-/// A line that failed to parse or classify, as the read stage found it.
+/// A line that failed to parse or classify, as the parse step found it.
 #[derive(Debug)]
 struct BadRow {
     error: TraceError,
@@ -982,7 +989,7 @@ struct BadRow {
     job_name: Option<String>,
 }
 
-/// Where the read stage left the source after a batch.
+/// Where the split step left the source after a batch.
 #[derive(Debug)]
 enum BatchEnd {
     /// More lines may follow.
@@ -993,12 +1000,18 @@ enum BatchEnd {
     Failed(TraceError),
 }
 
-/// Consecutive lines of the trace, in file order, from the read stage to
-/// the fold stage. A batch's buffers are reused from batch to batch.
+/// Consecutive lines of the trace, in file order: split, then parsed,
+/// then folded. A batch's buffers are reused from batch to batch.
 #[derive(Debug)]
 struct Batch {
     /// Stream offset of the first line.
     start: u64,
+    /// Lines of the source before the first line.
+    first_line: usize,
+    /// The lines' bytes as read, terminators included: the source from
+    /// `start` on, held from the split to the parse when the two run
+    /// apart (empty when they alternate inline).
+    raw: Vec<u8>,
     lines: Vec<Line>,
     /// Each job name's bytes in `names`: one entry per run of good rows
     /// of one name.
@@ -1013,6 +1026,8 @@ impl Batch {
     fn new(lines: usize) -> Batch {
         Batch {
             start: 0,
+            first_line: 0,
+            raw: Vec::new(),
             lines: Vec::with_capacity(lines),
             jobs: Vec::new(),
             names: String::new(),
@@ -1020,79 +1035,56 @@ impl Batch {
             end: BatchEnd::More,
         }
     }
-}
 
-/// The read stage's copy of the job name of the last good row before the
-/// batch it is filling.
-#[derive(Default)]
-struct LastName {
-    name: String,
-    /// False before the first good row.
-    seen: bool,
-}
-
-impl LastName {
     /// The [`Batch::jobs`] entry of a good row of job `name`, and whether
-    /// the previous good row had the same name. Consecutive rows of one
-    /// name share the batch's last entry.
-    fn entry(&mut self, batch: &mut Batch, name: &str) -> (u32, bool) {
-        let same = match batch.jobs.last() {
-            Some(last) => {
-                if batch.names.as_bytes()[last.clone()] == *name.as_bytes() {
-                    return ((batch.jobs.len() - 1) as u32, true);
-                }
-                false
+    /// the batch's previous good row had the same name. Consecutive rows
+    /// of one name share the batch's last entry.
+    fn job_entry(&mut self, name: &str) -> (u32, bool) {
+        if let Some(last) = self.jobs.last() {
+            if self.names.as_bytes()[last.clone()] == *name.as_bytes() {
+                return ((self.jobs.len() - 1) as u32, true);
             }
-            None => self.seen && self.name == name,
-        };
-        let start = batch.names.len();
-        batch.names.push_str(name);
-        batch.jobs.push(start..batch.names.len());
-        ((batch.jobs.len() - 1) as u32, same)
-    }
-
-    /// Carry the last name of a filled batch into the next.
-    fn keep(&mut self, batch: &Batch) {
-        if let Some(last) = batch.jobs.last() {
-            self.name.clear();
-            self.name.push_str(&batch.names[last.clone()]);
-            self.seen = true;
         }
+        let start = self.names.len();
+        self.names.push_str(name);
+        self.jobs.push(start..self.names.len());
+        ((self.jobs.len() - 1) as u32, false)
     }
 }
 
-/// The read stage: split the source into lines, parse and classify each
-/// row, and describe every line — blank, good or bad — in file order.
-/// It decides nothing the fold must see first, so it can run ahead.
-struct ReadStage<R> {
+/// The split step: cut the source into lines in file order, numbering
+/// them and recording where each ends. Only the thread that owns the
+/// source runs it.
+struct Splitter<R> {
     lines: scan::BufLines<R>,
-    policy: ReadPolicy,
-    /// DAG-name verdicts; task names repeat across the whole trace.
-    memo: taskname::DagNameMemo,
-    last: LastName,
     /// Lines read so far.
     line_no: usize,
     /// Stream offset past the last line read.
     offset: u64,
 }
 
-impl<R: Read> ReadStage<R> {
-    fn new(source: R, buffer: usize, policy: &ReadPolicy) -> ReadStage<R> {
-        ReadStage {
+impl<R: Read> Splitter<R> {
+    fn new(source: R, buffer: usize) -> Splitter<R> {
+        Splitter {
             lines: scan::BufLines::new(source, buffer),
-            policy: policy.clone(),
-            memo: taskname::DagNameMemo::new(),
-            last: LastName::default(),
             line_no: 0,
             offset: 0,
         }
     }
 
     /// Refill `batch` with the next `max_lines` lines, or fewer when the
-    /// source ends or fails (recorded in [`Batch::end`]). Returns whether
-    /// more lines may follow.
-    fn fill(&mut self, batch: &mut Batch, max_lines: usize) -> bool {
+    /// source ends or fails (recorded in [`Batch::end`]), handing each
+    /// line's index in the batch and its bytes, terminator included, to
+    /// `take`. Returns whether more lines may follow.
+    fn split(
+        &mut self,
+        batch: &mut Batch,
+        max_lines: usize,
+        mut take: impl FnMut(&mut Batch, usize, &[u8]),
+    ) -> bool {
         batch.start = self.offset;
+        batch.first_line = self.line_no;
+        batch.raw.clear();
         batch.lines.clear();
         batch.jobs.clear();
         batch.names.clear();
@@ -1112,38 +1104,84 @@ impl<R: Read> ReadStage<R> {
             };
             self.line_no += 1;
             self.offset = offset + consumed;
-            let (job, same_job, row) = if span.is_empty() {
-                (BLANK, false, RowFacts::NONE)
-            } else {
-                let raw = &self.lines.view()[span];
-                let line_no = self.line_no;
-                let verdict = scan::parse_task_parts_bytes(line_no, raw).and_then(|p| {
-                    csv::classify_row(&self.policy, line_no, p, |p| (p.start_time, p.end_time))
-                });
-                match verdict {
-                    Ok(parts) => {
-                        let (job, same_job) = self.last.entry(batch, parts.job_name);
-                        (job, same_job, RowFacts::of(&parts, &mut self.memo))
-                    }
-                    Err(error) => {
-                        batch.bad.push(BadRow {
-                            error,
-                            excerpt: quarantine::excerpt_of(raw),
-                            job_name: quarantine::job_name_of(raw),
-                        });
-                        (BAD, false, RowFacts::NONE)
-                    }
-                }
-            };
+            let i = batch.lines.len();
             batch.lines.push(Line {
                 end: self.offset,
-                job,
-                same_job,
-                row,
+                job: BLANK,
+                same_job: false,
+                row: RowFacts::NONE,
             });
+            // The span is the line less its terminator, from the line's
+            // first byte.
+            let whole = span.start..span.start + consumed as usize;
+            take(batch, i, &self.lines.view()[whole]);
         }
-        self.last.keep(batch);
         matches!(batch.end, BatchEnd::More)
+    }
+}
+
+/// The parse step: the SWAR parse, `classify_row`, each task name's DAG
+/// verdict and the job-name runs of one split batch. It reads nothing
+/// outside the batch, so any thread may run it on any batch; each thread
+/// that parses owns one.
+struct Parser {
+    policy: ReadPolicy,
+    /// DAG-name verdicts; task names repeat across the whole trace.
+    memo: taskname::DagNameMemo,
+}
+
+impl Parser {
+    fn new(policy: &ReadPolicy) -> Parser {
+        Parser {
+            policy: policy.clone(),
+            memo: taskname::DagNameMemo::new(),
+        }
+    }
+
+    /// Describe line `i` of `batch` from its bytes as split: `BufLines`
+    /// strips a `\n` and one `\r` before it, and keeps an unterminated
+    /// last line whole.
+    fn parse_line(&mut self, batch: &mut Batch, i: usize, bytes: &[u8]) {
+        let raw = match bytes.strip_suffix(b"\n") {
+            Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+            None => bytes,
+        };
+        if raw.is_empty() {
+            return;
+        }
+        let line_no = batch.first_line + i + 1;
+        let verdict = scan::parse_task_parts_bytes(line_no, raw).and_then(|p| {
+            csv::classify_row(&self.policy, line_no, p, |p| (p.start_time, p.end_time))
+        });
+        match verdict {
+            Ok(parts) => {
+                let (job, same_job) = batch.job_entry(parts.job_name);
+                let line = &mut batch.lines[i];
+                line.job = job;
+                line.same_job = same_job;
+                line.row = RowFacts::of(&parts, &mut self.memo);
+            }
+            Err(error) => {
+                batch.bad.push(BadRow {
+                    error,
+                    excerpt: quarantine::excerpt_of(raw),
+                    job_name: quarantine::job_name_of(raw),
+                });
+                batch.lines[i].job = BAD;
+            }
+        }
+    }
+
+    /// Parse a batch the split left in [`Batch::raw`].
+    fn parse(&mut self, batch: &mut Batch) {
+        let raw = std::mem::take(&mut batch.raw);
+        let mut from = 0;
+        for i in 0..batch.lines.len() {
+            let to = (batch.lines[i].end - batch.start) as usize;
+            self.parse_line(batch, i, &raw[from..to]);
+            from = to;
+        }
+        batch.raw = raw;
     }
 }
 
@@ -1186,7 +1224,7 @@ impl FoldStage {
             }
             state.quarantine.rows_total += 1;
             if line.job == BAD {
-                let row = bad.next().expect("the read stage records every bad line");
+                let row = bad.next().expect("the parse step records every bad line");
                 self.quarantine(state, row, start)?;
                 continue;
             }
@@ -1356,8 +1394,11 @@ impl FoldStage {
                     .push(FOLDED | if eligible { ELIGIBLE } else { 0 });
                 state.acc.add_facts(&fold.facts());
                 if self.index.needs_grow() {
+                    let at = Instant::now();
                     let names = &state.names;
                     self.index.grow(|i| names.hash(i));
+                    state.counters.index_grows += 1;
+                    state.counters.index_grow_time += at.elapsed();
                     self.index.insert(fold.hash, idx);
                 } else {
                     // No insert has happened since this job's open-time
@@ -1378,46 +1419,136 @@ impl FoldStage {
     }
 }
 
-/// What the forward scan's two stages did.
+/// What the forward scan's stages did.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScanCounters {
-    /// Batches of lines the read stage handed the fold stage.
+    /// Batches of lines the fold stage folded.
     pub batches: u64,
     /// Whether the stages ran on two threads; otherwise they alternated
     /// on the calling thread and neither waited.
     pub threaded: bool,
-    /// How long the read stage waited for a free batch: the fold was
-    /// behind.
+    /// Batches the reader thread parsed (on two threads).
+    pub reader_parsed: u64,
+    /// Batches the fold thread parsed because its next batch was not
+    /// parsed yet (on two threads).
+    pub fold_parsed: u64,
+    /// How long the reader waited with no free batch to split into and
+    /// no split batch to parse: the fold was behind.
     pub read_wait: Duration,
-    /// How long the fold stage waited for a full batch: the read was
-    /// behind.
+    /// How long the fold waited with its next batch unparsed and no
+    /// split batch to parse: the split was behind, or the reader was
+    /// parsing the fold's next batch.
     pub fold_wait: Duration,
+    /// Times the name index doubled.
+    pub index_grows: u32,
+    /// Time the fold spent rebuilding the name index.
+    pub index_grow_time: Duration,
 }
 
-/// The forward scan: the read stage fills batches of line descriptors and
-/// the fold stage folds them in file order. With `threads` of two or more
-/// and more trace than one buffer fill, a scoped reader thread runs ahead
-/// through [`PIPELINE_BATCHES`] recycled batches; otherwise the two
-/// stages alternate on the calling thread. The fold sees the same lines
-/// in the same order either way, so every statistic, quarantine row and
-/// first error is the same. A fold error drops the fold's ends of both
-/// channels, so the reader stops at its next hand-off, and it is joined
-/// (its panic resumed) before this returns.
+/// Which thread parses the split batches when the stages run on two
+/// threads. A test seam, not part of the API: the scan parses on demand,
+/// and the tests pin that each thread alone gives the same result.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseBy {
+    /// The reader parses when it has nothing to split, the fold when its
+    /// next batch is not parsed yet.
+    Demand,
+    /// Only the reader parses.
+    Reader,
+    /// Only the fold thread parses.
+    Fold,
+}
+
+/// The batches between the two threads of a scan, under one lock.
+struct Relay {
+    hand: Mutex<Hand>,
+    /// Signalled whenever a batch changes hands or a thread stops.
+    moved: Condvar,
+}
+
+struct Hand {
+    /// Folded batches the split may refill.
+    free: Vec<Batch>,
+    /// Split batches no thread has taken to parse, oldest first, with
+    /// their sequence numbers.
+    split: VecDeque<(usize, Batch)>,
+    /// Parsed batches not yet folded, each at its sequence number modulo
+    /// [`PIPELINE_BATCHES`]: the fold takes them in file order.
+    parsed: Vec<Option<Batch>>,
+    /// The fold returned or panicked: the reader stops.
+    fold_stopped: bool,
+    /// The reader returned or panicked: only the fold thread parses.
+    reader_gone: bool,
+}
+
+impl Relay {
+    /// The hand-off state. Neither thread panics while holding it, but a
+    /// poisoned lock is taken anyway: the flags must still be set.
+    fn lock(&self) -> MutexGuard<'_, Hand> {
+        self.hand.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wait for the other thread to move a batch, adding the wait to
+    /// `waited`.
+    fn wait<'a>(&self, hand: MutexGuard<'a, Hand>, waited: &mut Duration) -> MutexGuard<'a, Hand> {
+        let at = Instant::now();
+        let hand = self
+            .moved
+            .wait(hand)
+            .unwrap_or_else(PoisonError::into_inner);
+        *waited += at.elapsed();
+        hand
+    }
+}
+
+/// Sets one of the [`Hand`] flags when dropped, on return or on unwind,
+/// and wakes the other thread.
+struct OnExit<'a> {
+    relay: &'a Relay,
+    flag: fn(&mut Hand) -> &mut bool,
+}
+
+impl Drop for OnExit<'_> {
+    fn drop(&mut self) {
+        *(self.flag)(&mut self.relay.lock()) = true;
+        self.relay.moved.notify_all();
+    }
+}
+
+/// The forward scan: the split step cuts the source into batches of
+/// lines, the parse step describes each line, and the fold stage folds
+/// the descriptors in file order. With `threads` of two or more and more
+/// trace than one buffer fill, a scoped reader thread splits ahead
+/// through [`PIPELINE_BATCHES`] recycled batches and parses when it has
+/// nothing to split; the calling thread folds, and parses the oldest
+/// unparsed batch whenever its next batch is not parsed yet (`by` pins
+/// the parsing to one thread in tests). Otherwise the steps alternate on
+/// the calling thread, parsing each line as it is split. The fold sees
+/// the same descriptors in the same order either way, so every
+/// statistic, quarantine row and first error is the same. Whatever ends
+/// the fold, its return, its error or a panic, stops the reader at its
+/// next hand-off, and the reader is joined (its panic resumed) before
+/// this returns.
 fn scan_rows<R: Read + Seek + Send>(
     source: &mut R,
     state: &mut ScanState,
     buffer: usize,
     batch_lines: usize,
     threads: usize,
+    by: ParseBy,
 ) -> Result<(), TraceError> {
     let len = source.seek(SeekFrom::End(0))?;
     source.seek(SeekFrom::Start(0))?;
-    let mut read = ReadStage::new(&mut *source, buffer, &state.policy);
+    let mut split = Splitter::new(&mut *source, buffer);
     let mut fold = FoldStage::new();
-    if threads < 2 || len <= read.lines.capacity() as u64 {
+    let mut parser = Parser::new(&state.policy);
+    if threads < 2 || len <= split.lines.capacity() as u64 {
         let mut batch = Batch::new(batch_lines);
         loop {
-            read.fill(&mut batch, batch_lines);
+            split.split(&mut batch, batch_lines, |batch, i, bytes| {
+                parser.parse_line(batch, i, bytes)
+            });
             state.counters.batches += 1;
             if !fold.fold_batch(state, &mut batch)? {
                 return Ok(());
@@ -1425,50 +1556,117 @@ fn scan_rows<R: Read + Seek + Send>(
         }
     }
     state.counters.threaded = true;
-    let (full_tx, full_rx) = mpsc::channel();
-    let (free_tx, free_rx) = mpsc::channel();
-    for _ in 0..PIPELINE_BATCHES {
-        // The receiver is alive: it is dropped below.
-        let _ = free_tx.send(Batch::new(batch_lines));
-    }
+    let relay = Relay {
+        hand: Mutex::new(Hand {
+            free: (0..PIPELINE_BATCHES)
+                .map(|_| Batch::new(batch_lines))
+                .collect(),
+            split: VecDeque::new(),
+            parsed: (0..PIPELINE_BATCHES).map(|_| None).collect(),
+            fold_stopped: false,
+            reader_gone: false,
+        }),
+        moved: Condvar::new(),
+    };
+    let policy = state.policy.clone();
+    let relay = &relay;
     std::thread::scope(|scope| {
         let reader = std::thread::Builder::new()
             .name("dagscope-scan-read".to_string())
             .spawn_scoped(scope, move || {
-                let mut waited = Duration::ZERO;
-                loop {
-                    let at = Instant::now();
-                    let Ok(mut batch) = free_rx.recv() else {
-                        break;
+                let _gone = OnExit {
+                    relay,
+                    flag: |hand| &mut hand.reader_gone,
+                };
+                let mut parser = Parser::new(&policy);
+                let (mut seq, mut more) = (0, true);
+                let (mut waited, mut parsed) = (Duration::ZERO, 0);
+                let mut hand = relay.lock();
+                while !hand.fold_stopped {
+                    let free = if more { hand.free.pop() } else { None };
+                    if let Some(mut batch) = free {
+                        drop(hand);
+                        more = split.split(&mut batch, batch_lines, |batch, _, bytes| {
+                            batch.raw.extend_from_slice(bytes)
+                        });
+                        hand = relay.lock();
+                        hand.split.push_back((seq, batch));
+                        seq += 1;
+                        relay.moved.notify_all();
+                        continue;
+                    }
+                    let unparsed = match by {
+                        ParseBy::Fold => None,
+                        _ => hand.split.pop_front(),
                     };
-                    waited += at.elapsed();
-                    let more = read.fill(&mut batch, batch_lines);
-                    if full_tx.send(batch).is_err() || !more {
+                    if let Some((s, mut batch)) = unparsed {
+                        drop(hand);
+                        parser.parse(&mut batch);
+                        parsed += 1;
+                        hand = relay.lock();
+                        hand.parsed[s % PIPELINE_BATCHES] = Some(batch);
+                        relay.moved.notify_all();
+                    } else if more {
+                        hand = relay.wait(hand, &mut waited);
+                    } else {
                         break;
                     }
                 }
-                waited
+                (waited, parsed)
             })?;
+        let stop = OnExit {
+            relay,
+            flag: |hand| &mut hand.fold_stopped,
+        };
+        let mut next = 0;
         let folded = loop {
-            let at = Instant::now();
-            // Only a reader panic closes the channel before the last
-            // batch; the join below resumes it.
-            let Ok(mut batch) = full_rx.recv() else {
+            let mut hand = relay.lock();
+            let batch = loop {
+                if let Some(batch) = hand.parsed[next % PIPELINE_BATCHES].take() {
+                    break Some(batch);
+                }
+                if by != ParseBy::Reader {
+                    if let Some((s, mut batch)) = hand.split.pop_front() {
+                        drop(hand);
+                        parser.parse(&mut batch);
+                        state.counters.fold_parsed += 1;
+                        // No wake-up: the reader never waits for a parsed
+                        // batch.
+                        hand = relay.lock();
+                        hand.parsed[s % PIPELINE_BATCHES] = Some(batch);
+                        continue;
+                    }
+                }
+                // The reader left batch `next` unsplit or unparsed: it
+                // panicked, and the join below resumes its panic.
+                if hand.reader_gone {
+                    break None;
+                }
+                hand = relay.wait(hand, &mut state.counters.fold_wait);
+            };
+            drop(hand);
+            let Some(mut batch) = batch else {
                 break Ok(());
             };
-            state.counters.fold_wait += at.elapsed();
+            #[cfg(test)]
+            tests::fold_hook(state.counters.batches);
+            next += 1;
             state.counters.batches += 1;
             match fold.fold_batch(state, &mut batch) {
                 Ok(true) => {
-                    let _ = free_tx.send(batch);
+                    relay.lock().free.push(batch);
+                    relay.moved.notify_all();
                 }
                 Ok(false) => break Ok(()),
                 Err(error) => break Err(error),
             }
         };
-        drop((full_rx, free_tx));
+        drop(stop);
         match reader.join() {
-            Ok(waited) => state.counters.read_wait = waited,
+            Ok((waited, parsed)) => {
+                state.counters.read_wait = waited;
+                state.counters.reader_parsed = parsed;
+            }
             Err(panic) => std::panic::resume_unwind(panic),
         }
         folded
@@ -1486,7 +1684,7 @@ pub struct StreamedTrace<R> {
 impl<R: Read + Seek + Send> StreamedTrace<R> {
     /// Scan `source` end to end with the default buffer size. With
     /// [`dagscope_par::parallelism`] of two or more and a source longer
-    /// than the buffer, the scan's read stage borrows `source` on a scoped
+    /// than the buffer, the scan's split borrows `source` on a scoped
     /// thread of its own (hence `R: Send`); the result is the same.
     pub fn scan(
         source: R,
@@ -1505,11 +1703,26 @@ impl<R: Read + Seek + Send> StreamedTrace<R> {
         buffer: usize,
     ) -> Result<StreamedTrace<R>, TraceError> {
         let threads = dagscope_par::parallelism();
-        Self::scan_batched(source, policy, criteria, buffer, BATCH_LINES, threads)
+        Self::scan_parsed_by(source, policy, criteria, buffer, threads, ParseBy::Demand)
     }
 
-    /// [`StreamedTrace::scan_with_buffer`] in batches of `batch_lines`
-    /// lines, on `threads` threads.
+    /// [`StreamedTrace::scan_with_buffer`] on `threads` threads, the
+    /// split batches parsed `by` the given thread. A test seam, not part
+    /// of the API.
+    #[doc(hidden)]
+    pub fn scan_parsed_by(
+        source: R,
+        policy: &ReadPolicy,
+        criteria: &SampleCriteria,
+        buffer: usize,
+        threads: usize,
+        by: ParseBy,
+    ) -> Result<StreamedTrace<R>, TraceError> {
+        Self::scan_batched(source, policy, criteria, buffer, BATCH_LINES, threads, by)
+    }
+
+    /// [`StreamedTrace::scan_parsed_by`] in batches of `batch_lines`
+    /// lines.
     fn scan_batched(
         mut source: R,
         policy: &ReadPolicy,
@@ -1517,9 +1730,10 @@ impl<R: Read + Seek + Send> StreamedTrace<R> {
         buffer: usize,
         batch_lines: usize,
         threads: usize,
+        by: ParseBy,
     ) -> Result<StreamedTrace<R>, TraceError> {
         let mut state = ScanState::new(policy, criteria);
-        scan_rows(&mut source, &mut state, buffer, batch_lines, threads)?;
+        scan_rows(&mut source, &mut state, buffer, batch_lines, threads, by)?;
         state.finalize(&mut source)?;
         Ok(StreamedTrace { source, state })
     }
@@ -1921,13 +2135,103 @@ mod tests {
         )
     }
 
+    /// Every way the stages may run: alternating on one thread, then on
+    /// two with the batches parsed on demand, by the reader alone and by
+    /// the fold alone.
+    const RUNS: [(usize, ParseBy); 4] = [
+        (1, ParseBy::Demand),
+        (2, ParseBy::Demand),
+        (2, ParseBy::Reader),
+        (2, ParseBy::Fold),
+    ];
+
+    /// Scan `doc` every way the stages may run, in batches of every size
+    /// in `batch_sizes` and with read buffers of every size in `buffers`:
+    /// each scan must leave what the one-thread scan in default batches
+    /// leaves, or fail with its error, and that must be the batch read
+    /// with every suspect's rows dropped, or its error.
+    fn assert_every_run_agrees(
+        doc: &[u8],
+        policy: &ReadPolicy,
+        batch_sizes: &[usize],
+        buffers: &[usize],
+    ) {
+        let scan = |buffer, batch_lines, (threads, by)| {
+            StreamedTrace::scan_batched(
+                Cursor::new(doc),
+                policy,
+                &SampleCriteria::default(),
+                buffer,
+                batch_lines,
+                threads,
+                by,
+            )
+            .map(|mut t| (view_of(&mut t), t.scan_counters()))
+        };
+        let want = scan(1 << 20, BATCH_LINES, RUNS[0]);
+        match (&want, csv::read_tasks_with_policy(doc, policy)) {
+            (Ok((view, _)), Ok((rows, q))) => {
+                let suspects = q.suspect_jobs();
+                let set = JobSet::from_tasks(
+                    rows.into_iter()
+                        .filter(|t| !suspects.contains_key(t.job_name.as_str())),
+                );
+                assert_eq!(view.0, format!("{:?}", TraceStats::compute(&set)));
+                assert_eq!((&view.1, &view.3), (&q, &set), "{policy:?}");
+            }
+            (Err(got), Err(batch)) => assert_eq!(got, &batch, "{policy:?}"),
+            _ => panic!("{policy:?}: the scan and the batch read disagree on failing"),
+        }
+        let lines = scan::lines(doc).count();
+        for run in RUNS {
+            for &batch_lines in batch_sizes {
+                for &buffer in buffers {
+                    let got = scan(buffer, batch_lines, run);
+                    let at = (run, batch_lines, buffer, policy);
+                    match (&got, &want) {
+                        (Ok((got, counters)), Ok((want, _))) => {
+                            assert_eq!(got, want, "{at:?}");
+                            assert_eq!(counters.batches as usize, lines / batch_lines + 1);
+                            let threaded = run.0 == 2 && buffer < doc.len();
+                            assert_eq!(counters.threaded, threaded, "{at:?}");
+                            let parsed = [counters.reader_parsed, counters.fold_parsed];
+                            match (threaded, run.1) {
+                                (false, _) => assert_eq!(parsed, [0, 0]),
+                                (true, ParseBy::Reader) => assert_eq!(parsed[1], 0),
+                                (true, ParseBy::Fold) => assert_eq!(parsed[0], 0),
+                                (true, ParseBy::Demand) => {}
+                            }
+                            if threaded {
+                                assert_eq!(parsed[0] + parsed[1], counters.batches, "{at:?}");
+                            }
+                        }
+                        (Err(got), Err(want)) => assert_eq!(got, want, "{at:?}"),
+                        _ => panic!("{at:?}: one scan failed, the other did not"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Policies whose budgets hold, run out, or are none at all.
+    fn policies() -> [ReadPolicy; 4] {
+        [
+            ReadPolicy::Quarantine {
+                max_bad: usize::MAX,
+            },
+            ReadPolicy::Quarantine { max_bad: 20 },
+            ReadPolicy::Quarantine { max_bad: 1 },
+            ReadPolicy::Strict,
+        ]
+    }
+
     #[test]
     fn two_stages_agree_at_every_batch_size_and_thread_count() {
         // Blank lines, out-of-order stragglers and bad rows that name
-        // their job (under a budget that holds, one that runs out, and
+        // their job (under a budget that holds, ones that run out, and
         // the strict policy), cut into batches of every small size and
         // of the default size, with the stages alternating on one thread
-        // and overlapping on two.
+        // and overlapping on two, each thread parsing.
         let (mut lines, mut tail) = (Vec::new(), Vec::new());
         for (i, line) in generated_lines(300, 9).into_iter().enumerate() {
             if i % 23 == 5 {
@@ -1945,59 +2249,69 @@ mod tests {
         }
         lines.append(&mut tail);
         let doc = lines.join("\n");
-        for policy in [
-            ReadPolicy::Quarantine {
-                max_bad: usize::MAX,
-            },
-            ReadPolicy::Quarantine { max_bad: 20 },
-            ReadPolicy::Strict,
-        ] {
-            let scan = |buffer, batch_lines, threads| {
-                StreamedTrace::scan_batched(
-                    Cursor::new(doc.as_bytes()),
-                    &policy,
-                    &SampleCriteria::default(),
-                    buffer,
-                    batch_lines,
-                    threads,
-                )
-                .map(|mut t| (view_of(&mut t), t.scan_counters()))
-            };
-            let want = scan(1 << 20, BATCH_LINES, 1);
-            // The reference is the batch read with every suspect's rows
-            // dropped, or its error.
-            match (&want, csv::read_tasks_with_policy(doc.as_bytes(), &policy)) {
-                (Ok((view, _)), Ok((rows, q))) => {
-                    let suspects = q.suspect_jobs();
-                    let set = JobSet::from_tasks(
-                        rows.into_iter()
-                            .filter(|t| !suspects.contains_key(t.job_name.as_str())),
-                    );
-                    assert_eq!(view.0, format!("{:?}", TraceStats::compute(&set)));
-                    assert_eq!((&view.1, &view.3), (&q, &set), "{policy:?}");
-                }
-                (Err(got), Err(batch)) => assert_eq!(got, &batch, "{policy:?}"),
-                _ => panic!("{policy:?}: the scan and the batch read disagree on failing"),
-            }
-            for threads in [1, 2] {
-                for batch_lines in [1, 2, 3, 7, 64, BATCH_LINES] {
-                    for buffer in [64, 1 << 20] {
-                        let got = scan(buffer, batch_lines, threads);
-                        let at = (threads, batch_lines, buffer, &policy);
-                        match (&got, &want) {
-                            (Ok((got, counters)), Ok((want, _))) => {
-                                assert_eq!(got, want, "{at:?}");
-                                let lines = doc.lines().count();
-                                assert_eq!(counters.batches as usize, lines / batch_lines + 1);
-                                assert_eq!(counters.threaded, threads == 2 && buffer == 64);
-                            }
-                            (Err(got), Err(want)) => assert_eq!(got, want, "{at:?}"),
-                            _ => panic!("{at:?}: one scan failed, the other did not"),
-                        }
-                    }
-                }
-            }
+        for policy in policies() {
+            let sizes = [1, 2, 3, 7, 64, BATCH_LINES];
+            assert_every_run_agrees(doc.as_bytes(), &policy, &sizes, &[64, 1 << 20]);
         }
+    }
+
+    #[test]
+    fn every_kind_of_row_may_open_a_batch() {
+        // Each row below opens a batch at some batch size: a row that
+        // continues the open job, a suspect's row, a straggler's
+        // re-appearance and its continuation, bad rows with and without a
+        // job name, and a blank line. The first row of a batch is parsed
+        // as if no row came before it; the fold's slow path must place it
+        // as the continuous scan does.
+        let row = |task: &str, job: u32| format!("{task},1,j_{job},1,Terminated,100,200,100,0.5");
+        let lines = [
+            row("M1", 1),
+            row("R2_1", 1),
+            row("M1", 2),
+            "M1,x,j_2,1,Terminated,1,2,3,4".to_string(),
+            row("R2_1", 2),
+            row("R3_2", 2),
+            row("M1", 3),
+            row("R3_1", 1),
+            row("R4_3", 1),
+            String::new(),
+            "not,a,row".to_string(),
+            row("M1", 4),
+            row("R2_1", 4),
+            "R3_2,y,j_4,1,Terminated,1,2,3,4".to_string(),
+            row("R5_4", 1),
+            row("M1", 5),
+        ];
+        let doc = lines.join("\n") + "\n";
+        let sizes: Vec<usize> = (1..=lines.len() + 1).collect();
+        for policy in policies() {
+            assert_every_run_agrees(doc.as_bytes(), &policy, &sizes, &[16, 64, 1 << 20]);
+        }
+    }
+
+    #[test]
+    fn a_crlf_may_straddle_a_refill() {
+        // `\r\n` line ends, a bare `\r` inside a line and one ending the
+        // unterminated last line: at every read-buffer size over a few
+        // lines' length, some `\r` is the last byte of a fill and its
+        // `\n` comes with the next. The split hands on each line's bytes
+        // as read, and the parse strips what `BufLines` strips.
+        let mut lines = generated_lines(12, 4);
+        lines[3].push('\r');
+        lines.push("M1,1,j_9,1,Terminated,100,200,100,0.5\r".to_string());
+        let doc = lines.join("\r\n");
+        let buffers: Vec<usize> = (16..=3 * lines[0].len()).collect();
+        for policy in [ReadPolicy::Quarantine { max_bad: 8 }, ReadPolicy::Strict] {
+            assert_every_run_agrees(doc.as_bytes(), &policy, &[1, 5, BATCH_LINES], &buffers);
+        }
+    }
+
+    /// Run `scan` on a thread of its own, failing the test if it hangs.
+    fn within_a_minute<T: Send + 'static>(scan: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(scan()).unwrap());
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the scan hung")
     }
 
     #[test]
@@ -2010,57 +2324,129 @@ mod tests {
         assert!(lines.len() > 5 * BATCH_LINES);
         let doc = lines.join("\n").into_bytes();
         let want = csv::read_tasks(&doc[..]).unwrap_err();
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let got = StreamedTrace::scan_batched(
-                Cursor::new(doc),
-                &ReadPolicy::Strict,
-                &SampleCriteria::default(),
-                4096,
-                BATCH_LINES,
-                2,
-            );
-            tx.send(got.err()).unwrap();
-        });
-        let got = rx
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .expect("the scan hung");
-        assert_eq!(got, Some(want));
+        for (_, by) in RUNS {
+            let doc = doc.clone();
+            let got = within_a_minute(move || {
+                StreamedTrace::scan_batched(
+                    Cursor::new(doc),
+                    &ReadPolicy::Strict,
+                    &SampleCriteria::default(),
+                    4096,
+                    BATCH_LINES,
+                    2,
+                    by,
+                )
+                .err()
+            });
+            assert_eq!(got.as_ref(), Some(&want), "{by:?}");
+        }
     }
 
-    /// A source whose reads panic once `limit` bytes have been read.
-    struct PanicsAfter {
+    /// A source whose reads fail, or panic, once `limit` bytes have been
+    /// read.
+    struct GivesOut {
         inner: Cursor<Vec<u8>>,
         limit: u64,
+        panics: bool,
     }
 
-    impl Read for PanicsAfter {
+    impl GivesOut {
+        fn halfway(doc: Vec<u8>, panics: bool) -> GivesOut {
+            GivesOut {
+                limit: doc.len() as u64 / 2,
+                inner: Cursor::new(doc),
+                panics,
+            }
+        }
+    }
+
+    impl Read for GivesOut {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            assert!(self.inner.position() < self.limit, "source gave out");
+            if self.inner.position() >= self.limit {
+                assert!(!self.panics, "source gave out");
+                return Err(std::io::Error::other("source gave out"));
+            }
             self.inner.read(buf)
         }
     }
 
-    impl Seek for PanicsAfter {
+    impl Seek for GivesOut {
         fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
             self.inner.seek(pos)
         }
     }
 
     #[test]
+    fn a_read_error_midway_joins_the_reader() {
+        let doc = generated_lines(4000, 4).join("\n").into_bytes();
+        for (threads, by) in RUNS {
+            let source = GivesOut::halfway(doc.clone(), false);
+            let got = within_a_minute(move || {
+                let (policy, criteria) = (ReadPolicy::Strict, SampleCriteria::default());
+                StreamedTrace::scan_batched(source, &policy, &criteria, 4096, 64, threads, by).err()
+            });
+            assert_eq!(got, Some(TraceError::Io("source gave out".to_string())));
+        }
+    }
+
+    #[test]
     fn a_reader_thread_panic_reaches_the_caller() {
         let doc = generated_lines(2000, 4).join("\n").into_bytes();
-        let source = PanicsAfter {
-            limit: doc.len() as u64 / 2,
-            inner: Cursor::new(doc),
-        };
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let policy = ReadPolicy::Strict;
-            let criteria = SampleCriteria::default();
-            StreamedTrace::scan_batched(source, &policy, &criteria, 4096, 64, 2).is_ok()
-        }))
-        .expect_err("the reader's panic must reach the caller");
-        assert_eq!(panic.downcast_ref::<&str>(), Some(&"source gave out"));
+        for (_, by) in RUNS {
+            let source = GivesOut::halfway(doc.clone(), true);
+            let panic = within_a_minute(move || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let (policy, criteria) = (ReadPolicy::Strict, SampleCriteria::default());
+                    StreamedTrace::scan_batched(source, &policy, &criteria, 4096, 64, 2, by).is_ok()
+                }))
+                .expect_err("the reader's panic must reach the caller")
+            });
+            assert_eq!(
+                panic.downcast_ref::<&str>(),
+                Some(&"source gave out"),
+                "{by:?}"
+            );
+        }
+    }
+
+    thread_local! {
+        /// The fold batch at which [`fold_hook`] panics on this thread.
+        static FOLD_PANIC_AT: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
+    }
+
+    /// Called by the fold thread before it folds each batch.
+    pub(super) fn fold_hook(batch: u64) {
+        if FOLD_PANIC_AT.get() == Some(batch) {
+            panic!("fold gave out");
+        }
+    }
+
+    #[test]
+    fn a_fold_thread_panic_stops_the_reader() {
+        // The fold thread panics at its first batch, while the reader
+        // waits for a free batch, and at its tenth, while it splits: the
+        // panic must reach the caller, not leave the reader waiting.
+        let doc = generated_lines(4000, 4).join("\n").into_bytes();
+        for at in [0, 9] {
+            for (_, by) in RUNS {
+                let doc = doc.clone();
+                let panic = within_a_minute(move || {
+                    FOLD_PANIC_AT.set(Some(at));
+                    std::panic::catch_unwind(|| {
+                        let (policy, criteria) = (ReadPolicy::Strict, SampleCriteria::default());
+                        let source = Cursor::new(doc);
+                        StreamedTrace::scan_batched(source, &policy, &criteria, 4096, 64, 2, by)
+                            .is_ok()
+                    })
+                    .expect_err("the fold's panic must reach the caller")
+                });
+                assert_eq!(
+                    panic.downcast_ref::<&str>(),
+                    Some(&"fold gave out"),
+                    "{by:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! corrupt traces, scan-buffer sizes, and fault lines, and checks that
 //! the scan's finalize-time corrections (straggler merges and suspect
 //! retractions) leave it equal to the batch read. Every streamed scan
-//! runs with its read and fold stages on one thread and on two, and the
-//! two runs must agree, injected faults included.
+//! runs with its steps on one thread and on two, each of the two threads
+//! parsing, and the runs must agree, injected faults included.
 //!
 //! Build with `--features failpoints`; the whole file vanishes without
 //! the feature.
@@ -25,11 +25,10 @@ use proptest::prelude::*;
 use dagscope_trace::filter::SampleCriteria;
 use dagscope_trace::gen::{GeneratorConfig, TraceGenerator};
 use dagscope_trace::stats::TraceStats;
-use dagscope_trace::stream::StreamedTrace;
 use dagscope_trace::{csv, JobSet, ReadPolicy};
 
 mod common;
-use common::{at_one_and_two_threads, scan};
+use common::{at_every_run, scan};
 
 /// The failpoint registry is process-global and `reset()` clears every
 /// site, so property cases must not interleave across test threads.
@@ -214,20 +213,14 @@ proptest! {
             "line {target} of {lines} absorbed an injected IO error"
         );
 
-        // Armed afresh for each thread count: the one-thread scan
-        // alternates its stages; with a buffer smaller than the trace the
-        // two-thread scan runs its reader on a thread of its own, where
-        // the fault fires.
+        // Armed afresh for each run: the one-thread scan alternates its
+        // steps; with a buffer smaller than the trace the two-thread scan
+        // splits on a reader thread of its own, where the fault fires.
         for cap in [1 << 20, 256] {
-            let [one, two] = at_one_and_two_threads(|| {
+            let [one, rest @ ..] = at_every_run(|run| {
                 dagscope_faults::configure("trace.read.line_io", &format!("{target}>1*return"))
                     .unwrap();
-                let streamed = StreamedTrace::scan_with_buffer(
-                    Cursor::new(&data[..]),
-                    &policy,
-                    &SampleCriteria::default(),
-                    cap,
-                );
+                let streamed = run.scan(Cursor::new(&data[..]), &policy, cap);
                 dagscope_faults::reset();
                 streamed.err()
             });
@@ -235,7 +228,9 @@ proptest! {
                 one.is_some(),
                 "line {target} of {lines} absorbed an injected IO error in the streamed scan"
             );
-            prop_assert_eq!(one, two);
+            for other in rest {
+                prop_assert_eq!(&one, &other);
+            }
         }
     }
 }

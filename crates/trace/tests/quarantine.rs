@@ -4,8 +4,8 @@
 //! (c) divert exactly the bad rows — the good rows must equal a strict
 //! read of the document with the bad lines deleted, and every report
 //! entry must point (line and byte offset) at the real offending line.
-//! Every streamed scan runs with its read and fold stages on one thread
-//! and on two, and the two runs must agree.
+//! Every streamed scan runs with its steps on one thread and on two, each
+//! of the two threads parsing, and the runs must agree.
 
 use proptest::prelude::*;
 

@@ -4,21 +4,19 @@
 //! offsets and excerpts, same error variants at the same line — on
 //! arbitrary byte soup: embedded NULs, invalid UTF-8, `\r\n` endings,
 //! trailing delimiters, empty and overlong fields, numeric edge shapes,
-//! and buffer splits at every boundary, with the streamed scan's read and
-//! fold stages on one thread and on two.
+//! and buffer splits at every boundary, with the streamed scan's steps on
+//! one thread and on two, each of the two threads parsing.
 
 use std::collections::BTreeSet;
 use std::io::Cursor;
 
 use proptest::prelude::*;
 
-use dagscope_trace::filter::SampleCriteria;
 use dagscope_trace::stats::TraceStats;
-use dagscope_trace::stream::StreamedTrace;
 use dagscope_trace::{csv, JobSet, ReadPolicy};
 
 mod common;
-use common::at_one_and_two_threads;
+use common::{at_every_run, Run};
 
 /// A field value aimed at the numeric fast paths and their bail-outs.
 fn num_field(kind: u8, a: u64, b: u64) -> String {
@@ -207,16 +205,15 @@ fn check_instances(doc: &[u8], policy: &ReadPolicy) {
 /// The streamed scan at every refill capacity agrees with the scalar
 /// oracle: the same first error, or the same quarantine report and suspect
 /// set, with replayed jobs and statistics equal to grouping the oracle's
-/// rows after dropping every row of a suspect job — at both thread
-/// counts, so the two runs agree with each other.
+/// rows after dropping every row of a suspect job — every way the scan
+/// may run, so the runs agree with each other.
 fn check_stream(doc: &[u8], policy: &ReadPolicy, cap: usize) {
-    at_one_and_two_threads(|| check_stream_at(doc, policy, cap));
+    at_every_run(|run| check_stream_at(doc, policy, cap, run));
 }
 
-fn check_stream_at(doc: &[u8], policy: &ReadPolicy, cap: usize) {
+fn check_stream_at(doc: &[u8], policy: &ReadPolicy, cap: usize, run: Run) {
     let oracle = csv::read_tasks_scalar_with_policy(doc, policy);
-    let streamed =
-        StreamedTrace::scan_with_buffer(Cursor::new(doc), policy, &SampleCriteria::default(), cap);
+    let streamed = run.scan(Cursor::new(doc), policy, cap);
     match (oracle, streamed) {
         (Err(want), Err(have)) => assert_eq!(have, want),
         (Ok((rows, want_q)), Ok(mut have)) => {

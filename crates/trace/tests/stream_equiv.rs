@@ -5,8 +5,8 @@
 //! population that hold what the batch-filtered jobs do — for random
 //! documents mixing contiguous job blocks, out-of-order straggler rows,
 //! malformed rows (which implicate their job), blank lines, and every
-//! buffer capacity from 1 byte up, with the scan's read and fold stages
-//! on one thread and on two.
+//! buffer capacity from 1 byte up, with the scan's steps on one thread and
+//! on two, each of the two threads parsing.
 
 use std::collections::BTreeSet;
 use std::io::Cursor;
@@ -15,11 +15,11 @@ use proptest::prelude::*;
 
 use dagscope_trace::filter::{self, SampleCriteria};
 use dagscope_trace::stats::TraceStats;
-use dagscope_trace::stream::{RowAttrs, SampleJob, StreamedTrace};
+use dagscope_trace::stream::{RowAttrs, SampleJob};
 use dagscope_trace::{csv, Job, JobSet, ReadPolicy};
 
 mod common;
-use common::at_one_and_two_threads;
+use common::{at_every_run, Run};
 
 /// One valid task row for `name`. Kind 5 has zeroed times/resources so the
 /// job fails the availability gate — the filter paths must agree on it.
@@ -142,22 +142,17 @@ fn rows_of_slot(job: SampleJob<'_>) -> JobRows {
     (job.name().to_string(), job.start_time(), rows)
 }
 
-/// The core equivalence check, shared by every case below, at both
-/// thread counts: each run equals the batch path, so the two runs equal
-/// each other.
+/// The core equivalence check, shared by every case below, every way the
+/// scan may run: each run equals the batch path, so the runs equal each
+/// other.
 fn check_equivalence(doc: &str, cap: usize, policy: &ReadPolicy) {
-    at_one_and_two_threads(|| check_equivalence_at(doc, cap, policy));
+    at_every_run(|run| check_equivalence_at(doc, cap, policy, run));
 }
 
-fn check_equivalence_at(doc: &str, cap: usize, policy: &ReadPolicy) {
+fn check_equivalence_at(doc: &str, cap: usize, policy: &ReadPolicy, run: Run) {
     let criteria = SampleCriteria::default();
     let batch = csv::read_tasks_with_policy(doc.as_bytes(), policy);
-    let stream = StreamedTrace::scan_with_buffer(
-        Cursor::new(doc.as_bytes().to_vec()),
-        policy,
-        &criteria,
-        cap,
-    );
+    let stream = run.scan(Cursor::new(doc.as_bytes().to_vec()), policy, cap);
     let (rows, batch_q) = match batch {
         Err(batch_err) => {
             let stream_err = stream.err().expect("batch aborted, streaming must too");
